@@ -8,10 +8,8 @@ the consensus and convergence guarantees of the underlying theory.
 
 __version__ = "0.1.0"
 
-from .agreement import (AgreementState, PhiLimits, PhiLimitSeries, PhiTable,
-                        agreement_step, agreement_vector, compute_phi,
-                        estimate_phi_limits, phi_family, phi_limit_series,
-                        phi_response_series)
+from .agreement import (AgreementState, PhiLimitSeries, PhiTable, agreement_step,
+                        agreement_vector, compute_phi, phi_family, phi_limit_series)
 from .baselines import BaselineRun, clvq_step, lloyd_step, run_clvq, run_lloyd
 from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
                           consensus_decay, estimate_lipschitz, summarize, theta,
@@ -30,9 +28,9 @@ from .schedule import (CommSchedule, ScheduleSpec, ValidationReport,
 
 __all__ = [
     "__version__",
-    "AgreementState", "PhiLimits", "PhiLimitSeries", "PhiTable",
-    "agreement_step", "agreement_vector", "compute_phi", "estimate_phi_limits",
-    "phi_family", "phi_limit_series", "phi_response_series",
+    "AgreementState", "PhiLimitSeries", "PhiTable",
+    "agreement_step", "agreement_vector", "compute_phi",
+    "phi_family", "phi_limit_series",
     "BaselineRun", "clvq_step", "lloyd_step", "run_clvq", "run_lloyd",
     "ConvergenceReport", "RunMetrics", "compute_metrics", "consensus_decay",
     "estimate_lipschitz", "summarize", "theta", "theta_series",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,10 +24,9 @@ __all__ = [
     "agreement_step",
     "merged_versions",
     "PhiTable",
-    "PhiLimits",
+    "PhiLimitSeries",
     "compute_phi",
-    "phi_response_series",
-    "estimate_phi_limits",
+    "phi_family",
     "phi_limit_series",
     "agreement_vector",
 ]
@@ -93,50 +92,47 @@ def agreement_step(state: AgreementState, schedule: CommSchedule) -> AgreementSt
 # impulse responses
 
 
-class _Extended:
-    """Schedule accessor that continues past the horizon by periodic extension.
+def _impulse_blocks(schedule: CommSchedule, ends: np.ndarray, spread_tol: float):
+    """Unit impulses as column blocks of one joint merge iteration.
 
-    Impulse limits depend on the schedule's future; a finite trace is extended
-    by cycling (its declared period, or the whole trace when dense).
+    Block k carries the impulse injected at tick tau = k - 1: it enters as the
+    identity at time k and is merged until its spread across receivers falls
+    below spread_tol or its time reaches ends[k]. A merge never mixes columns,
+    so each block follows exactly the arithmetic of a run on its own. Past the
+    horizon the schedule repeats (its period, or the whole trace when dense).
+
+    Yields (t, lo, x, live, done, spread) for t = 0, 1, ... until every block
+    has stopped. x (M, W * M) holds blocks lo .. lo + W - 1 at time t, the last
+    of them injected at t or earlier; live marks those still running at t, done
+    those that stop at t, and spread is each one's spread (inf before its first
+    merge). Stopped blocks between running ones ride along unrecorded.
     """
-
-    def __init__(self, schedule: CommSchedule):
-        self.P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
-        self._coeff = schedule.coeff_table
-        self._delay = schedule.delay_table
-
-    def coeff(self, u: int) -> np.ndarray:
-        return self._coeff[u % self.P]
-
-    def delay(self, u: int) -> np.ndarray:
-        return np.minimum(self._delay[u % self.P], u)
-
-
-def _impulse_ring(M: int, depth: int, tau: int) -> np.ndarray:
-    ring = np.zeros((depth, M, M))
-    ring[(tau + 1) % depth] = np.eye(M)
-    return ring
-
-
-def phi_response_series(schedule: CommSchedule, tau: int, t_end: int) -> np.ndarray:
-    """Impulse weights phi(u, tau) for u = tau+1 .. t_end, shape (t_end-tau, M, M).
-
-    Entry [k, i, j] is the weight processor i's version at time tau+1+k puts on
-    the unit injected at processor j at tick tau (tau = -1 probes the initial
-    versions). Uses only in-horizon ticks.
-    """
-    if not (-1 <= tau < t_end <= schedule.horizon):
-        raise ValueError(f"need -1 <= tau < t_end <= horizon, got tau={tau}, t_end={t_end}")
-    M = schedule.M
+    M, n = schedule.M, len(ends)
     depth = max(schedule.B1, 1)
-    ring = _impulse_ring(M, depth, tau)
-    out = np.empty((t_end - tau, M, M))
-    out[0] = ring[(tau + 1) % depth]
-    for u in range(tau + 1, t_end):
-        new = merged_versions(schedule.coeff(u), schedule.delay(u), ring, u)
-        ring[(u + 1) % depth] = new
-        out[u - tau] = new
-    return out
+    P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
+    eye = np.eye(M)
+    ring = np.zeros((depth, M, n * M))
+    ring[0, :, :M] = eye
+    live = np.ones(n, dtype=bool)
+    lo, t = 0, 0
+    x, spread = ring[0, :, :M], np.array([np.inf])  # block 0 at its injection
+    while True:
+        hi = lo + len(spread)
+        done = live[lo:hi] & ((ends[lo:hi] <= t) | (spread < spread_tol))
+        yield t, lo, x, live[lo:hi].copy(), done, spread
+        live[lo:hi] &= ~done
+        if not live.any():
+            return
+        lo, hi = int(np.argmax(live)), min(t + 2, n)
+        cols = slice(lo * M, hi * M)
+        x = merged_versions(schedule.coeff_table[t % P],
+                            np.minimum(schedule.delay_table[t % P], t), ring[:, :, cols], t)
+        spread = np.max((np.max(x, axis=0) - np.min(x, axis=0)).reshape(-1, M), axis=1)
+        if t + 1 < n:  # block t + 1 enters at time t + 1
+            x[:, (t + 1 - lo) * M:] = eye
+            spread[-1] = np.inf
+        ring[(t + 1) % depth, :, cols] = x
+        t += 1
 
 
 @dataclass(frozen=True)
@@ -170,19 +166,10 @@ def compute_phi(schedule: CommSchedule, t: int) -> PhiTable:
     """Impulse weights at time t for every injection tick tau in [-1, t)."""
     if not (0 <= t <= schedule.horizon):
         raise ValueError(f"t must lie in [0, horizon], got {t}")
+    for _, _, x, _, _, _ in _impulse_blocks(schedule, np.full(t + 1, t), 0.0):
+        pass
     M = schedule.M
-    depth = max(schedule.B1, 1)
-    phi = np.empty((t + 1, M, M))
-    for tau in range(-1, t):
-        ring = _impulse_ring(M, depth, tau)
-        if t == tau + 1:
-            phi[tau + 1] = ring[(tau + 1) % depth]
-            continue
-        for u in range(tau + 1, t):
-            ring[(u + 1) % depth] = merged_versions(schedule.coeff(u), schedule.delay(u),
-                                                    ring, u)
-        phi[tau + 1] = ring[t % depth]
-    return PhiTable(t=t, phi=phi)
+    return PhiTable(t=t, phi=x.reshape(M, t + 1, M).transpose(1, 0, 2).copy())
 
 
 def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
@@ -192,10 +179,6 @@ def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
     weight processor i's version at time t puts on the unit injected at
     processor j at tick tau = k - 1 (k = 0 probes the initial versions).
     Entries with tau >= t are zero.
-
-    All injections ride along as extra columns of one joint linear iteration,
-    so the whole family costs a single pass over the schedule; the arithmetic
-    per block matches the one-injection runs exactly.
     """
     if not (0 <= t_end <= schedule.horizon):
         raise ValueError(f"t_end must lie in [0, horizon], got {t_end}")
@@ -204,18 +187,9 @@ def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
     if n_tau * n_tau * M * M > 2**24:
         raise ValueError("phi family would exceed the in-memory budget; "
                          "query single times with compute_phi instead")
-    depth = max(schedule.B1, 1)
-    eye = np.eye(M)
-    ring = np.zeros((depth, M, n_tau * M))
-    ring[0, :, :M] = eye
-    out = np.empty((t_end + 1, M, n_tau * M))
-    out[0] = ring[0]
-    for u in range(t_end):
-        new = merged_versions(schedule.coeff(u), schedule.delay(u), ring, u)
-        b0 = (u + 1) * M
-        new[:, b0:b0 + M] = eye           # tau = u is injected at time u + 1
-        ring[(u + 1) % depth] = new
-        out[u + 1] = new
+    out = np.zeros((t_end + 1, M, n_tau * M))
+    for t, lo, x, _, _, _ in _impulse_blocks(schedule, np.full(n_tau, t_end), 0.0):
+        out[t, :, lo * M:lo * M + x.shape[1]] = x
     return out.reshape(t_end + 1, M, n_tau, M).transpose(0, 2, 1, 3).copy()
 
 
@@ -223,43 +197,18 @@ def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
 # limits
 
 
-@dataclass(frozen=True)
-class PhiLimits:
-    """Limit weights with the geometric-approach fit.
+def _fit_geometric(gaps: np.ndarray, resids: np.ndarray) -> tuple[float, float]:
+    """(A_hat, rho_hat) with LS slope on log-residuals and envelope intercept.
 
-    phi_star[k, j] is the limit weight of sender j's impulse at tau = k - 1
-    (row 0 is the initial-version probe). The residual model
-    |phi(t, tau)[i, j] - phi_star[tau, j]| <= A_hat * rho_hat**(t - tau)
-    uses a least-squares slope and an envelope intercept, so it holds on all
-    residuals it was fitted to. resolved is False when the spread across
-    receivers never fell below the tolerance (limits unresolved); a slope fit
-    that does not contract reports rho_hat >= 1 rather than raising.
+    gaps broadcasts against resids; both are read in C order. Residuals at or
+    below 1e-14 are rounding noise and stay out of the fit.
     """
-
-    phi_star: np.ndarray          # (n_taus, M)
-    taus: np.ndarray              # (n_taus,) injection ticks, starting at -1
-    A_hat: float
-    rho_hat: float
-    eta_hat: float
-    resolved: bool
-    unresolved_taus: tuple = ()
-
-    def star(self, tau: int) -> np.ndarray:
-        k = int(tau) - int(self.taus[0])
-        if not (0 <= k < len(self.taus)):
-            raise ValueError(f"no limit stored for tau={tau}")
-        return self.phi_star[k]
-
-
-def _fit_geometric(gaps: np.ndarray, resids: np.ndarray,
-                   floor: float = 1e-14) -> tuple[float, float]:
-    """(A_hat, rho_hat) with LS slope on log-residuals and envelope intercept."""
-    keep = resids > floor
+    keep = resids > 1e-14
     if not np.any(keep):
         return 0.0, 0.0
-    g = gaps[keep].astype(float)
+    g = np.broadcast_to(gaps, resids.shape)[keep].astype(float)
     r = np.log(resids[keep])
-    if len(np.unique(g)) < 2:
+    if g.min() == g.max():
         rho = 1.0
     else:
         slope = np.polyfit(g, r, 1)[0]
@@ -269,51 +218,6 @@ def _fit_geometric(gaps: np.ndarray, resids: np.ndarray,
         return float(np.max(resids[keep])), max(rho, 1.0)
     a = float(np.max(resids[keep] / rho ** g))
     return a, rho
-
-
-def estimate_phi_limits(tables: Sequence[PhiTable], spread_tol: float = 1e-9,
-                        resid_floor: float = 1e-14) -> PhiLimits:
-    """Limits from impulse tables at several evaluation times.
-
-    Needs at least three distinct t values. The limit for each (tau, sender)
-    is the receiver average at the largest t, accepted when the spread across
-    receivers is below spread_tol; otherwise that tau is flagged unresolved.
-    """
-    if len(tables) < 3:
-        raise ValueError("need tables at >= 3 distinct t values")
-    ts = [tb.t for tb in tables]
-    if len(set(ts)) != len(ts):
-        raise ValueError("tables must have distinct t values")
-    tables = sorted(tables, key=lambda tb: tb.t)
-    last = tables[-1]
-    M = last.M
-    n_common = min(tb.phi.shape[0] for tb in tables)  # taus shared by all tables
-    taus = np.arange(-1, n_common - 1)
-
-    phi_star = np.mean(last.phi[:n_common], axis=1)           # (n_common, M)
-    spread = np.max(last.phi[:n_common], axis=1) - np.min(last.phi[:n_common], axis=1)
-    unresolved = np.flatnonzero(np.max(spread, axis=1) >= spread_tol)
-    resolved_mask = np.ones(n_common, dtype=bool)
-    resolved_mask[unresolved] = False
-
-    gaps, resids = [], []
-    for tb in tables:
-        k = np.flatnonzero(resolved_mask)
-        if len(k) == 0:
-            break
-        diff = np.abs(tb.phi[k] - phi_star[k][:, None, :])    # (n_res, M, M)
-        gap = tb.t - (k - 1)                                   # t - tau per row
-        gaps.append(np.repeat(gap, M * M))
-        resids.append(diff.reshape(-1))
-    if gaps:
-        a_hat, rho_hat = _fit_geometric(np.concatenate(gaps), np.concatenate(resids),
-                                        floor=resid_floor)
-    else:
-        a_hat, rho_hat = 0.0, 1.0
-    eta = float(np.min(phi_star[resolved_mask])) if resolved_mask.any() else math.nan
-    return PhiLimits(phi_star=phi_star, taus=taus, A_hat=a_hat, rho_hat=rho_hat,
-                     eta_hat=eta, resolved=len(unresolved) == 0,
-                     unresolved_taus=tuple(int(taus[u]) for u in unresolved))
 
 
 @dataclass(frozen=True)
@@ -337,40 +241,19 @@ class PhiLimitSeries:
         return self.phi_init if tau == -1 else self.phi[tau]
 
 
-def _impulse_limit(ext: _Extended, M: int, depth: int, tau: int, spread_tol: float,
-                   max_run: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
-    """Run one impulse to consensus; returns (limit, spread, trajectory, ok)."""
-    ring = _impulse_ring(M, depth, tau)
-    traj = [ring[(tau + 1) % depth].copy()]
-    spread = math.inf
-    u = tau + 1
-    while u - tau <= max_run:
-        x = merged_versions(ext.coeff(u), ext.delay(u), ring, u)
-        ring[(u + 1) % depth] = x
-        traj.append(x)
-        spread = float(np.max(np.max(x, axis=0) - np.min(x, axis=0)))
-        u += 1
-        if spread < spread_tol:
-            break
-    x_final = ring[u % depth]
-    limit = np.mean(x_final, axis=0)
-    return limit, spread, np.array(traj), spread < spread_tol
-
-
 def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None,
                      spread_tol: float = 1e-12, max_run: int = 20000) -> PhiLimitSeries:
     """Limit weights for all injection ticks tau in [-1, horizon).
 
-    For a periodic schedule the limits for tau and tau + period coincide once
-    tau clears the startup delay clamp, so only one base block is run and the
-    rest is tiled. The geometric fit pools every recorded residual of the base
-    runs: least-squares slope, envelope intercept.
+    Each impulse runs until its spread across receivers falls below
+    spread_tol, or for max_run merges, and its limit is the receiver average
+    at that time. For a periodic schedule the limits for tau and tau + period
+    coincide once tau clears the startup delay clamp, so only one base block
+    is run and the rest is tiled. The geometric fit pools every residual of
+    the base runs, impulse by impulse: least-squares slope, envelope intercept.
     """
     T = schedule.horizon if horizon is None else horizon
     M = schedule.M
-    depth = max(schedule.B1, 1)
-    ext = _Extended(schedule)
-
     if schedule.period is not None and T > 0:
         P = schedule.period
         tau0 = P * math.ceil(max(schedule.B1, 1) / P)
@@ -378,37 +261,39 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None,
     else:
         direct_hi = T
 
-    phi_init = np.zeros(M)
+    n = direct_hi + 1  # taus -1 .. direct_hi - 1
+    limits, spreads = np.empty((n, M)), np.empty(n)
+    rows, owners, gaps = [], [], []
+    for t, lo, x, live, done, spread in _impulse_blocks(schedule, np.arange(n) + max_run,
+                                                        spread_tol):
+        blocks = x.reshape(M, -1, M).transpose(1, 0, 2)
+        k = lo + np.flatnonzero(live)
+        rows.append(blocks[live])
+        owners.append(k)
+        gaps.append(t + 1 - k)
+        for w in np.flatnonzero(done):
+            limits[lo + w] = np.mean(blocks[w], axis=0)
+            spreads[lo + w] = spread[w]
+
+    # the fit reads residuals impulse by impulse, each in time order: the
+    # least-squares slope depends on that order in its last bits
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    resids = np.concatenate(rows)
+    rows.clear()  # free the per-step copies before the reorder
+    resids = resids[order]
+    resids -= limits[owner[order]][:, None, :]
+    np.abs(resids, out=resids)
+    a_hat, rho_hat = _fit_geometric(np.concatenate(gaps)[order][:, None, None], resids)
+
     phi = np.zeros((T, M))
-    gaps, resids = [], []
-    worst_spread = 0.0
-    all_ok = True
-
-    for tau in range(-1, direct_hi):
-        limit, spread, traj, ok = _impulse_limit(ext, M, depth, tau, spread_tol, max_run)
-        worst_spread = max(worst_spread, spread)
-        all_ok = all_ok and ok
-        if tau == -1:
-            phi_init = limit
-        else:
-            phi[tau] = limit
-        resid = np.abs(traj - limit[None, None, :])
-        gap = np.arange(1, traj.shape[0] + 1)
-        gaps.append(np.repeat(gap, M * M))
-        resids.append(resid.reshape(-1))
-
+    phi[:direct_hi] = limits[1:]
     if T > direct_hi:  # tile the periodic block
-        P = schedule.period
-        for tau in range(direct_hi, T):
-            phi[tau] = phi[tau0 + (tau - tau0) % P]
-
-    a_hat, rho_hat = _fit_geometric(np.concatenate(gaps), np.concatenate(resids)) \
-        if gaps else (0.0, 0.0)
-    used = np.concatenate([phi_init[None, :], phi[:direct_hi]]) if direct_hi > 0 \
-        else phi_init[None, :]
-    eta = float(np.min(used))
-    return PhiLimitSeries(phi_init=phi_init, phi=phi, A_hat=a_hat, rho_hat=rho_hat,
-                          eta_hat=eta, resolved=all_ok, max_spread=worst_spread)
+        phi[direct_hi:] = phi[tau0 + (np.arange(direct_hi, T) - tau0) % P]
+    return PhiLimitSeries(phi_init=limits[0], phi=phi, A_hat=a_hat, rho_hat=rho_hat,
+                          eta_hat=float(np.min(limits)),
+                          resolved=bool(np.all(spreads < spread_tol)),
+                          max_spread=float(np.max(spreads)))
 
 
 # ---------------------------------------------------------------------------

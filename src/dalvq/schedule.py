@@ -10,6 +10,7 @@ analysis exploits; traces read from disk stay dense.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,6 +138,8 @@ class CommSchedule:
         P = self.period if self.period is not None else max(self.horizon, 1)
         if c.shape != (P, self.M, self.M) or d.shape != c.shape or a.shape != (P, self.M):
             raise ConfigError("schedule tables have inconsistent shapes")
+        if not np.all(np.isfinite(c)):
+            raise ConfigError("coefficients must be finite")
         if np.any(c < 0.0) or np.any(d < 0):
             raise ConfigError("coefficients and delays must be nonnegative")
         for arr in (c, d, a):
@@ -205,7 +208,11 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
     if spec.topology == "custom-trace":
-        return read_trace(spec.trace_path)
+        trace = read_trace(spec.trace_path)
+        if (trace.M, trace.horizon) != (M, horizon):
+            raise ConfigError(f"trace {spec.trace_path} has M={trace.M} and horizon "
+                              f"{trace.horizon}, the config M={M} and horizon {horizon}")
+        return trace
     if spec.topology == "random-symmetric-gossip":
         separated = spec.activity in ("round-robin", "random-subset")
         if M < 2 + (1 if separated else 0):
@@ -273,134 +280,111 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
                     elif spec.delay_law == "uniform":
                         delay[t, i, j] = int(g.integers(0, spec.delay_value))
 
-    alpha = float(np.min(coeff[coeff > 0.0])) if np.any(coeff > 0.0) else 1.0
-    B1 = int(np.max(delay)) + 1
-
-    edges = _edge_masks_from_tables(coeff, M, horizon, P)
-    B2 = _derive_b2(edges, M, horizon)
-    B3 = _derive_b3(edges, M, horizon)
-
+    alpha, B1, B2, B3 = _measure(coeff, delay, horizon, P)
     return CommSchedule(M=M, horizon=horizon, alpha=alpha, B1=B1, B2=B2, B3=B3,
                         coeff_table=coeff, delay_table=delay, active_table=active,
                         period=P)
 
 
 # ---------------------------------------------------------------------------
-# edge-set machinery (bitmask per tick, bit i*M+j set when (j -> i) in E(t))
+# edge analysis on a boolean tensor: E[t, i, j] is True when (j -> i) in E(t)
 
 
-def _edge_masks_from_tables(coeff: np.ndarray, M: int, horizon: int,
-                            period: Optional[int]) -> np.ndarray:
-    if M * M > 64:
-        raise ConfigError("edge analysis supports at most M*M = 64 directed pairs")
-    P = coeff.shape[0]
-    base = np.zeros(P, dtype=np.uint64)
-    for t in range(P):
-        bits = 0
-        ci = coeff[t]
-        for i in range(M):
-            for j in range(M):
-                if i != j and ci[i, j] > 0.0:
-                    bits |= 1 << (i * M + j)
-        base[t] = bits
-    if period is None:
-        return base[:horizon]
-    reps = -(-horizon // P) if horizon else 0
-    return np.tile(base, max(reps, 1))[:horizon]
+def _edge_tensor(coeff: np.ndarray, horizon: int, period: Optional[int]) -> np.ndarray:
+    """Edges at every tick of the horizon; a periodic horizon comes folded.
+
+    Ticks t and t + P carry the same edges, so a horizon T >= 2P answers every
+    question asked of it here (window unions, gaps between a pair's ticks and
+    to either end, distances to the reverse pair, the ticks where the worst
+    of these occur) exactly as its first L = 2P + (T - 2P) % P ticks do. Two
+    periods hold every window and every wrap-around gap; L = T (mod P) lines
+    the last period up with the horizon's end. A witness tick t >= P of the
+    fold is tick t + T - L of the horizon.
+    """
+    P = period if period is not None else max(horizon, 1)
+    L = min(horizon, 2 * P + (horizon - 2 * P) % P)
+    edges = coeff[np.arange(L) % P] > 0.0
+    M = coeff.shape[1]
+    edges[:, np.arange(M), np.arange(M)] = False
+    return edges
 
 
-def _edge_masks(schedule: CommSchedule) -> np.ndarray:
-    return _edge_masks_from_tables(schedule.coeff_table, schedule.M,
-                                   schedule.horizon, schedule.period)
+def _first_disconnected(edges: np.ndarray, width: int) -> Optional[int]:
+    """Start of the first width-tick window whose edge union is not strongly
+    connected, or None; a width beyond the horizon means the whole horizon.
+    Every window's union is one block of a single graph, so one pass over its
+    strong components checks them all."""
+    L, M = edges.shape[:2]
+    width = min(width, L)
+    counts = np.zeros((L + 1, M, M), dtype=np.int32)
+    np.cumsum(edges, axis=0, out=counts[1:])
+    k, i, j = np.nonzero(counts[width:] > counts[:L - width + 1])  # window k: edge j -> i
+    n = (L - width + 1) * M
+    graph = sp.csr_matrix((np.ones(len(k), dtype=np.int8), (k * M + j, k * M + i)),
+                          shape=(n, n))
+    labels = connected_components(graph, directed=True, connection="strong")[1].reshape(-1, M)
+    bad = np.flatnonzero(np.any(labels != labels[:, :1], axis=1))
+    return int(bad[0]) if len(bad) else None
 
 
-def _strongly_connected(mask: int, M: int) -> bool:
-    if M == 1:
-        return True
-    adj = np.zeros((M, M), dtype=np.int8)
-    for i in range(M):
-        for j in range(M):
-            if mask & (1 << (i * M + j)):
-                adj[j, i] = 1  # edge j -> i
-    n, _ = connected_components(sp.csr_matrix(adj), directed=True, connection="strong")
-    return n == 1
+def _interval_needs(edges: np.ndarray) -> np.ndarray:
+    """Per pair (receiver i, sender j) seen at least twice, the window width that
+    holds one of its ticks wherever it starts: max(first tick + 1, largest gap
+    between its ticks, L - last tick). 0 for every other pair."""
+    L, M = edges.shape[:2]
+    need = np.zeros((M, M), dtype=np.int64)
+    for i, j in zip(*np.nonzero(np.sum(edges, axis=0) >= 2)):
+        occ = np.flatnonzero(edges[:, i, j])
+        need[i, j] = max(occ[0] + 1, np.max(np.diff(occ)), L - occ[-1])
+    return need
 
 
-def _window_or(masks: np.ndarray, width: int) -> np.ndarray:
-    """OR of every width-length window; output index = window start."""
-    T = len(masks)
-    if width >= T:
-        return np.array([np.bitwise_or.reduce(masks)], dtype=np.uint64) if T else masks
-    level = masks
-    size = 1
-    while size * 2 <= width:
-        level = level[:-size] | level[size:]
-        size *= 2
-    return level[: T - width + 1] | level[width - size: T - size + 1]
+def _mirror_gaps(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair (receiver i, sender j) that occurs: the largest distance from
+    one of its ticks to the nearest tick of the reverse pair, and the first
+    tick at that distance. A pair never reversed gets -1 at its first tick;
+    pairs that never occur get 0."""
+    M = edges.shape[1]
+    gap = np.zeros((M, M), dtype=np.int64)
+    tick = np.zeros((M, M), dtype=np.int64)
+    for i, j in zip(*np.nonzero(np.any(edges, axis=0))):
+        a, b = np.flatnonzero(edges[:, i, j]), np.flatnonzero(edges[:, j, i])
+        if len(b) == 0:
+            gap[i, j], tick[i, j] = -1, a[0]
+            continue
+        pos = np.searchsorted(b, a)
+        nearest = np.minimum(np.abs(a - b[np.maximum(pos - 1, 0)]),
+                             np.abs(b[np.minimum(pos, len(b) - 1)] - a))
+        worst = int(np.argmax(nearest))
+        gap[i, j], tick[i, j] = nearest[worst], a[worst]
+    return gap, tick
 
 
-def _all_windows_connected(masks: np.ndarray, width: int, M: int,
-                           cache: dict[int, bool]) -> tuple[bool, Optional[int]]:
-    ors = _window_or(masks, width)
-    uniq = np.unique(ors)
-    for mask in uniq:
-        m = int(mask)
-        if m not in cache:
-            cache[m] = _strongly_connected(m, M)
-    bad = np.array([m for m in uniq if not cache[int(m)]], dtype=np.uint64)
-    if len(bad) == 0:
-        return True, None
-    return False, int(np.flatnonzero(np.isin(ors, bad))[0])
-
-
-def _derive_b2(edges: np.ndarray, M: int, horizon: int) -> int:
+def _derive_b2(edges: np.ndarray, horizon: int) -> int:
     """Smallest width covering both window connectivity and recurring-pair gaps."""
+    L, M = edges.shape[:2]
     if horizon == 0 or M == 1:
         return 1
-    cache: dict[int, bool] = {}
-    ok_full, _ = _all_windows_connected(edges, horizon, M, cache)
-    if not ok_full:
-        return max(horizon, 1)  # union never connects; validation will fail A5
-    lo, hi = 1, horizon
-    while lo < hi:  # window connectivity is monotone in the width
-        mid = (lo + hi) // 2
-        ok, _ = _all_windows_connected(edges, mid, M, cache)
-        if ok:
-            hi = mid
-        else:
-            lo = mid + 1
-    w_conn = lo
-    w_pairs = 1
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                continue
-            occ = np.flatnonzero(edges & np.uint64(1 << (i * M + j)))
-            if len(occ) >= 2:
-                need = max(int(occ[0]) + 1, int(np.max(np.diff(occ))),
-                           horizon - int(occ[-1]))
-                w_pairs = max(w_pairs, need)
-    return max(w_conn, w_pairs)
+    # window connectivity is monotone in the width
+    width = 1 + bisect.bisect_left(range(1, L + 1), True,
+                                   key=lambda w: _first_disconnected(edges, w) is None)
+    if width > L:
+        return horizon  # union never connects; validation will fail A5
+    return max(width, int(np.max(_interval_needs(edges))))
 
 
-def _derive_b3(edges: np.ndarray, M: int, horizon: int) -> int:
+def _derive_b3(edges: np.ndarray) -> int:
     """Tightest b with every edge mirrored within |t - tau| < b, else 1."""
-    worst = 0
-    for i in range(M):
-        for j in range(i + 1, M):
-            occ_ij = np.flatnonzero(edges & np.uint64(1 << (i * M + j)))
-            occ_ji = np.flatnonzero(edges & np.uint64(1 << (j * M + i)))
-            for a, b in ((occ_ij, occ_ji), (occ_ji, occ_ij)):
-                if len(a) == 0:
-                    continue
-                if len(b) == 0:
-                    return 1  # no reverse at all: symmetry cannot hold
-                pos = np.searchsorted(b, a)
-                left = np.where(pos > 0, np.abs(a - b[np.maximum(pos - 1, 0)]), np.iinfo(np.int64).max)
-                right = np.where(pos < len(b), np.abs(b[np.minimum(pos, len(b) - 1)] - a),
-                                 np.iinfo(np.int64).max)
-                worst = max(worst, int(np.max(np.minimum(left, right))))
-    return worst + 1
+    gap, _ = _mirror_gaps(edges)
+    return 1 if np.any(gap < 0) else int(np.max(gap)) + 1
+
+
+def _measure(coeff: np.ndarray, delay: np.ndarray, horizon: int,
+             period: Optional[int]) -> tuple[float, int, int, int]:
+    """The constants (alpha, B1, B2, B3) a table realizes over the horizon."""
+    alpha = float(np.min(coeff[coeff > 0.0])) if np.any(coeff > 0.0) else 1.0
+    edges = _edge_tensor(coeff, horizon, period)
+    return alpha, int(np.max(delay)) + 1, _derive_b2(edges, horizon), _derive_b3(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -491,67 +475,49 @@ def validate(schedule: CommSchedule) -> ValidationReport:
                                                                     "coeff": float(diag[t, i])}
     checks["convex_combination"] = CheckResult(ok, detail, witness)
 
-    edges = _edge_masks(schedule)
+    edges = _edge_tensor(schedule.coeff_table, T, schedule.period)
 
     # connectivity: every B2-length window's edge union is strongly connected
     ok, detail, witness = True, "every B2-window union is strongly connected", None
     if T > 0 and M > 1:
         width = min(schedule.B2, T)
-        cache: dict[int, bool] = {}
-        all_ok, bad_start = _all_windows_connected(edges, width, M, cache)
-        if not all_ok:
+        bad_start = _first_disconnected(edges, width)
+        if bad_start is not None:
             ok, detail = False, "window union not strongly connected"
-            witness = {"window_start": int(bad_start), "window": width}
+            witness = {"window_start": bad_start, "window": width}
     checks["connectivity"] = CheckResult(ok, detail, witness)
 
     # bounded communication intervals: recurring pairs occur in every B2-window
     ok, detail, witness = True, "recurring pairs reappear within every B2-window", None
-    single_pairs = []
     if T > 0 and M > 1:
-        for i in range(M):
-            for j in range(M):
-                if i == j or not ok:
-                    continue
-                occ = np.flatnonzero(edges & np.uint64(1 << (i * M + j)))
-                if len(occ) == 1:
-                    single_pairs.append((j, i))
-                if len(occ) < 2:
-                    continue
-                need = max(int(occ[0]) + 1, int(np.max(np.diff(occ))), T - int(occ[-1]))
-                if need > schedule.B2:
-                    ok, detail = False, "recurring pair exceeds the B2 interval"
-                    witness = {"sender": j, "receiver": i, "needed_window": need}
-        if ok and single_pairs:
-            detail += f"; {len(single_pairs)} pair(s) occur once and are unconstrained"
+        need = _interval_needs(edges)
+        bad = np.argwhere(need > schedule.B2)
+        singles = int(np.sum(np.sum(edges, axis=0) == 1))
+        if len(bad):
+            i, j = map(int, bad[0])
+            ok, detail = False, "recurring pair exceeds the B2 interval"
+            witness = {"sender": j, "receiver": i, "needed_window": int(need[i, j])}
+        elif singles:
+            detail += f"; {singles} pair(s) occur once and are unconstrained"
     checks["bounded_intervals"] = CheckResult(ok, detail, witness)
 
     # symmetry: each edge is mirrored within strict distance B3
     ok, detail, witness = True, "every edge has its reverse within |t - tau| < B3", None
     if T > 0 and M > 1:
-        for i in range(M):
-            for j in range(i + 1, M):
-                if not ok:
-                    break
-                occ_ij = np.flatnonzero(edges & np.uint64(1 << (i * M + j)))
-                occ_ji = np.flatnonzero(edges & np.uint64(1 << (j * M + i)))
-                for a, b, sender, receiver in ((occ_ij, occ_ji, j, i), (occ_ji, occ_ij, i, j)):
-                    if len(a) == 0:
-                        continue
-                    if len(b) == 0:
-                        ok, detail = False, "edge never mirrored"
-                        witness = {"sender": sender, "receiver": receiver, "t": int(a[0])}
-                        break
-                    pos = np.searchsorted(b, a)
-                    big = np.iinfo(np.int64).max
-                    left = np.where(pos > 0, np.abs(a - b[np.maximum(pos - 1, 0)]), big)
-                    right = np.where(pos < len(b), np.abs(b[np.minimum(pos, len(b) - 1)] - a), big)
-                    nearest = np.minimum(left, right)
-                    worst = int(np.argmax(nearest))
-                    if nearest[worst] >= schedule.B3:
-                        ok, detail = False, "mirror edge outside the B3 slack"
-                        witness = {"sender": sender, "receiver": receiver, "t": int(a[worst]),
-                                   "nearest_reverse_gap": int(nearest[worst])}
-                        break
+        gap, tick = _mirror_gaps(edges)
+        pairs = ((r, s) for i in range(M) for j in range(i + 1, M) for r, s in ((i, j), (j, i)))
+        bad = next(((r, s) for r, s in pairs if gap[r, s] < 0 or gap[r, s] >= schedule.B3), None)
+        if bad is not None:
+            r, s = bad
+            t = int(tick[r, s])
+            if schedule.period is not None and t >= schedule.period:
+                t += T - len(edges)  # back from the fold
+            ok, witness = False, {"sender": s, "receiver": r, "t": t}
+            if gap[r, s] < 0:
+                detail = "edge never mirrored"
+            else:
+                detail = "mirror edge outside the B3 slack"
+                witness["nearest_reverse_gap"] = int(gap[r, s])
     checks["symmetry"] = CheckResult(ok, detail, witness)
 
     # at least one descent step per tick
@@ -601,7 +567,9 @@ def write_trace(schedule: CommSchedule, path: str) -> None:
 
 def read_trace(path: str) -> CommSchedule:
     """Read a dense schedule from JSONL; constants come from the meta record
-    when present and are measured from the trace otherwise."""
+    when present and are measured from the trace otherwise. A meta B1 below
+    the trace's largest delay + 1 is rejected: a ring sized from it would
+    read overwritten versions."""
     records = []
     meta = None
     try:
@@ -647,15 +615,14 @@ def read_trace(path: str) -> CommSchedule:
                 raise ConfigError(f"{path}:{line_no}: active index {i} out of range")
             active[k, int(i)] = True
 
-    if meta is not None:
+    if meta is None:
+        alpha, B1, B2, B3 = _measure(coeff, delay, T, None)
+    else:
         alpha, B1 = float(meta["alpha"]), int(meta["B1"])
         B2, B3 = int(meta["B2"]), int(meta["B3"])
-    else:
-        alpha = float(np.min(coeff[coeff > 0.0])) if np.any(coeff > 0.0) else 1.0
-        B1 = int(np.max(delay)) + 1
-        edges = _edge_masks_from_tables(coeff, M, T, None)
-        B2 = _derive_b2(edges, M, T)
-        B3 = _derive_b3(edges, M, T)
+        if B1 < int(np.max(delay)) + 1:
+            raise ConfigError(f"{path}: meta B1={B1} is below the largest delay + 1 "
+                              f"= {int(np.max(delay)) + 1}")
     return CommSchedule(M=M, horizon=T, alpha=alpha, B1=B1, B2=B2, B3=B3,
                         coeff_table=coeff, delay_table=delay, active_table=active,
                         period=None)

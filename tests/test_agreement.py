@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from dalvq.agreement import (AgreementState, agreement_step, agreement_vector,
-                             compute_phi, estimate_phi_limits, merged_versions,
-                             phi_family,
-                             phi_limit_series, phi_response_series)
+from dalvq.agreement import (AgreementState, _fit_geometric, agreement_step,
+                             agreement_vector, compute_phi, merged_versions, phi_family,
+                             phi_limit_series)
 from dalvq.diagnostics import dense_descent
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.measures import DistributionSpec
@@ -26,6 +27,43 @@ def identity_schedule(M=2, horizon=4):
                         coeff_table=np.tile(np.eye(M), (horizon, 1, 1)),
                         delay_table=np.zeros((horizon, M, M), dtype=np.int64),
                         active_table=np.ones((horizon, M), dtype=bool), period=None)
+
+
+def gossip_schedule(M=4, horizon=150, seed=3):
+    spec = ScheduleSpec(topology="random-symmetric-gossip", merge_period=1,
+                        delay_law="uniform", delay_value=4, activity="random-subset",
+                        base_window=12)
+    return generate(spec, M, horizon, seed)
+
+
+def response_series(sch, tau, n_merges, spread_tol=0.0):
+    """Reference: the impulse injected at tau run on its own, one merge at a
+    time on the schedule repeated past its horizon, for n_merges merges or
+    until its spread across receivers falls below spread_tol. Returns the
+    weights at times tau + 1, tau + 2, ... and the last spread (inf if none)."""
+    M, depth = sch.M, sch.B1
+    P = sch.period if sch.period is not None else max(sch.horizon, 1)
+    ring = np.zeros((depth, M, M))
+    ring[(tau + 1) % depth] = np.eye(M)
+    out, spread = [np.eye(M)], math.inf
+    for u in range(tau + 1, tau + 1 + n_merges):
+        x = merged_versions(sch.coeff_table[u % P], np.minimum(sch.delay_table[u % P], u),
+                            ring, u)
+        ring[(u + 1) % depth] = x
+        out.append(x)
+        spread = float(np.max(np.max(x, axis=0) - np.min(x, axis=0)))
+        if spread < spread_tol:
+            break
+    return np.array(out), spread
+
+
+def base_taus(sch):
+    """Injection ticks phi_limit_series runs directly: one period past the
+    startup clamp for a periodic schedule, every tick of a dense one."""
+    if sch.period is None:
+        return range(-1, sch.horizon)
+    tau0 = sch.period * math.ceil(sch.B1 / sch.period)
+    return range(-1, min(tau0 + sch.period, sch.horizon))
 
 
 # ---- the merge primitive ----
@@ -93,7 +131,7 @@ class TestComputePhi:
 
     def test_matches_response_series(self):
         sch = ring_schedule(horizon=25)
-        series = phi_response_series(sch, tau=3, t_end=25)
+        series, _ = response_series(sch, tau=3, n_merges=21)
         for t in (4, 10, 25):
             assert np.array_equal(compute_phi(sch, t).at(3), series[t - 4])
 
@@ -153,27 +191,68 @@ class TestDecomposition:
 # ---- limits ----
 
 
+class TestImpulseOracle:
+    """Every impulse entry point against impulses run one at a time."""
+
+    CASES = {"ring": (lambda: ring_schedule(M=3, horizon=60, delay=2), 20000),
+             "gossip": (lambda: gossip_schedule(), 20000),
+             "identity": (lambda: identity_schedule(M=2, horizon=6), 50),
+             "capped": (lambda: ring_schedule(M=4, horizon=40, delay=2), 7)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tables_equal_single_runs(self, case):
+        sch = self.CASES[case][0]()
+        t_end = min(sch.horizon, 30)
+        fam = phi_family(sch, t_end)
+        for t in sorted({0, 1, t_end // 2, t_end}):
+            tab = compute_phi(sch, t)
+            for tau in range(-1, t):
+                want = response_series(sch, tau, t - tau - 1)[0][-1]
+                assert np.array_equal(tab.at(tau), want), (t, tau)
+                assert np.array_equal(fam[t, tau + 1], want), (t, tau)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_limits_equal_single_runs(self, case):
+        make, max_run = self.CASES[case]
+        sch = make()
+        limits, spreads, gaps, resids = [], [], [], []
+        for tau in base_taus(sch):
+            traj, spread = response_series(sch, tau, max_run, spread_tol=1e-12)
+            limits.append(np.mean(traj[-1], axis=0))
+            spreads.append(spread)
+            gaps.append(np.repeat(np.arange(1, len(traj) + 1), sch.M * sch.M))
+            resids.append(np.abs(traj - limits[-1]).reshape(-1))
+        a_hat, rho_hat = _fit_geometric(np.concatenate(gaps), np.concatenate(resids))
+        series = phi_limit_series(sch, max_run=max_run)
+        assert np.array_equal(series.phi_init, limits[0])
+        assert np.array_equal(series.phi[:len(limits) - 1], np.array(limits[1:]))
+        assert (series.A_hat, series.rho_hat) == (a_hat, rho_hat)
+        assert series.resolved == all(sp < 1e-12 for sp in spreads)
+        assert series.max_spread == max(spreads)
+        assert series.eta_hat == float(np.min(limits))
+
+
 class TestPhiLimits:
     def test_tables_limits_match_series(self):
         sch = ring_schedule(M=3, horizon=160, delay=1)
-        tables = [compute_phi(sch, t) for t in (80, 120, 160)]
-        lim = estimate_phi_limits(tables)
-        assert lim.resolved
+        tab = compute_phi(sch, 160)
+        # every tau up to 80 has agreed across receivers by t = 160
+        assert np.max(np.ptp(tab.phi[:81], axis=1)) < 1e-9
+        star = np.mean(tab.phi, axis=1)
         series = phi_limit_series(sch)
-        np.testing.assert_allclose(lim.phi_star[0], series.phi_init, atol=1e-7)
+        np.testing.assert_allclose(star[0], series.phi_init, atol=1e-7)
         for tau in (0, 3, 10):
-            np.testing.assert_allclose(lim.star(tau), series.phi[tau], atol=1e-7)
+            np.testing.assert_allclose(star[tau + 1], series.phi[tau], atol=1e-7)
 
     def test_envelope_covers_fitted_residuals(self):
         sch = ring_schedule(M=3, horizon=120, delay=1)
-        tables = [compute_phi(sch, t) for t in (60, 90, 120)]
-        lim = estimate_phi_limits(tables)
-        assert 0.0 < lim.rho_hat < 1.0
-        for tb in tables:
-            n = lim.phi_star.shape[0]
-            resid = np.abs(tb.phi[:n] - lim.phi_star[:, None, :])
-            gaps = tb.t - (np.arange(n) - 1)
-            bound = lim.A_hat * lim.rho_hat ** gaps
+        series = phi_limit_series(sch)
+        assert 0.0 < series.rho_hat < 1.0
+        for tau in base_taus(sch):
+            traj, _ = response_series(sch, tau, 20000, spread_tol=1e-12)
+            resid = np.abs(traj - series.weights_at(tau))
+            gaps = np.arange(1, len(traj) + 1)
+            bound = series.A_hat * series.rho_hat ** gaps
             assert np.all(resid.max(axis=(1, 2)) <= bound + 1e-14)
 
     def test_unresolved_flagged_not_raised(self):
@@ -181,10 +260,19 @@ class TestPhiLimits:
         series = phi_limit_series(sch, max_run=50)
         assert not series.resolved
         assert series.rho_hat >= 1.0
-        tables = [compute_phi(sch, t) for t in (2, 3, 4)]
-        lim = estimate_phi_limits(tables)
-        assert not lim.resolved
-        assert lim.unresolved_taus  # every tau stays split across receivers
+        assert series.max_spread == 1.0
+        for t in (2, 3, 4):
+            tab = compute_phi(sch, t)
+            # every tau stays split across receivers
+            assert np.all(np.max(np.ptp(tab.phi, axis=1), axis=1) == 1.0)
+
+    def test_ring_m16_resolves(self):
+        spec = ScheduleSpec(topology="ring", merge_period=1, delay_law="fixed",
+                            delay_value=1, activity="all-active")
+        series = phi_limit_series(generate(spec, 16, 200, seed=0))
+        assert series.resolved
+        assert series.eta_hat > 0.0
+        assert series.phi_init.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_periodic_tiling_equals_dense(self):
         sch = ring_schedule(M=3, horizon=90, delay=1)

@@ -14,7 +14,7 @@ from dalvq.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEDULE, main,
 from dalvq.engine import RunConfig, StepPolicy
 from dalvq.errors import ConfigError
 from dalvq.measures import DistributionSpec
-from dalvq.schedule import ScheduleSpec
+from dalvq.schedule import ScheduleSpec, generate, write_trace
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -217,6 +217,32 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
+
+    def run_on_trace(self, tmp_path, capsys, trace_path, **kw):
+        spec = ScheduleSpec(topology="custom-trace", trace_path=str(trace_path))
+        cfg = write_config(tmp_path, config_doc(sched=spec, **kw))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_nan_trace_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["coeff"][1][1] = float("nan")
+        lines[4] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        code, err = self.run_on_trace(tmp_path, capsys, path)
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_trace_config_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        for kw in ({"M": 4}, {"horizon": 50}, {"horizon": 30}):
+            code, err = self.run_on_trace(tmp_path, capsys, path, **kw)
+            assert code == EXIT_CONFIG, kw
+            assert len(err) == 1 and err[0].startswith("config error:"), kw
 
 
 # ---- report, validate-schedule, phi-table ----

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dalvq.errors import ConfigError
-from dalvq.schedule import (CommSchedule, ScheduleSpec, _window_or, communication_graph,
-                            generate, read_trace, validate, write_trace)
+from dalvq.schedule import (CommSchedule, ScheduleSpec, _derive_b2, _derive_b3, _edge_tensor,
+                            communication_graph, generate, read_trace, validate, write_trace)
 
 
 def ring_spec(**kw):
@@ -119,9 +120,28 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             ScheduleSpec(topology="custom-trace")
 
-    def test_m_too_large_for_edge_masks(self):
-        with pytest.raises(ConfigError):
-            generate(ring_spec(), 9, 10, seed=0)
+    def test_large_m_generates_and_validates(self):
+        complete = ScheduleSpec(topology="complete", merge_period=1, delay_law="zero",
+                                activity="all-active")
+        gossip = ScheduleSpec(topology="random-symmetric-gossip", merge_period=1,
+                              delay_law="fixed", delay_value=1, activity="all-active",
+                              base_window=24)
+        for M in (9, 64):
+            ring = validate(generate(ring_spec(), M, 4 * M, seed=0))
+            assert ring.passed and ring.asy1 and not ring.asy2
+            full = validate(generate(complete, M, 4 * M, seed=0))
+            assert full.passed and full.asy1 and full.asy2
+            pairs = validate(generate(gossip, M, 60, seed=0))
+            assert pairs.checks["symmetry"].passed
+            assert pairs.constants["M"] == M and pairs.constants["B1"] == 2
+
+    def test_custom_trace_must_match_config(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(ring_spec(), 3, 24, seed=1), str(path))
+        spec = ScheduleSpec(topology="custom-trace", trace_path=str(path))
+        for M, horizon in ((4, 24), (3, 30), (3, 12)):
+            with pytest.raises(ConfigError):
+                generate(spec, M, horizon, seed=0)
 
 
 # ---- validation on healthy families ----
@@ -263,6 +283,26 @@ class TestTraceRoundtrip:
         with pytest.raises(ConfigError):
             read_trace(str(path))
 
+    def test_under_declared_b1_rejected(self, tmp_path):
+        sch = generate(ring_spec(delay_value=2), 3, 24, seed=1)
+        path = tmp_path / "trace.jsonl"
+        write_trace(sch, str(path))
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["meta"]["B1"] = 1  # the trace holds delays of 2
+        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        with pytest.raises(ConfigError):
+            read_trace(str(path))
+
+    def test_nan_coefficient_rejected(self, tmp_path):
+        c = np.tile(np.full((2, 2), 0.5), (4, 1, 1))
+        c[2, 0, 1] = np.nan
+        with pytest.raises(ConfigError):
+            plain_schedule(c, alpha=0.5)
+        c[2, 0, 1] = np.inf
+        with pytest.raises(ConfigError):
+            plain_schedule(c, alpha=0.5)
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0, "coeff": [[1.0]], "delay": [[0]]}\n')
@@ -283,14 +323,134 @@ class TestCommunicationGraph:
         assert communication_graph(sch, 0) == []
 
 
-class TestWindowOr:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=2**16 - 1), min_size=1,
-                    max_size=40), st.integers(min_value=1, max_value=40))
-    def test_matches_brute_force(self, masks, width):
-        arr = np.array(masks, dtype=np.uint64)
-        width = min(width, len(arr))
-        got = _window_or(arr, width)
-        brute = np.array([np.bitwise_or.reduce(arr[s:s + width])
-                          for s in range(len(arr) - width + 1)], dtype=np.uint64)
-        assert np.array_equal(got, brute)
+def naive_edge_analysis(coeff, horizon, period, B2, B3):
+    """Reference: the periodic table tiled over the whole horizon and analysed
+    window by window and tick by tick. Returns the derived (B2, B3) and the
+    connectivity, interval and symmetry checks against the declared B2, B3."""
+    M = coeff.shape[1]
+    P = period if period is not None else max(horizon, 1)
+    ticks = range(horizon)
+    occ = {(i, j): [t for t in ticks if i != j and coeff[t % P, i, j] > 0.0]
+           for i in range(M) for j in range(M)}  # (receiver, sender) -> ticks
+
+    def connected(t0, t1):
+        edges = [(j, i) for (i, j), o in occ.items() if any(t0 <= t < t1 for t in o)]
+        for forward in (True, False):
+            seen, todo = {0}, [0]
+            while todo:
+                u = todo.pop()
+                for a, b in edges:
+                    a, b = (a, b) if forward else (b, a)
+                    if a == u and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            if len(seen) < M:
+                return False
+        return True
+
+    def first_bad_window(w):
+        return next((s for s in range(horizon - w + 1) if not connected(s, s + w)), None)
+
+    def need(o):
+        return max(o[0] + 1, max(b - a for a, b in zip(o, o[1:])), horizon - o[-1])
+
+    def nearest(t, o):
+        return min(abs(t - u) for u in o)
+
+    if horizon == 0 or M == 1:
+        b2 = 1
+    elif first_bad_window(horizon) is not None:
+        b2 = horizon
+    else:
+        b2 = next(w for w in range(1, horizon + 1) if first_bad_window(w) is None)
+        b2 = max([b2] + [need(o) for o in occ.values() if len(o) >= 2])
+    if any(o and not occ[(j, i)] for (i, j), o in occ.items()):
+        b3 = 1
+    else:
+        b3 = 1 + max([nearest(t, occ[(j, i)]) for (i, j), o in occ.items() for t in o],
+                     default=0)
+
+    checks = {"connectivity": {"passed": True,
+                               "detail": "every B2-window union is strongly connected"},
+              "bounded_intervals": {"passed": True,
+                                    "detail": "recurring pairs reappear within every B2-window"},
+              "symmetry": {"passed": True,
+                           "detail": "every edge has its reverse within |t - tau| < B3"}}
+    if horizon == 0 or M == 1:
+        return (b2, b3), checks
+    width = min(B2, horizon)
+    start = first_bad_window(width)
+    if start is not None:
+        checks["connectivity"] = {"passed": False,
+                                  "detail": "window union not strongly connected",
+                                  "witness": {"window_start": start, "window": width}}
+    long = [(i, j) for (i, j), o in occ.items() if len(o) >= 2 and need(o) > B2]
+    singles = sum(len(o) == 1 for o in occ.values())
+    if long:
+        i, j = long[0]
+        checks["bounded_intervals"] = {"passed": False,
+                                       "detail": "recurring pair exceeds the B2 interval",
+                                       "witness": {"sender": j, "receiver": i,
+                                                   "needed_window": need(occ[(i, j)])}}
+    elif singles:
+        checks["bounded_intervals"]["detail"] += \
+            f"; {singles} pair(s) occur once and are unconstrained"
+    for i in range(M):
+        for j in range(i + 1, M):
+            for r, s in ((i, j), (j, i)):
+                a, b = occ[(r, s)], occ[(s, r)]
+                if checks["symmetry"]["passed"] and a and not b:
+                    checks["symmetry"] = {"passed": False, "detail": "edge never mirrored",
+                                          "witness": {"sender": s, "receiver": r, "t": a[0]}}
+                elif checks["symmetry"]["passed"] and a:
+                    gaps = [nearest(t, b) for t in a]
+                    if max(gaps) >= B3:
+                        checks["symmetry"] = {
+                            "passed": False, "detail": "mirror edge outside the B3 slack",
+                            "witness": {"sender": s, "receiver": r,
+                                        "t": a[gaps.index(max(gaps))],
+                                        "nearest_reverse_gap": max(gaps)}}
+    return (b2, b3), checks
+
+
+@st.composite
+def edge_tables(draw):
+    """A random coefficient table, periodic or dense, with the horizon below,
+    at or off a multiple of the period, and declared B2, B3 that may be wrong."""
+    M = draw(st.integers(min_value=1, max_value=5))
+    P = draw(st.integers(min_value=1, max_value=12))
+    reps = draw(st.integers(min_value=0, max_value=5))
+    horizon = reps * P + draw(st.integers(min_value=0, max_value=P - 1))
+    dense = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    adj = rng.random((P, M, M)) < draw(st.sampled_from([0.1, 0.3, 0.6]))
+    if draw(st.booleans()):  # mirror every edge, at once or a few ticks later
+        adj |= np.roll(adj.transpose(0, 2, 1), draw(st.integers(0, 3)), axis=0)
+    adj[:, np.arange(M), np.arange(M)] = True
+    coeff = adj / adj.sum(axis=2, keepdims=True)
+    if dense:
+        coeff = coeff[np.arange(max(horizon, 1)) % P]
+    declared = (draw(st.integers(min_value=1, max_value=horizon + 2)),
+                draw(st.integers(min_value=1, max_value=P + 2)))
+    return coeff, horizon, None if dense else P, declared
+
+
+class TestEdgeAnalysis:
+    @settings(max_examples=120, deadline=None)
+    @given(edge_tables(), st.booleans())
+    def test_matches_naive_tiled_analysis(self, table, use_derived):
+        coeff, horizon, period, declared = table
+        M = coeff.shape[1]
+        edges = _edge_tensor(coeff, horizon, period)
+        derived = (_derive_b2(edges, horizon), _derive_b3(edges))
+        want, _ = naive_edge_analysis(coeff, horizon, period, *declared)
+        assert derived == want
+        B2, B3 = want if use_derived else declared
+        sch = CommSchedule(M=M, horizon=horizon, alpha=float(np.min(coeff[coeff > 0.0])),
+                           B1=1, B2=B2, B3=B3, coeff_table=coeff,
+                           delay_table=np.zeros(coeff.shape, dtype=np.int64),
+                           active_table=np.ones(coeff.shape[:2], dtype=bool), period=period)
+        got = validate(sch).to_dict()
+        _, checks = naive_edge_analysis(coeff, horizon, period, B2, B3)
+        for name, check in checks.items():
+            assert got["checks"][name] == check, name
