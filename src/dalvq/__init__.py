@@ -17,9 +17,8 @@ from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
 from .engine import (EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick,
                      descent_term, run)
 from .errors import ConfigError, ScheduleValidationError
-from .geometry import (QuantizerVec, SampleBatch, empirical_distortion,
-                       empirical_gradient, gradient_observation,
-                       min_component_separation, nearest_cell)
+from .geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
+                       gradient_observation, min_component_separation, nearest_cell)
 from .measures import (DistributionSpec, StreamHandle, draw_index, init_quantizer,
                        make_batch, sample)
 from .schedule import (CommSchedule, ScheduleSpec, ValidationReport,
@@ -37,7 +36,7 @@ __all__ = [
     "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick",
     "descent_term", "run",
     "ConfigError", "ScheduleValidationError",
-    "QuantizerVec", "SampleBatch", "empirical_distortion", "empirical_gradient",
+    "QuantizerVec", "SampleBatch", "batched_cell_stats",
     "gradient_observation", "min_component_separation", "nearest_cell",
     "DistributionSpec", "StreamHandle", "draw_index", "init_quantizer",
     "make_batch", "sample",

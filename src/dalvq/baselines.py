@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (QuantizerVec, SampleBatch, _cell_sq_dists, empirical_distortion,
-                       nearest_cell)
+from .geometry import QuantizerVec, SampleBatch, batched_cell_stats, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, draw_index, init_quantizer,
                        make_batch, sample)
 
@@ -56,8 +55,8 @@ def run_clvq(dist: DistributionSpec, kappa: int, horizon: int, seed: int, c: flo
         eps = c / max(t, 1)
         comp = nearest_cell(z, w)
         w[comp] = w[comp] + -eps * (w[comp] - z)
-    q = QuantizerVec(w)
-    return BaselineRun(quantizer=q, distortion=empirical_distortion(q, batch),
+    dist, _, _, _ = batched_cell_stats(w[None], batch)
+    return BaselineRun(quantizer=QuantizerVec(w), distortion=float(dist[0]),
                        iterations=horizon)
 
 
@@ -67,14 +66,8 @@ def lloyd_step(w, batch: SampleBatch) -> np.ndarray:
     A component whose cell is empty stays where it is.
     """
     comps = w.components if isinstance(w, QuantizerVec) else np.asarray(w, dtype=float)
-    kappa, dim = comps.shape
-    sq = _cell_sq_dists(batch, comps)
-    assign = np.argmin(sq, axis=1)
-    counts = np.bincount(assign, minlength=kappa).astype(float)
+    _, _, (counts,), (sums,) = batched_cell_stats(comps[None], batch)
     new = np.array(comps)
-    sums = np.empty((kappa, dim))
-    for k in range(dim):
-        sums[:, k] = np.bincount(assign, weights=batch.points[:, k], minlength=kappa)
     occupied = counts > 0
     new[occupied] = sums[occupied] / counts[occupied, None]
     return new
@@ -96,6 +89,6 @@ def run_lloyd(dist: DistributionSpec, kappa: int, seed: int, n_ref: int = 2000,
         if moved < rel_tol:
             converged = True
             break
-    q = QuantizerVec(w)
-    return BaselineRun(quantizer=q, distortion=empirical_distortion(q, batch),
+    dist, _, _, _ = batched_cell_stats(w[None], batch)
+    return BaselineRun(quantizer=QuantizerVec(w), distortion=float(dist[0]),
                        iterations=it, converged=converged)

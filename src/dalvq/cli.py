@@ -23,8 +23,7 @@ from .diagnostics import compute_metrics, consensus_decay, summarize
 from .engine import RunConfig, initial_versions, run
 from .errors import ConfigError, ScheduleValidationError
 from .agreement import compute_phi, phi_limit_series
-from .geometry import QuantizerVec, empirical_distortion
-from .measures import make_batch
+from .geometry import batched_cell_stats
 from .schedule import generate, validate, write_trace
 
 __all__ = ["ExperimentConfig", "parse_config", "main"]
@@ -185,8 +184,8 @@ def cmd_run(args) -> int:
         timing["diagnostics_s"] = time.perf_counter() - t_mid
 
         metrics.to_csv(os.path.join(args.out, "metrics.csv"))
-        per_proc = [empirical_distortion(QuantizerVec(art.final[i].reshape(rc.kappa, rc.dim)),
-                                         art.batch) for i in range(rc.M)]
+        per_proc, _, _, _ = batched_cell_stats(art.final.reshape(rc.M, rc.kappa, rc.dim),
+                                               art.batch)
         w_star = metrics.w_star_rec[-1]
         _write_json(os.path.join(args.out, "final-quantizers.json"),
                     {"processors": [_quantizer_rows(art.final[i], rc.kappa, rc.dim)

@@ -1,10 +1,11 @@
 """Run diagnostics: the agreement trajectory, perturbation sums, and bounds.
 
 Everything here is a pure post-pass over run artifacts. The expensive parts
-(distortion and gradient evaluations against the reference batch) are batched
-in chunks of a few hundred quantizers so a two-hundred-thousand-tick run stays
-inside a coffee break; the per-tick bookkeeping (agreement recursion,
-perturbation partial sums) is a single chronological sweep over the event log.
+(distortion and gradient evaluations against the reference batch) go through
+``geometry.batched_cell_stats`` a few hundred quantizers at a time, so a
+two-hundred-thousand-tick run stays inside a coffee break; the per-tick
+bookkeeping (agreement recursion, perturbation partial sums) is a single
+chronological sweep over the event log.
 
 Cumulative columns follow one convention: the value reported at tick t sums
 contributions of ticks tau < t, matching the agreement recursion whose value
@@ -23,13 +24,12 @@ from scipy.signal import lfilter
 from .agreement import AgreementState, PhiLimitSeries, agreement_step
 from .baselines import BaselineRun
 from .engine import RunArtifacts, _total_active
-from .geometry import SampleBatch, min_component_separation
+from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
 __all__ = [
     "theta",
     "theta_series",
-    "batched_cell_stats",
     "dense_descent",
     "RunMetrics",
     "compute_metrics",
@@ -75,64 +75,7 @@ def theta_series(n: int, rho: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched distortion / gradient evaluation
-
-
-_POINT_BLOCK = 320
-
-
-def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical distortion and gradient for a stack of quantizers at once.
-
-    W has shape (C, kappa, dim); returns (distortion (C,), gradient
-    (C, kappa, dim)) against the batch, identical up to float noise to the
-    per-quantizer evaluators, at a fraction of their cost.
-
-    Assignments minimize |w|^2 - 2 z.w; the per-point |z|^2 shifts every
-    column equally, so it is added back only in the distortion. Points are
-    processed in cache-sized blocks: the (block, C * kappa) score matrix is
-    the bandwidth hot spot, and keeping it small roughly halves the wall
-    time of a long metrics sweep.
-    """
-    C, kappa, dim = W.shape
-    comps = W.reshape(C * kappa, dim)
-    w_sq = np.einsum("kd,kd->k", comps, comps)
-    neg2 = -2.0 * batch.points
-    n = batch.n
-    col = kappa * np.arange(C)[None, :]
-    counts = np.zeros(C * kappa)
-    sums = np.zeros((C * kappa, dim))
-    tot = np.zeros(C)
-    for p0 in range(0, n, _POINT_BLOCK):
-        p1 = min(p0 + _POINT_BLOCK, n)
-        score = neg2[p0:p1] @ comps.T
-        score += w_sq[None, :]
-        s3 = score.reshape(p1 - p0, C, kappa)
-        assign = np.argmin(s3, axis=2)                          # (block, C)
-        rmin = np.take_along_axis(s3, assign[:, :, None], axis=2)[:, :, 0]
-        tot += np.maximum(batch._sq_norms[p0:p1, None] + rmin, 0.0).sum(axis=0)
-        flat = (assign + col).ravel(order="F")
-        counts += np.bincount(flat, minlength=C * kappa)
-        for k in range(dim):
-            sums[:, k] += np.bincount(flat, weights=np.tile(batch.points[p0:p1, k], C),
-                                      minlength=C * kappa)
-    dist = 0.5 * tot / n
-    grad = (counts[:, None] * comps - sums) / n
-    return dist, grad.reshape(C, kappa, dim)
-
-
-def _stats_chunked(W: np.ndarray, batch: SampleBatch,
-                   chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """batched_cell_stats over an arbitrarily long stack, bounded memory."""
-    dists, grads = [], []
-    for b in range(0, len(W), chunk):
-        d, g = batched_cell_stats(W[b:b + chunk], batch)
-        dists.append(d)
-        grads.append(g)
-    if not dists:
-        kappa, dim = W.shape[1:]
-        return np.zeros(0), np.zeros((0, kappa, dim))
-    return np.concatenate(dists), np.concatenate(grads)
+# the metrics sweep
 
 
 def dense_descent(art: RunArtifacts, max_entries: int = 2**22) -> np.ndarray:
@@ -151,10 +94,6 @@ def dense_descent(art: RunArtifacts, max_entries: int = 2**22) -> np.ndarray:
         s = -ev.eps[k] * (wb[k, comp] - ev.z[k])
         out[ev.t[k], ev.proc[k], lo:lo + cfg.dim] = s
     return out
-
-
-# ---------------------------------------------------------------------------
-# the metrics sweep
 
 
 CSV_COLUMNS = ("t", "consensus_gap", "agreement_gap", "bound_normmaj",
@@ -267,14 +206,14 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
                 lo = int(ev.comp[e]) * dim
                 w_star[lo:lo + dim] += phi_evt[e] * s_evt[e]
 
-        dist_b, grad_b = batched_cell_stats(W.reshape(L, kappa, dim), batch)
+        dist_b, grad_b, _, _ = batched_cell_stats(W.reshape(L, kappa, dim), batch)
         gn2_b = np.einsum("ckd,ckd->c", grad_b, grad_b)
         seg_b = np.cumsum(eps_star_all[b0:b1] * gn2_b)
 
         e0, e1 = int(starts[b0]), int(starts[b1])
         E = e1 - e0
         if E:
-            _, h_evt = batched_cell_stats(wb[e0:e1], batch)
+            _, h_evt, _, _ = batched_cell_stats(wb[e0:e1], batch)
             h_star_evt = grad_b[ev.t[e0:e1] - b0]
             inc = h_evt.copy()                                  # h - H per event
             inc[np.arange(E), ev.comp[e0:e1]] -= wb_comp[e0:e1] - ev.z[e0:e1]
@@ -312,7 +251,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
     # final recorded tick (the horizon itself)
     k = rec_of[T]
     w_star_rec[k] = w_star
-    dist_f, grad_f = batched_cell_stats(w_star.reshape(1, kappa, dim), batch)
+    dist_f, grad_f, _, _ = batched_cell_stats(w_star.reshape(1, kappa, dim), batch)
     out["distortion_star"][k] = dist_f[0]
     out["grad_norm_star"][k] = float(np.linalg.norm(grad_f))
     out["eps_star"][k] = 0.0
@@ -399,8 +338,9 @@ def estimate_lipschitz(art: RunArtifacts, metrics: RunMetrics) -> float:
     kappa, dim = cfg.kappa, cfg.dim
     n_rec, M = art.snapshots.shape[0], cfg.M
     A = art.snapshots.reshape(n_rec * M, kappa, dim)
-    _, hA = _stats_chunked(A, art.batch)
-    _, hS = _stats_chunked(metrics.w_star_rec.reshape(n_rec, kappa, dim), art.batch)
+    _, hA, _, _ = batched_cell_stats(A, art.batch)
+    _, hS, _, _ = batched_cell_stats(metrics.w_star_rec.reshape(n_rec, kappa, dim),
+                                      art.batch)
     best = 0.0
     floor = 1e-9 * art.batch.diameter
     for k in range(n_rec):

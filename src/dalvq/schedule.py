@@ -427,7 +427,11 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     overall verdict that additionally requires a nonempty active set per tick.
     """
     M, T = schedule.M, schedule.horizon
-    coeff, delay, active = schedule.materialize()
+    # a periodic tick t >= P + max delay repeats tick t - P, delay clamp and all,
+    # so the ticks before it hold the first witness of every per-tick fault
+    span = T if schedule.period is None else \
+        min(T, schedule.period + int(np.max(schedule.delay_table, initial=0)) + 1)
+    coeff, delay, active = schedule.materialize(0, span)
     checks: dict[str, CheckResult] = {}
 
     # delays: in range, zero on the diagonal and wherever the coefficient is zero
@@ -569,7 +573,8 @@ def read_trace(path: str) -> CommSchedule:
     """Read a dense schedule from JSONL; constants come from the meta record
     when present and are measured from the trace otherwise. A meta B1 below
     the trace's largest delay + 1 is rejected: a ring sized from it would
-    read overwritten versions."""
+    read overwritten versions. So is a meta record that is not an object or
+    lacks a finite number for any of alpha, B1, B2 and B3."""
     records = []
     meta = None
     try:
@@ -584,6 +589,8 @@ def read_trace(path: str) -> CommSchedule:
                     raise ConfigError(f"{path}:{line_no}: invalid JSON") from exc
                 if "meta" in obj:
                     meta = obj["meta"]
+                    if not isinstance(meta, dict):
+                        raise ConfigError(f"{path}:{line_no}: meta record must be an object")
                 else:
                     records.append((line_no, obj))
     except OSError as exc:
@@ -618,6 +625,11 @@ def read_trace(path: str) -> CommSchedule:
     if meta is None:
         alpha, B1, B2, B3 = _measure(coeff, delay, T, None)
     else:
+        keys = ("alpha", "B1", "B2", "B3")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   or isinstance(v, float) and math.isfinite(v)
+                   for v in map(meta.get, keys)):
+            raise ConfigError(f"{path}: meta record needs finite numbers {', '.join(keys)}")
         alpha, B1 = float(meta["alpha"]), int(meta["B1"])
         B2, B3 = int(meta["B2"]), int(meta["B3"])
         if B1 < int(np.max(delay)) + 1:

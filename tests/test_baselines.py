@@ -3,7 +3,7 @@ import pytest
 
 from dalvq.baselines import clvq_step, lloyd_step, run_clvq, run_lloyd
 from dalvq.errors import ConfigError
-from dalvq.geometry import QuantizerVec, SampleBatch, empirical_distortion
+from dalvq.geometry import SampleBatch, batched_cell_stats
 from dalvq.measures import DistributionSpec, make_batch
 
 
@@ -71,10 +71,10 @@ class TestLloydStep:
     def test_never_increases_distortion(self):
         batch = make_batch(BOX, 5, 300)
         w = np.random.default_rng(2).random((6, 2))
-        prev = empirical_distortion(QuantizerVec(w), batch)
+        prev = batched_cell_stats(w[None], batch)[0][0]
         for _ in range(10):
             w = lloyd_step(w, batch)
-            cur = empirical_distortion(QuantizerVec(w), batch)
+            cur = batched_cell_stats(w[None], batch)[0][0]
             assert cur <= prev + 1e-15
             prev = cur
 

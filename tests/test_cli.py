@@ -103,6 +103,18 @@ class TestRunModes:
             header = fh.readline().strip().split(",")
         assert header[0] == "t" and "agreement_gap" in header
 
+    def test_dalvq_m64_complete(self, tmp_path):
+        sched = ScheduleSpec(topology="complete", merge_period=1, delay_law="fixed",
+                             delay_value=1, activity="all-active")
+        cfg = write_config(tmp_path, config_doc(M=64, horizon=100, sched=sched,
+                                                n_ref=64, cadence=25))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = read_json(out / "report.json")
+        assert rep["limits_resolved"] is True
+        assert rep["worst_bound_ratio"] <= 1.0
+        assert len(read_json(out / "final-quantizers.json")["processors"]) == 64
+
     def test_clvq_baseline_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, config_doc(
             mode="clvq-baseline", step=StepPolicy("global-clock", 0.5)))
@@ -243,6 +255,18 @@ class TestExitCodes:
             code, err = self.run_on_trace(tmp_path, capsys, path, **kw)
             assert code == EXIT_CONFIG, kw
             assert len(err) == 1 and err[0].startswith("config error:"), kw
+
+    def test_malformed_trace_meta(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0])["meta"]
+        for bad in ("meta", {k: v for k, v in meta.items() if k != "alpha"},
+                    {**meta, "alpha": "x"}, {**meta, "B1": None}):
+            path.write_text("\n".join([json.dumps({"meta": bad})] + lines[1:]) + "\n")
+            code, err = self.run_on_trace(tmp_path, capsys, path)
+            assert code == EXIT_CONFIG, bad
+            assert len(err) == 1 and err[0].startswith("config error:"), bad
 
 
 # ---- report, validate-schedule, phi-table ----

@@ -5,12 +5,12 @@ import pytest
 
 from dalvq.agreement import agreement_vector, phi_limit_series
 from dalvq.baselines import run_clvq, run_lloyd
-from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, batched_cell_stats,
-                               compute_metrics, consensus_decay, dense_descent,
-                               estimate_lipschitz, summarize, theta, theta_series)
+from dalvq import diagnostics, geometry
+from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
+                               consensus_decay, dense_descent, estimate_lipschitz,
+                               summarize, theta, theta_series)
 from dalvq.engine import RunConfig, StepPolicy, run
-from dalvq.geometry import (QuantizerVec, empirical_distortion, empirical_gradient,
-                            min_component_separation)
+from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate
 
@@ -71,25 +71,18 @@ class TestTheta:
         assert theta_series(1, 0.5)[0] == 0.5
 
 
-# ---- batched evaluation against the scalar evaluators ----
+# ---- the cell-statistics kernel the sweep resolves ----
 
 
-class TestBatchedCellStats:
-    def test_matches_per_quantizer(self):
-        batch = make_batch(BOX, 11, 200)
-        rng = np.random.default_rng(0)
-        W = rng.random((7, 3, 2))
-        dist, grad = batched_cell_stats(W, batch)
-        for c in range(7):
-            q = QuantizerVec(W[c])
-            assert dist[c] == pytest.approx(empirical_distortion(q, batch), abs=1e-12)
-            np.testing.assert_allclose(grad[c], empirical_gradient(q, batch),
-                                       atol=1e-13)
+def kernel(w, batch):
+    """(distortion, gradient) of one quantizer from the geometry kernel."""
+    dist, grad, _, _ = batched_cell_stats(w[None], batch)
+    return float(dist[0]), grad[0]
 
-    def test_single_stack(self):
-        batch = make_batch(BOX, 1, 50)
-        dist, grad = batched_cell_stats(np.full((1, 2, 2), 0.5), batch)
-        assert dist.shape == (1,) and grad.shape == (1, 2, 2)
+
+def test_sweep_resolves_the_geometry_kernel():
+    # compute_metrics and estimate_lipschitz look the kernel up on this module
+    assert diagnostics.batched_cell_stats is geometry.batched_cell_stats
 
 
 class TestDenseDescent:
@@ -145,11 +138,10 @@ class TestComputeMetrics:
         for k, t in enumerate(met.times):
             t = int(t)
             w = met.w_star_rec[k].reshape(cfg.kappa, cfg.dim)
-            q = QuantizerVec(w)
-            assert met.distortion_star[k] == pytest.approx(
-                empirical_distortion(q, batch), rel=1e-12, abs=1e-15)
+            dist, grad = kernel(w, batch)
+            assert met.distortion_star[k] == pytest.approx(dist, rel=1e-12, abs=1e-15)
             assert met.grad_norm_star[k] == pytest.approx(
-                float(np.linalg.norm(empirical_gradient(q, batch))), rel=1e-10, abs=1e-15)
+                float(np.linalg.norm(grad)), rel=1e-10, abs=1e-15)
             assert met.min_sep_star[k] == pytest.approx(
                 min_component_separation(w), rel=1e-12)
             at_t = (ev.t == t)
@@ -177,8 +169,7 @@ class TestComputeMetrics:
         wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
         # per-tick agreement trajectory and its gradient, once
         w_all = [agreement_vector(limits, art.x0, s, t) for t in range(cfg.horizon)]
-        g_all = [empirical_gradient(QuantizerVec(w.reshape(cfg.kappa, cfg.dim)), batch)
-                 for w in w_all]
+        g_all = [kernel(w.reshape(cfg.kappa, cfg.dim), batch)[1] for w in w_all]
         eps_star_all = np.zeros(cfg.horizon)
         for e in range(ev.n):
             eps_star_all[ev.t[e]] += limits.phi[ev.t[e], ev.proc[e]] * ev.eps[e]
@@ -194,7 +185,7 @@ class TestComputeMetrics:
                 if te >= t:
                     break
                 coef = limits.phi[te, ev.proc[e]] * ev.eps[e]
-                h_evt = empirical_gradient(QuantizerVec(wb[e]), batch)
+                h_evt = kernel(wb[e], batch)[1]
                 H = np.zeros((cfg.kappa, cfg.dim))
                 H[ev.comp[e]] = wb[e, ev.comp[e]] - ev.z[e]
                 dm1 += coef * (g_all[te] - h_evt)
@@ -242,7 +233,7 @@ class TestComputeMetrics:
         wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
         incs = np.empty((ev.n, cfg.kappa, cfg.dim))
         for e in range(ev.n):
-            h_evt = empirical_gradient(QuantizerVec(wb[e]), batch)
+            h_evt = kernel(wb[e], batch)[1]
             H = np.zeros((cfg.kappa, cfg.dim))
             H[ev.comp[e]] = wb[e, ev.comp[e]] - ev.z[e]
             incs[e] = h_evt - H
@@ -319,13 +310,13 @@ class TestEstimateLipschitz:
         best = 0.0
         for k in range(len(met.times)):
             ws = met.w_star_rec[k].reshape(cfg.kappa, cfg.dim)
-            h_s = empirical_gradient(QuantizerVec(ws), batch)
+            h_s = kernel(ws, batch)[1]
             for i in range(cfg.M):
                 wi = art.snapshots[k, i].reshape(cfg.kappa, cfg.dim)
                 dw = float(np.linalg.norm(wi - ws))
                 if dw <= 1e-9 * batch.diameter:
                     continue
-                h_i = empirical_gradient(QuantizerVec(wi), batch)
+                h_i = kernel(wi, batch)[1]
                 best = max(best, float(np.linalg.norm(h_i - h_s)) / dw)
         assert estimate_lipschitz(art, met) == pytest.approx(best, rel=1e-9)
 

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dalvq.geometry import (QuantizerVec, SampleBatch, _cell_sq_dists,
-                            empirical_distortion, empirical_gradient,
+from dalvq.geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
                             gradient_observation, min_component_separation,
                             nearest_cell)
+from dalvq.measures import DistributionSpec
+from dalvq.measures import make_batch as draw_batch
+
+BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
 
 
 def make_batch(points):
@@ -19,15 +24,36 @@ def make_batch(points):
     return SampleBatch(points=pts, bbox_low=lo, bbox_high=hi, diameter=diam)
 
 
-def distortion_oracle(comps, pts):
-    # plain double loop, no shared code with the implementation
+def cell_oracle(comps, pts):
+    """(distortion, gradient, counts, sums, assignment) by a plain per-point
+    loop over the direct form |z - w|^2, sharing no code with the
+    implementation; ties go to the smallest index."""
+    kappa, dim = len(comps), len(comps[0])
+    counts = [0] * kappa
+    sums = [[0.0] * dim for _ in range(kappa)]
+    assign = []
     total = 0.0
     for z in pts:
-        best = math.inf
-        for w in comps:
-            best = min(best, sum((zi - wi) ** 2 for zi, wi in zip(z, w)))
+        best, win = math.inf, -1
+        for ell, w in enumerate(comps):
+            d = sum((zi - wi) ** 2 for zi, wi in zip(z, w))
+            if d < best:
+                best, win = d, ell
+        assign.append(win)
+        counts[win] += 1
+        for k in range(dim):
+            sums[win][k] += z[k]
         total += 0.5 * best
-    return total / len(pts)
+    n = len(pts)
+    grad = [[(counts[ell] * comps[ell][k] - sums[ell][k]) / n for k in range(dim)]
+            for ell in range(kappa)]
+    return total / n, np.array(grad), np.array(counts), np.array(sums), np.array(assign)
+
+
+def stats(comps, batch):
+    """The kernel on a stack of one: (distortion, gradient, counts, sums)."""
+    dist, grad, counts, sums = batched_cell_stats(np.asarray(comps, dtype=float)[None], batch)
+    return float(dist[0]), grad[0], counts[0], sums[0]
 
 
 # ---- containers ----
@@ -105,7 +131,7 @@ class TestGradientObservation:
         assert np.all(g == 0.0)
 
 
-# ---- batch functionals ----
+# ---- batch functionals: the one cell-statistics kernel ----
 
 
 class TestEmpiricalDistortion:
@@ -114,15 +140,15 @@ class TestEmpiricalDistortion:
         pts = rng.random((40, 2))
         batch = make_batch(pts)
         comps = rng.random((5, 2))
-        got = empirical_distortion(QuantizerVec(comps), batch)
-        assert got == pytest.approx(distortion_oracle(comps, pts), rel=1e-12)
+        got = stats(comps, batch)[0]
+        assert got == pytest.approx(cell_oracle(comps, pts)[0], rel=1e-12)
 
     def test_single_component_closed_form(self):
         pts = np.array([[0.0], [1.0]])
         batch = make_batch(pts)
         # 0.5 * mean of squared distances to 0.25
         expect = 0.5 * (0.25**2 + 0.75**2) / 2
-        assert empirical_distortion(QuantizerVec([[0.25]]), batch) == pytest.approx(expect)
+        assert stats([[0.25]], batch)[0] == pytest.approx(expect)
 
 
 class TestEmpiricalGradient:
@@ -130,9 +156,11 @@ class TestEmpiricalGradient:
         pts = np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 1.0]])
         batch = make_batch(pts)
         comps = np.array([[0.1, 0.0], [0.9, 1.0]])
-        g = empirical_gradient(QuantizerVec(comps), batch)
+        _, g, counts, sums = stats(comps, batch)
         np.testing.assert_allclose(g[0], (2 * comps[0] - (pts[0] + pts[1])) / 3)
         np.testing.assert_allclose(g[1], (comps[1] - pts[2]) / 3)
+        assert counts.tolist() == [2, 1]
+        np.testing.assert_allclose(sums, [pts[0] + pts[1], pts[2]])
 
     def test_finite_difference_oracle(self):
         # parted configuration, no batch point near a bisector
@@ -140,37 +168,107 @@ class TestEmpiricalGradient:
         pts = rng.random((60, 2))
         batch = make_batch(pts)
         comps = np.array([[0.21, 0.27], [0.83, 0.31], [0.52, 0.86]])
-        sq = _cell_sq_dists(batch, comps)
+        sq = ((pts[:, None, :] - comps[None, :, :]) ** 2).sum(axis=2)
         order = np.sort(sq, axis=1)
         assert np.min(order[:, 1] - order[:, 0]) > 1e-3  # margins are real
-        g = empirical_gradient(QuantizerVec(comps), batch)
+        g = stats(comps, batch)[1]
         h = 1e-6
         for ell in range(3):
             for k in range(2):
                 wp = comps.copy(); wp[ell, k] += h
                 wm = comps.copy(); wm[ell, k] -= h
-                fd = (empirical_distortion(QuantizerVec(wp), batch)
-                      - empirical_distortion(QuantizerVec(wm), batch)) / (2 * h)
+                fd = (stats(wp, batch)[0] - stats(wm, batch)[0]) / (2 * h)
                 assert g[ell, k] == pytest.approx(fd, abs=5e-9)
 
     def test_empty_cell_row_is_scaled_component(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.1]])
         batch = make_batch(pts)
         comps = np.array([[0.05, 0.05], [50.0, 50.0]])
-        g = empirical_gradient(QuantizerVec(comps), batch)
+        _, g, counts, sums = stats(comps, batch)
         assert np.all(g[1] == 0.0)  # count 0, sum 0
+        assert counts[1] == 0 and np.all(sums[1] == 0.0)
 
 
-class TestCellSqDists:
+class TestBatchedCellStats:
     def test_matches_direct_expansion(self):
         rng = np.random.default_rng(11)
         pts = rng.random((30, 4))
         batch = make_batch(pts)
         comps = rng.random((7, 4))
-        sq = _cell_sq_dists(batch, comps)
-        direct = ((pts[:, None, :] - comps[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_allclose(sq, direct, atol=1e-12)
-        assert np.all(sq >= 0.0)
+        dist, grad, counts, sums = stats(comps, batch)
+        o_dist, o_grad, o_counts, o_sums, _ = cell_oracle(comps, pts)
+        assert dist == pytest.approx(o_dist, abs=1e-12)
+        np.testing.assert_array_equal(counts, o_counts)
+        np.testing.assert_allclose(sums, o_sums, atol=1e-12)
+        np.testing.assert_allclose(grad, o_grad, atol=1e-12)
+        # the expanded form |z|^2 - 2 z.w + |w|^2 rounds to +-epsilon where a
+        # point is a component; the clamp keeps every such distortion >= 0
+        on = [stats(z[None], SampleBatch(points=z[None], bbox_low=np.zeros(4),
+                                         bbox_high=np.ones(4), diameter=2.0))[0]
+              for z in pts]
+        assert min(on) == 0.0 and max(on) <= 1e-15
+
+    def test_matches_per_quantizer(self):
+        batch = draw_batch(BOX, 11, 200)
+        rng = np.random.default_rng(0)
+        W = rng.random((7, 3, 2))
+        dist, grad, counts, sums = batched_cell_stats(W, batch)
+        for c in range(7):
+            o_dist, o_grad, o_counts, o_sums, _ = cell_oracle(W[c], batch.points)
+            assert dist[c] == pytest.approx(o_dist, abs=1e-12)
+            np.testing.assert_allclose(grad[c], o_grad, atol=1e-13)
+            np.testing.assert_array_equal(counts[c], o_counts)
+            np.testing.assert_allclose(sums[c], o_sums, atol=1e-12)
+
+    def test_single_stack(self):
+        batch = draw_batch(BOX, 1, 50)
+        dist, grad, counts, sums = batched_cell_stats(np.full((1, 2, 2), 0.5), batch)
+        assert dist.shape == (1,) and grad.shape == (1, 2, 2)
+        assert counts.shape == (1, 2) and sums.shape == (1, 2, 2)
+        # duplicate components: every point goes to the first
+        assert counts[0].tolist() == [50, 0]
+
+    def test_empty_stack_and_shape_checks(self):
+        batch = make_batch([[0.0, 0.0], [1.0, 1.0]])
+        dist, grad, counts, sums = batched_cell_stats(np.zeros((0, 3, 2)), batch)
+        assert dist.shape == (0,) and grad.shape == (0, 3, 2)
+        assert counts.shape == (0, 3) and sums.shape == (0, 3, 2)
+        with pytest.raises(ValueError):
+            batched_cell_stats(np.zeros((1, 3, 4)), batch)
+        with pytest.raises(ValueError):
+            batched_cell_stats(np.zeros((3, 2)), batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 3), kappa=st.integers(1, 4), n_quant=st.integers(1, 4),
+           n=st.integers(321, 700), tail=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           duplicate=st.booleans())
+    def test_exact_on_integer_grid(self, dim, kappa, n_quant, n, tail, seed, duplicate):
+        # Components on the integer grid and points on the half-integer grid:
+        # every score, distance and sum is a small dyadic number, so the
+        # expanded form, the direct form and any summation order agree
+        # exactly. n > 320 crosses a point block; C = 256 + tail (tail >= 2)
+        # crosses a stack chunk.
+        rng = np.random.default_rng(seed)
+        quants = rng.integers(-3, 4, size=(n_quant, kappa, dim)).astype(float)
+        if duplicate and kappa > 1:
+            quants[:, -1] = quants[:, 0]
+        pts = rng.integers(-8, 9, size=(n, dim)) / 2.0
+        # points on bisectors: midpoints of component pairs
+        a, b = rng.integers(0, kappa, size=(2, n // 4))
+        q = rng.integers(0, n_quant, size=n // 4)
+        pts[: n // 4] = (quants[q, a] + quants[q, b]) / 2.0
+        rng.shuffle(pts)
+        batch = SampleBatch(points=pts, bbox_low=np.full(dim, -4.0),
+                            bbox_high=np.full(dim, 4.0), diameter=8.0 * math.sqrt(dim))
+        src = rng.integers(0, n_quant, size=256 + tail)
+        dist, grad, counts, sums = batched_cell_stats(quants[src], batch)
+        oracles = [cell_oracle(w, pts) for w in quants]
+        for c, s in enumerate(src):
+            o_dist, o_grad, o_counts, o_sums, _ = oracles[s]
+            assert dist[c] == o_dist
+            np.testing.assert_array_equal(grad[c], o_grad)
+            np.testing.assert_array_equal(counts[c], o_counts)
+            np.testing.assert_array_equal(sums[c], o_sums)
 
 
 class TestMinSeparation:

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dalvq
 from dalvq.errors import ConfigError
 from dalvq.schedule import (CommSchedule, ScheduleSpec, _derive_b2, _derive_b3, _edge_tensor,
                             communication_graph, generate, read_trace, validate, write_trace)
@@ -303,6 +308,24 @@ class TestTraceRoundtrip:
         with pytest.raises(ConfigError):
             plain_schedule(c, alpha=0.5)
 
+    @pytest.mark.parametrize("meta", [
+        None, [1, 2], "meta",
+        {"alpha": 0.5, "B2": 4, "B3": 1},                     # B1 missing
+        {"B1": 3, "B2": 4, "B3": 1},                          # alpha missing
+        {"alpha": "x", "B1": 3, "B2": 4, "B3": 1},
+        {"alpha": 0.5, "B1": None, "B2": 4, "B3": 1},
+        {"alpha": 0.5, "B1": 3, "B2": True, "B3": 1},
+        {"alpha": 0.5, "B1": 3, "B2": 4, "B3": [1]},
+        {"alpha": 0.5, "B1": 3, "B2": 4, "B3": float("nan")}])
+    def test_malformed_meta_rejected(self, tmp_path, meta):
+        sch = generate(ring_spec(delay_value=2), 3, 24, seed=1)
+        path = tmp_path / "trace.jsonl"
+        write_trace(sch, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps({"meta": meta})] + lines[1:]) + "\n")
+        with pytest.raises(ConfigError):
+            read_trace(str(path))
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0, "coeff": [[1.0]], "delay": [[0]]}\n')
@@ -435,10 +458,26 @@ def edge_tables(draw):
     return coeff, horizon, None if dense else P, declared
 
 
+def with_tick_faults(coeff, period, seed):
+    """A schedule on the table whose delays, rows, alpha and activity may break
+    the per-tick checks, sparsely, so first witnesses land anywhere."""
+    rng = np.random.default_rng(seed)
+    L, M = coeff.shape[:2]
+    off = ~np.eye(M, dtype=bool)
+    delay = np.where((coeff > 0.0) & off, rng.integers(0, 5, size=coeff.shape), 0)
+    delay[rng.random(coeff.shape) < 0.01] = 1            # self or silent delays
+    coeff = coeff * np.where(rng.random((L, M)) < 0.02, 0.9, 1.0)[:, :, None]
+    active = rng.random((L, M)) < 0.9
+    active[rng.random(L) < 0.03] = False
+    alpha = min(1.0, float(np.min(coeff[coeff > 0.0])) * rng.choice([1.0, 1.0, 1.5]))
+    return dict(alpha=alpha, B1=int(rng.integers(1, 6)), coeff_table=coeff,
+                delay_table=delay, active_table=active, period=period)
+
+
 class TestEdgeAnalysis:
     @settings(max_examples=120, deadline=None)
-    @given(edge_tables(), st.booleans())
-    def test_matches_naive_tiled_analysis(self, table, use_derived):
+    @given(edge_tables(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_naive_tiled_analysis(self, table, use_derived, seed):
         coeff, horizon, period, declared = table
         M = coeff.shape[1]
         edges = _edge_tensor(coeff, horizon, period)
@@ -454,3 +493,41 @@ class TestEdgeAnalysis:
         _, checks = naive_edge_analysis(coeff, horizon, period, B2, B3)
         for name, check in checks.items():
             assert got["checks"][name] == check, name
+
+        # the per-tick checks read a periodic schedule over a bounded span only;
+        # they must report what the same schedule tiled out densely reports
+        faulty = with_tick_faults(coeff, period, seed)
+        tiled = {k: v[np.arange(max(horizon, 1)) % len(v)] if k.endswith("_table") else v
+                 for k, v in faulty.items()}
+        tiled["period"] = None
+        periodic, dense = (validate(CommSchedule(M=M, horizon=horizon, B2=B2, B3=B3, **kw))
+                           .to_dict()["checks"] for kw in (faulty, tiled))
+        for name in ("delay_bounds", "convex_combination", "activity"):
+            assert periodic[name] == dense[name], name
+
+    def test_validate_memory_flat_in_horizon(self):
+        # An M = 64 ring of period 64 at the 200k-tick horizon. Materialized
+        # over all ticks, its (T, M, M) tables would take ~6.5 GB each, so the
+        # check runs in a child whose address space is capped at 2 GB: a
+        # regression fails there with MemoryError instead of swamping the host.
+        child = textwrap.dedent("""
+            import resource, tracemalloc
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from dalvq.schedule import ScheduleSpec, generate, validate
+            spec = ScheduleSpec(topology="ring", merge_period=1, delay_law="fixed",
+                                delay_value=1, activity="round-robin")
+            sch = generate(spec, 64, 200_000, seed=0)
+            assert sch.period == 64
+            tracemalloc.start()
+            report = validate(sch)
+            print(report.asy1, tracemalloc.get_traced_memory()[1])
+        """)
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(dalvq.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        asy1, peak = proc.stdout.split()
+        assert asy1 == "True"
+        assert int(peak) < 64 * 2**20, f"validate peak {int(peak) / 2**20:.0f} MB"
