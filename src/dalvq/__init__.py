@@ -9,13 +9,12 @@ the consensus and convergence guarantees of the underlying theory.
 __version__ = "0.1.0"
 
 from .agreement import (AgreementState, PhiLimitSeries, PhiTable, agreement_step,
-                        agreement_vector, compute_phi, phi_family, phi_limit_series)
+                        compute_phi, phi_family, phi_limit_series)
 from .baselines import BaselineRun, clvq_step, lloyd_step, run_clvq, run_lloyd
 from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
                           consensus_decay, estimate_lipschitz, summarize, theta,
                           theta_series)
-from .engine import (EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick,
-                     descent_term, run)
+from .engine import EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick, run
 from .errors import ConfigError, ScheduleValidationError
 from .geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
                        gradient_observation, min_component_separation, nearest_cell)
@@ -28,13 +27,11 @@ from .schedule import (CommSchedule, ScheduleSpec, ValidationReport,
 __all__ = [
     "__version__",
     "AgreementState", "PhiLimitSeries", "PhiTable",
-    "agreement_step", "agreement_vector", "compute_phi",
-    "phi_family", "phi_limit_series",
+    "agreement_step", "compute_phi", "phi_family", "phi_limit_series",
     "BaselineRun", "clvq_step", "lloyd_step", "run_clvq", "run_lloyd",
     "ConvergenceReport", "RunMetrics", "compute_metrics", "consensus_decay",
     "estimate_lipschitz", "summarize", "theta", "theta_series",
-    "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick",
-    "descent_term", "run",
+    "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick", "run",
     "ConfigError", "ScheduleValidationError",
     "QuantizerVec", "SampleBatch", "batched_cell_stats",
     "gradient_observation", "min_component_separation", "nearest_cell",

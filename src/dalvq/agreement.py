@@ -1,12 +1,11 @@
 """Delayed averaging: the agreement iteration, its impulse weights, and limits.
 
 The merge half of the distributed iteration is linear: every version at time t
-is a convex-ish combination of the initial versions and the descent terms
-injected so far. The weights are obtained constructively by driving the same
-iteration with unit impulses. Under the connectivity and threshold assumptions
-the weight of an impulse converges, as the evaluation time grows, to a value
-independent of the receiving processor; those limits define the agreement
-vector, the sequence a virtual single processor would follow.
+is a combination of the initial versions and the descent terms injected so
+far, with weights found by driving the same iteration with unit impulses.
+Under the connectivity and threshold assumptions each weight converges, as
+the evaluation time grows, to a limit shared by every receiver; those limits
+define the agreement vector, the sequence a virtual single processor follows.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "compute_phi",
     "phi_family",
     "phi_limit_series",
-    "agreement_vector",
 ]
 
 
@@ -92,34 +90,42 @@ def agreement_step(state: AgreementState, schedule: CommSchedule) -> AgreementSt
 # impulse responses
 
 
-def _impulse_blocks(schedule: CommSchedule, ends: np.ndarray, spread_tol: float):
+def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
+                    limits: Optional[np.ndarray] = None):
     """Unit impulses as column blocks of one joint merge iteration.
 
     Block k carries the impulse injected at tick tau = k - 1: it enters as the
-    identity at time k and is merged until its spread across receivers falls
-    below spread_tol or its time reaches ends[k]. A merge never mixes columns,
-    so each block follows exactly the arithmetic of a run on its own. Past the
-    horizon the schedule repeats (its period, or the whole trace when dense).
+    identity at time k and is merged until time t_end or, given limits (n, M),
+    until its residual against limits[k] over the current and history versions
+    is below 1e-14 + delta * age: a row-stochastic merge never increases it,
+    and rows that miss 1 by delta move it by at most delta per tick. A merge
+    never mixes columns, so each block follows exactly the arithmetic of a run
+    on its own. Past the horizon the schedule repeats (its period, or the
+    whole trace when dense).
 
-    Yields (t, lo, x, live, done, spread) for t = 0, 1, ... until every block
-    has stopped. x (M, W * M) holds blocks lo .. lo + W - 1 at time t, the last
-    of them injected at t or earlier; live marks those still running at t, done
-    those that stop at t, and spread is each one's spread (inf before its first
-    merge). Stopped blocks between running ones ride along unrecorded.
+    Yields (t, lo, x, live, resid) for t = 0, 1, ... until every block has
+    stopped. x (M, W * M) holds blocks lo .. lo + W - 1 at time t, the last of
+    them injected at t or earlier; live marks those still running at t, and
+    resid is each one's largest current-version residual (None without
+    limits). Stopped blocks between running ones ride along unrecorded.
     """
-    M, n = schedule.M, len(ends)
-    depth = max(schedule.B1, 1)
+    M, depth = schedule.M, schedule.B1
     P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
+    delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
     ring[0, :, :M] = eye
     live = np.ones(n, dtype=bool)
-    lo, t = 0, 0
-    x, spread = ring[0, :, :M], np.array([np.inf])  # block 0 at its injection
+    lo, hi, t = 0, 1, 0
     while True:
-        hi = lo + len(spread)
-        done = live[lo:hi] & ((ends[lo:hi] <= t) | (spread < spread_tol))
-        yield t, lo, x, live[lo:hi].copy(), done, spread
+        window = ring[:, :, lo * M:hi * M]
+        if limits is None:
+            resid, done = None, np.full(hi - lo, t >= t_end)
+        else:
+            dev = np.abs(window.reshape(depth, M, hi - lo, M) - limits[lo:hi]).max(axis=(1, 3))
+            resid = dev[t % depth]
+            done = dev.max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
+        yield t, lo, window[t % depth], live[lo:hi].copy(), resid
         live[lo:hi] &= ~done
         if not live.any():
             return
@@ -127,10 +133,8 @@ def _impulse_blocks(schedule: CommSchedule, ends: np.ndarray, spread_tol: float)
         cols = slice(lo * M, hi * M)
         x = merged_versions(schedule.coeff_table[t % P],
                             np.minimum(schedule.delay_table[t % P], t), ring[:, :, cols], t)
-        spread = np.max((np.max(x, axis=0) - np.min(x, axis=0)).reshape(-1, M), axis=1)
         if t + 1 < n:  # block t + 1 enters at time t + 1
             x[:, (t + 1 - lo) * M:] = eye
-            spread[-1] = np.inf
         ring[(t + 1) % depth, :, cols] = x
         t += 1
 
@@ -156,20 +160,18 @@ class PhiTable:
         return self.phi[tau + 1]
 
     def to_records(self) -> list[dict]:
-        M = self.M
         return [{"t": self.t, "tau": k - 1, "i": i, "j": j,
                  "value": float(self.phi[k, i, j])}
-                for k in range(self.phi.shape[0]) for i in range(M) for j in range(M)]
+                for k in range(self.phi.shape[0]) for i in range(self.M) for j in range(self.M)]
 
 
 def compute_phi(schedule: CommSchedule, t: int) -> PhiTable:
     """Impulse weights at time t for every injection tick tau in [-1, t)."""
     if not (0 <= t <= schedule.horizon):
         raise ValueError(f"t must lie in [0, horizon], got {t}")
-    for _, _, x, _, _, _ in _impulse_blocks(schedule, np.full(t + 1, t), 0.0):
+    for _, _, x, _, _ in _impulse_blocks(schedule, t + 1, t_end=t):
         pass
-    M = schedule.M
-    return PhiTable(t=t, phi=x.reshape(M, t + 1, M).transpose(1, 0, 2).copy())
+    return PhiTable(t=t, phi=x.reshape(schedule.M, t + 1, schedule.M).transpose(1, 0, 2).copy())
 
 
 def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
@@ -188,7 +190,7 @@ def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
         raise ValueError("phi family would exceed the in-memory budget; "
                          "query single times with compute_phi instead")
     out = np.zeros((t_end + 1, M, n_tau * M))
-    for t, lo, x, _, _, _ in _impulse_blocks(schedule, np.full(n_tau, t_end), 0.0):
+    for t, lo, x, _, _ in _impulse_blocks(schedule, n_tau, t_end=t_end):
         out[t, :, lo * M:lo * M + x.shape[1]] = x
     return out.reshape(t_end + 1, M, n_tau, M).transpose(0, 2, 1, 3).copy()
 
@@ -197,36 +199,26 @@ def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
 # limits
 
 
-def _fit_geometric(gaps: np.ndarray, resids: np.ndarray) -> tuple[float, float]:
-    """(A_hat, rho_hat) with LS slope on log-residuals and envelope intercept.
-
-    gaps broadcasts against resids; both are read in C order. Residuals at or
-    below 1e-14 are rounding noise and stay out of the fit.
-    """
-    keep = resids > 1e-14
-    if not np.any(keep):
-        return 0.0, 0.0
-    g = np.broadcast_to(gaps, resids.shape)[keep].astype(float)
-    r = np.log(resids[keep])
-    if g.min() == g.max():
-        rho = 1.0
-    else:
-        slope = np.polyfit(g, r, 1)[0]
-        rho = float(np.exp(slope))
-    if rho >= 1.0 or rho <= 0.0:
-        # no contraction measurable: envelope with a flat rate
-        return float(np.max(resids[keep])), max(rho, 1.0)
-    a = float(np.max(resids[keep] / rho ** g))
-    return a, rho
+def _step_matrix(schedule: CommSchedule, P: int, t: int) -> np.ndarray:
+    """The merge at tick t on the augmented state, whose slot k holds the M
+    versions at time t - k: slot 0 takes the merge, the others shift back by
+    one. Delays are clamped to t; the schedule repeats with period P."""
+    M, B = schedule.M, schedule.B1
+    i, j = np.indices((M, M))
+    k, m = np.arange(1, B)[:, None], np.arange(M)
+    a = np.zeros((B, M, B, M))
+    a[0, i, np.minimum(schedule.delay_table[t % P], t), j] = schedule.coeff_table[t % P]
+    a[k, m, k - 1, m] = 1.0
+    return a.reshape(B * M, B * M)
 
 
 @dataclass(frozen=True)
 class PhiLimitSeries:
-    """Limit weights for every injection tick of a run, plus the fitted rate.
+    """Limit weights for every injection tick of a run, plus their envelope.
 
     phi_init[j] weights the initial versions; phi[tau, j] weights the descent
-    term of processor j at tick tau. Periodic schedules are computed on a base
-    block and tiled; dense schedules are computed per tick.
+    term of processor j at tick tau. Periodic schedules are solved on a base
+    block and tiled; dense schedules are solved per tick.
     """
 
     phi_init: np.ndarray      # (M,)
@@ -235,92 +227,71 @@ class PhiLimitSeries:
     rho_hat: float
     eta_hat: float
     resolved: bool
-    max_spread: float
 
     def weights_at(self, tau: int) -> np.ndarray:
         return self.phi_init if tau == -1 else self.phi[tau]
 
 
-def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None,
-                     spread_tol: float = 1e-12, max_run: int = 20000) -> PhiLimitSeries:
-    """Limit weights for all injection ticks tau in [-1, horizon).
+def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> PhiLimitSeries:
+    """Limit weights for all injection ticks tau in [-1, horizon), exactly.
 
-    Each impulse runs until its spread across receivers falls below
-    spread_tol, or for max_run merges, and its limit is the receiver average
-    at that time. For a periodic schedule the limits for tau and tau + period
-    coincide once tau clears the startup delay clamp, so only one base block
-    is run and the rest is tiled. The geometric fit pools every residual of
-    the base runs, impulse by impulse: least-squares slope, envelope intercept.
+    The merge is a row-stochastic map A(t) on the augmented state (current
+    plus B1 - 1 delayed versions) that repeats with period P (a dense trace's
+    horizon) from tick tau0 = P * ceil(B1 / P) on, where no delay is clamped.
+    The limit row of the products from tau0 on is the left Perron vector pi of
+    one period's product; backwards pi_s = pi_{s+1} A(s), and the impulse
+    injected at tau tends to slot 0 of pi_{tau + 1} at every receiver. Ticks
+    below tau0 + P are solved, the rest tiled.
+
+    The limits are resolved when, up to rounding (1e-9), eigenvalue 1 of the
+    period product is simple and |lambda_2| < 1, and every base-block impulse
+    is within 1e-14 of its limit by gap 2 log(1e-14) / log(rho_hat) + B1 + P,
+    where any A * rho_hat ** gap with A < 1e14 is below 1e-14; rho_hat is
+    |lambda_2| ** (1 / P), floored at rounding level. A_hat is then the least A
+    with A * rho_hat ** gap above every residual of those impulses over 1e-14.
+    Otherwise A_hat = rho_hat = 1, which holds since every weight is in [0, 1].
     """
     T = schedule.horizon if horizon is None else horizon
-    M = schedule.M
-    if schedule.period is not None and T > 0:
-        P = schedule.period
-        tau0 = P * math.ceil(max(schedule.B1, 1) / P)
-        direct_hi = min(tau0 + P, T)
-    else:
-        direct_hi = T
+    M, n = schedule.M, schedule.B1 * schedule.M
+    P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
+    tau0 = P * math.ceil(schedule.B1 / P)
+    direct_hi = min(tau0 + P, T)
 
-    n = direct_hi + 1  # taus -1 .. direct_hi - 1
-    limits, spreads = np.empty((n, M)), np.empty(n)
-    rows, owners, gaps = [], [], []
-    for t, lo, x, live, done, spread in _impulse_blocks(schedule, np.arange(n) + max_run,
-                                                        spread_tol):
-        blocks = x.reshape(M, -1, M).transpose(1, 0, 2)
-        k = lo + np.flatnonzero(live)
-        rows.append(blocks[live])
-        owners.append(k)
-        gaps.append(t + 1 - k)
-        for w in np.flatnonzero(done):
-            limits[lo + w] = np.mean(blocks[w], axis=0)
-            spreads[lo + w] = spread[w]
+    prod = np.eye(n)
+    for s in range(tau0, tau0 + P):
+        prod = _step_matrix(schedule, P, s) @ prod
+    # moduli, largest first; the appended 0 gives a 1 x 1 product a lambda_2
+    lam = np.sort(np.abs(np.append(np.linalg.eigvals(prod), 0.0)))[::-1]
+    resolved = bool(abs(lam[0] - 1.0) < 1e-9 and lam[1] < 1.0 - 1e-9)
+    # pi (prod - I) = 0 bordered by sum(pi) = 1; least squares takes the
+    # smallest such pi when eigenvalue 1 is not simple
+    pi = np.linalg.lstsq(np.vstack([prod.T - np.eye(n), np.ones(n)]), np.eye(n + 1)[-1],
+                         rcond=None)[0]
+    limits = np.empty((tau0 + P + 1, M))
+    limits[-1] = pi[:M]
+    for s in range(tau0 + P - 1, -1, -1):
+        pi = pi @ _step_matrix(schedule, P, s)
+        limits[s] = pi[:M]
+    limits = limits[:direct_hi + 1]
 
-    # the fit reads residuals impulse by impulse, each in time order: the
-    # least-squares slope depends on that order in its last bits
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    resids = np.concatenate(rows)
-    rows.clear()  # free the per-step copies before the reorder
-    resids = resids[order]
-    resids -= limits[owner[order]][:, None, :]
-    np.abs(resids, out=resids)
-    a_hat, rho_hat = _fit_geometric(np.concatenate(gaps)[order][:, None, None], resids)
+    a_hat, rho_hat = 1.0, 1.0
+    if resolved:
+        rho = max(float(lam[1]), float(np.finfo(float).eps)) ** (1.0 / P)
+        log_a = -math.inf
+        cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + schedule.B1 + P
+        for t, lo, _, live, resid in _impulse_blocks(schedule, direct_hi + 1, limits=limits):
+            if t + 1 - lo > cap:  # the oldest live block's gap
+                resolved = False
+                break
+            keep = live & (resid > 1e-14)
+            gaps = t + 1 - lo - np.flatnonzero(keep)
+            log_a = np.max(np.log(resid[keep]) - gaps * math.log(rho), initial=log_a)
+        else:
+            a_hat, rho_hat = float(np.exp(log_a)), rho
 
     phi = np.zeros((T, M))
     phi[:direct_hi] = limits[1:]
     if T > direct_hi:  # tile the periodic block
         phi[direct_hi:] = phi[tau0 + (np.arange(direct_hi, T) - tau0) % P]
     return PhiLimitSeries(phi_init=limits[0], phi=phi, A_hat=a_hat, rho_hat=rho_hat,
-                          eta_hat=float(np.min(limits)),
-                          resolved=bool(np.all(spreads < spread_tol)),
-                          max_spread=float(np.max(spreads)))
-
-
-# ---------------------------------------------------------------------------
-# agreement vector
-
-
-def agreement_vector(limits: PhiLimitSeries, initial: np.ndarray,
-                     descent: Optional[np.ndarray], t: int) -> np.ndarray:
-    """The virtual consensus trajectory at time t.
-
-    initial has shape (M, ...); descent, when given, has shape (T, M, ...)
-    holding each processor's descent term per tick (zeros when idle). Satisfies
-    the recursion w*(t+1) = w*(t) + sum_j phi[t, j] * descent[t, j] by
-    construction of the incremental sum.
-    """
-    initial = np.asarray(initial, dtype=float)
-    M = initial.shape[0]
-    shape = initial.shape[1:]
-    flat0 = initial.reshape(M, -1)
-    out = limits.phi_init @ flat0
-    if t > 0:
-        if descent is None:
-            raise ValueError("descent history required for t > 0")
-        descent = np.asarray(descent, dtype=float)
-        if descent.shape[0] < t or descent.shape[1] != M:
-            raise ValueError("descent history must cover (t, M, ...)")
-        flat_s = descent[:t].reshape(t, M, -1)
-        for tau in range(t):
-            out = out + limits.phi[tau] @ flat_s[tau]
-    return out.reshape(shape)
+                          eta_hat=float(np.min(limits)), resolved=resolved)

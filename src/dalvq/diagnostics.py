@@ -30,7 +30,6 @@ from .schedule import CommSchedule
 __all__ = [
     "theta",
     "theta_series",
-    "dense_descent",
     "RunMetrics",
     "compute_metrics",
     "consensus_decay",
@@ -76,24 +75,6 @@ def theta_series(n: int, rho: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the metrics sweep
-
-
-def dense_descent(art: RunArtifacts, max_entries: int = 2**22) -> np.ndarray:
-    """Descent history as a dense (horizon, M, width) array; small runs only."""
-    cfg = art.config
-    total = cfg.horizon * cfg.M * cfg.width
-    if total > max_entries:
-        raise ValueError(f"dense descent history would hold {total} floats; "
-                         "use the event log directly for long runs")
-    out = np.zeros((cfg.horizon, cfg.M, cfg.width))
-    ev = art.events
-    wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
-    for k in range(ev.n):
-        comp = int(ev.comp[k])
-        lo = comp * cfg.dim
-        s = -ev.eps[k] * (wb[k, comp] - ev.z[k])
-        out[ev.t[k], ev.proc[k], lo:lo + cfg.dim] = s
-    return out
 
 
 CSV_COLUMNS = ("t", "consensus_gap", "agreement_gap", "bound_normmaj",

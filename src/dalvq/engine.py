@@ -16,7 +16,7 @@ import numpy as np
 
 from .agreement import merged_versions
 from .errors import ConfigError
-from .geometry import QuantizerVec, SampleBatch, nearest_cell, gradient_observation
+from .geometry import QuantizerVec, SampleBatch, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
                        draw_index, init_quantizer, make_batch, sample)
 from .schedule import CommSchedule, ScheduleSpec, generate
@@ -27,7 +27,6 @@ __all__ = [
     "EngineState",
     "EventLog",
     "RunArtifacts",
-    "descent_term",
     "dalvq_tick",
     "run",
 ]
@@ -211,11 +210,6 @@ class RunArtifacts:
     def quantizer(self, snap: int, proc: int) -> QuantizerVec:
         comps = self.snapshots[snap, proc].reshape(self.config.kappa, self.config.dim)
         return QuantizerVec(comps)
-
-
-def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
-    """-eps times the winner-takes-all gradient observation, shape (kappa, dim)."""
-    return -eps * gradient_observation(z, w)
 
 
 def dalvq_tick(state: EngineState, schedule: CommSchedule, config: RunConfig,

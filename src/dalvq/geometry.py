@@ -67,12 +67,6 @@ class QuantizerVec:
     def dim(self) -> int:
         return self.components.shape[1]
 
-    def is_parted(self, delta: float) -> bool:
-        """True if all pairwise component distances are >= delta."""
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
-        return min_component_separation(self) >= delta
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -89,6 +83,8 @@ class SampleBatch:
     diameter: float
     # squared point norms, cached for batched_cell_stats
     _sq_norms: np.ndarray = field(init=False, repr=False)
+    # batched_cell_stats' work arrays, kept across calls (see _work_array)
+    _work: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -112,6 +108,7 @@ class SampleBatch:
         sq = np.einsum("nd,nd->n", pts, pts)
         sq.flags.writeable = False
         object.__setattr__(self, "_sq_norms", sq)
+        object.__setattr__(self, "_work", {})
 
     @property
     def n(self) -> int:
@@ -155,6 +152,18 @@ _POINT_BLOCK = 320
 _STACK_CHUNK = 256
 
 
+def _work_array(batch: SampleBatch, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized view of the batch's work array `name`, grown as
+    needed. A fresh array per call or block would be a new mapping of up to
+    megabytes (glibc maps allocations over 128 KB), zeroed page by page by
+    the OS, and a metrics sweep calls the kernel hundreds of times."""
+    size = math.prod(shape)
+    buf = batch._work.get(name)
+    if buf is None or buf.size < size:
+        buf = batch._work[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
 def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     """Distortion, gradient and cell statistics of a stack of quantizers.
 
@@ -189,19 +198,31 @@ def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, .
         w_sq = np.einsum("kd,kd->k", comps, comps)
         col = kappa * np.arange(c1 - c0)[None, :]
         tot = np.zeros(c1 - c0)
+        b_max = min(_POINT_BLOCK, n)
+        pq, qp = (b_max, c1 - c0), (c1 - c0, b_max)    # (point, quantizer) and back
+        score_buf = _work_array(batch, "score", (b_max, len(comps)))
+        at_row = _work_array(batch, "at_row", pq, np.intp)    # first score of (point, quantizer)
+        np.add(np.arange(b_max)[:, None] * len(comps), col, out=at_row)
+        assign_buf = _work_array(batch, "assign", pq, np.intp)
+        where_buf = _work_array(batch, "where", pq, np.intp)
+        rmin_buf, coord_buf = _work_array(batch, "rmin", pq), _work_array(batch, "coord", qp)
+        flat_buf = _work_array(batch, "flat", qp, np.intp)
         for p0 in range(0, n, _POINT_BLOCK):
             p1 = min(p0 + _POINT_BLOCK, n)
-            score = neg2[p0:p1] @ comps.T
+            b = p1 - p0
+            score = np.matmul(neg2[p0:p1], comps.T, out=score_buf[:b])
             score += w_sq[None, :]
-            s3 = score.reshape(p1 - p0, c1 - c0, kappa)
-            assign = np.argmin(s3, axis=2)                      # (block, chunk)
-            rmin = np.take_along_axis(s3, assign[:, :, None], axis=2)[:, :, 0]
-            tot += np.maximum(batch._sq_norms[p0:p1, None] + rmin, 0.0).sum(axis=0)
-            flat = (assign + col).ravel(order="F")
+            assign = np.argmin(score.reshape(b, c1 - c0, kappa), axis=2,
+                               out=assign_buf[:b])              # (block, chunk)
+            rmin = np.take(score, np.add(assign, at_row[:b], out=where_buf[:b]), out=rmin_buf[:b])
+            rmin += batch._sq_norms[p0:p1, None]
+            tot += np.maximum(rmin, 0.0, out=rmin).sum(axis=0)
+            flat = np.add(assign.T, col.T, out=flat_buf[:, :b]).ravel()  # chunk-major
             cnt += np.bincount(flat, minlength=len(cnt))
+            coord = coord_buf[:, :b]
             for k in range(dim):
-                sm[:, k] += np.bincount(flat, weights=np.tile(batch.points[p0:p1, k], c1 - c0),
-                                        minlength=len(cnt))
+                coord[:] = batch.points[p0:p1, k]
+                sm[:, k] += np.bincount(flat, weights=coord.ravel(), minlength=len(cnt))
         dist[c0:c1] = 0.5 * tot / n
     grad = (counts[:, :, None] * W - sums) / n
     return dist, grad, counts, sums

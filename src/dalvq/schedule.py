@@ -569,12 +569,19 @@ def write_trace(schedule: CommSchedule, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or nests a boolean, which numpy reads as 0 or 1."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def read_trace(path: str) -> CommSchedule:
     """Read a dense schedule from JSONL; constants come from the meta record
     when present and are measured from the trace otherwise. A meta B1 below
     the trace's largest delay + 1 is rejected: a ring sized from it would
     read overwritten versions. So is a meta record that is not an object or
-    lacks a finite number for any of alpha, B1, B2 and B3."""
+    lacks a finite number for any of alpha, B1, B2 and B3, and a line that is
+    not an object. Each tick needs an M x M array of numbers for coeff, one
+    of integers for delay, and a list of processor indices for active."""
     records = []
     meta = None
     try:
@@ -587,6 +594,8 @@ def read_trace(path: str) -> CommSchedule:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"{path}:{line_no}: invalid JSON") from exc
+                if not isinstance(obj, dict):
+                    raise ConfigError(f"{path}:{line_no}: record must be an object")
                 if "meta" in obj:
                     meta = obj["meta"]
                     if not isinstance(meta, dict):
@@ -599,7 +608,7 @@ def read_trace(path: str) -> CommSchedule:
         raise ConfigError(f"{path}: trace has no tick records")
 
     first = records[0][1]
-    if "coeff" not in first or "t" not in first:
+    if not isinstance(first.get("coeff"), list) or "t" not in first:
         raise ConfigError(f"{path}: tick records need fields t, coeff, delay, active")
     M = len(first["coeff"])
     T = len(records)
@@ -612,15 +621,24 @@ def read_trace(path: str) -> CommSchedule:
             raise ConfigError(f"{path}:{line_no}: record missing field(s) {sorted(missing)}")
         if rec["t"] != k:
             raise ConfigError(f"{path}:{line_no}: expected t={k}, got t={rec['t']}")
-        c = np.asarray(rec["coeff"], dtype=float)
-        d = np.asarray(rec["delay"], dtype=np.int64)
+        try:  # a ragged array raises
+            c, d = np.asarray(rec["coeff"]), np.asarray(rec["delay"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: coeff/delay must be {M}x{M}") from exc
         if c.shape != (M, M) or d.shape != (M, M):
             raise ConfigError(f"{path}:{line_no}: coeff/delay must be {M}x{M}")
+        if c.dtype.kind not in "iuf" or d.dtype.kind not in "iu" \
+                or _holds_bool(rec["coeff"]) or _holds_bool(rec["delay"]):
+            raise ConfigError(f"{path}:{line_no}: coeff must hold numbers and delay integers")
         coeff[k], delay[k] = c, d
-        for i in rec["active"]:
-            if not (0 <= int(i) < M):
-                raise ConfigError(f"{path}:{line_no}: active index {i} out of range")
-            active[k, int(i)] = True
+        act = rec["active"]
+        if not isinstance(act, list):
+            raise ConfigError(f"{path}:{line_no}: active must be a list")
+        for i in act:
+            if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < M):
+                raise ConfigError(f"{path}:{line_no}: active entry {i!r} is not an index "
+                                  f"below {M}")
+            active[k, i] = True
 
     if meta is None:
         alpha, B1, B2, B3 = _measure(coeff, delay, T, None)

@@ -1,0 +1,67 @@
+"""Direct reference implementations the tests compare the library against.
+
+None of these is used by the library itself: each spells out one quantity the
+fast paths compute, in the plainest form.
+"""
+
+from typing import Optional
+
+import numpy as np
+
+from dalvq.geometry import gradient_observation, min_component_separation
+
+
+def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
+    """-eps times the winner-takes-all gradient observation, shape (kappa, dim)."""
+    return -eps * gradient_observation(z, w)
+
+
+def is_parted(q, delta: float) -> bool:
+    """True if all pairwise component distances of q are >= delta."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    return min_component_separation(q) >= delta
+
+
+def dense_descent(art, max_entries: int = 2**22) -> np.ndarray:
+    """Descent history as a dense (horizon, M, width) array; small runs only."""
+    cfg = art.config
+    total = cfg.horizon * cfg.M * cfg.width
+    if total > max_entries:
+        raise ValueError(f"dense descent history would hold {total} floats; "
+                         "use the event log directly for long runs")
+    out = np.zeros((cfg.horizon, cfg.M, cfg.width))
+    ev = art.events
+    wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
+    for k in range(ev.n):
+        comp = int(ev.comp[k])
+        lo = comp * cfg.dim
+        s = -ev.eps[k] * (wb[k, comp] - ev.z[k])
+        out[ev.t[k], ev.proc[k], lo:lo + cfg.dim] = s
+    return out
+
+
+def agreement_vector(limits, initial: np.ndarray, descent: Optional[np.ndarray],
+                     t: int) -> np.ndarray:
+    """The virtual consensus trajectory at time t.
+
+    initial has shape (M, ...); descent, when given, has shape (T, M, ...)
+    holding each processor's descent term per tick (zeros when idle). Satisfies
+    the recursion w*(t+1) = w*(t) + sum_j phi[t, j] * descent[t, j] by
+    construction of the incremental sum.
+    """
+    initial = np.asarray(initial, dtype=float)
+    M = initial.shape[0]
+    shape = initial.shape[1:]
+    flat0 = initial.reshape(M, -1)
+    out = limits.phi_init @ flat0
+    if t > 0:
+        if descent is None:
+            raise ValueError("descent history required for t > 0")
+        descent = np.asarray(descent, dtype=float)
+        if descent.shape[0] < t or descent.shape[1] != M:
+            raise ValueError("descent history must cover (t, M, ...)")
+        flat_s = descent[:t].reshape(t, M, -1)
+        for tau in range(t):
+            out = out + limits.phi[tau] @ flat_s[tau]
+    return out.reshape(shape)

@@ -115,6 +115,24 @@ class TestRunModes:
         assert rep["worst_bound_ratio"] <= 1.0
         assert len(read_json(out / "final-quantizers.json")["processors"]) == 64
 
+    def test_delayed_complete_per_processor_init_within_bound(self, tmp_path):
+        # processors start apart and merge delayed copies: limits read at a
+        # dip of the current versions' spread leave a lasting agreement gap
+        # (worst_bound_ratio 1.35 here, 2.69 at horizon 8000)
+        doc = {"mode": "dalvq", "M": 8, "kappa": 4, "dim": 2, "horizon": 4000,
+               "dist": {"kind": "uniform-disk-union",
+                        "centers": [[0.0, 0.0], [3.0, 0.0], [1.5, 2.0]],
+                        "radii": [1.0, 0.8, 0.6]},
+               "sched": {"topology": "complete", "merge_period": 1, "delay_law": "uniform",
+                         "delay_value": 3, "activity": "all-active", "base_window": 64},
+               "step": {"kind": "local-clock", "c": 0.5}, "seed": 5, "n_ref": 64,
+               "cadence": 1000, "replay_from_batch": False, "init": "per-processor"}
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = read_json(out / "report.json")
+        assert rep["limits_resolved"] is True
+        assert rep["worst_bound_ratio"] <= 1.0
+
     def test_clvq_baseline_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, config_doc(
             mode="clvq-baseline", step=StepPolicy("global-clock", 0.5)))
@@ -268,6 +286,19 @@ class TestExitCodes:
             assert code == EXIT_CONFIG, bad
             assert len(err) == 1 and err[0].startswith("config error:"), bad
 
+    def test_malformed_trace_tick(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        for bad in ("5", {**rec, "active": 3}, {**rec, "active": ["a"]},
+                    {**rec, "coeff": "abc"}, {**rec, "coeff": rec["coeff"][:2] + [[1.0]]},
+                    {**rec, "delay": [[0.5, 0, 0]] + rec["delay"][1:]}):
+            text = bad if isinstance(bad, str) else json.dumps(bad)
+            path.write_text("\n".join(lines[:4] + [text] + lines[5:]) + "\n")
+            code, err = self.run_on_trace(tmp_path, capsys, path)
+            assert code == EXIT_CONFIG, bad
+            assert len(err) == 1 and err[0].startswith("config error:"), bad
 
 # ---- report, validate-schedule, phi-table ----
 

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from dalvq.agreement import agreement_vector, phi_limit_series
+from dalvq.agreement import phi_limit_series
 from dalvq.baselines import run_clvq, run_lloyd
 from dalvq import diagnostics, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
-                               consensus_decay, dense_descent, estimate_lipschitz,
+                               consensus_decay, estimate_lipschitz,
                                summarize, theta, theta_series)
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate
+from oracles import agreement_vector, dense_descent
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])

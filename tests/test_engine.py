@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dalvq.engine import (EngineState, EventLog, RunConfig, StepPolicy, _total_active,
-                          dalvq_tick, descent_term, initial_versions, run)
+                          dalvq_tick, initial_versions, run)
 from dalvq.errors import ConfigError
 from dalvq.geometry import gradient_observation, nearest_cell
 from dalvq.measures import DistributionSpec
 from dalvq.schedule import ScheduleSpec, generate
+from oracles import descent_term
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])

@@ -10,6 +10,7 @@ from dalvq.geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
                             nearest_cell)
 from dalvq.measures import DistributionSpec
 from dalvq.measures import make_batch as draw_batch
+from oracles import is_parted
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
 
@@ -77,8 +78,8 @@ class TestQuantizerVec:
     def test_kappa_dim_parted(self):
         q = QuantizerVec([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert q.kappa == 3 and q.dim == 2
-        assert q.is_parted(0.5)
-        assert not q.is_parted(1.5)
+        assert is_parted(q, 0.5)
+        assert not is_parted(q, 1.5)
 
 
 class TestSampleBatch:

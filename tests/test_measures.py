@@ -4,6 +4,7 @@ import pytest
 from dalvq.errors import ConfigError
 from dalvq.measures import (DistributionSpec, StreamHandle, draw_index,
                             init_quantizer, make_batch, sample)
+from oracles import is_parted
 
 
 BOX = DistributionSpec.uniform_box([0.0, -1.0], [2.0, 1.0])
@@ -183,7 +184,7 @@ class TestInitQuantizer:
         q1 = init_quantizer(BOX, 6, 21)
         q2 = init_quantizer(BOX, 6, 21)
         assert np.array_equal(q1.components, q2.components)
-        assert q1.is_parted(1e-6 * BOX.diameter)
+        assert is_parted(q1, 1e-6 * BOX.diameter)
         lo, hi = BOX.bbox
         assert np.all(q1.components > lo) and np.all(q1.components < hi)
 

@@ -326,6 +326,30 @@ class TestTraceRoundtrip:
         with pytest.raises(ConfigError):
             read_trace(str(path))
 
+    @pytest.mark.parametrize("line, field, value", [
+        ("5", None, None), ("null", None, None),
+        (None, "active", 3), (None, "active", ["a"]), (None, "active", [1.0]),
+        (None, "coeff", "abc"), (None, "coeff", [[0.5, 0.5, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+        (None, "coeff", [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        (None, "coeff", [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        (None, "delay", [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        (None, "delay", [[0, 0, 0], [0, 0, True], [0, 0, 0]])],
+        ids=["number-line", "null-line", "active-number", "active-string",
+             "active-float", "coeff-string", "coeff-ragged", "coeff-string-entry",
+             "coeff-bool", "delay-fraction", "delay-bool"])
+    def test_malformed_tick_rejected(self, tmp_path, line, field, value):
+        sch = generate(ring_spec(delay_value=2), 3, 24, seed=1)
+        path = tmp_path / "trace.jsonl"
+        write_trace(sch, str(path))
+        lines = path.read_text().splitlines()
+        if line is not None:
+            lines.insert(5, line)
+        else:
+            lines[5] = json.dumps({**json.loads(lines[5]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            read_trace(str(path))
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0, "coeff": [[1.0]], "delay": [[0]]}\n')
