@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except ScheduleValidationError as exc:
         sys.stderr.write(f"schedule error: {exc}\n")
         return EXIT_SCHEDULE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO
 

@@ -2,10 +2,12 @@
 
 Everything here is a pure post-pass over run artifacts. The expensive parts
 (distortion and gradient evaluations against the reference batch) go through
-``geometry.batched_cell_stats`` a few hundred quantizers at a time, so a
-two-hundred-thousand-tick run stays inside a coffee break; the per-tick
-bookkeeping (agreement recursion, perturbation partial sums) is a single
-chronological sweep over the event log.
+``geometry.batched_cell_stats`` a few hundred quantizers at a time: a chunk
+of consecutive ticks' w*(t), then the pre-merge versions of that chunk's
+events. Consecutive iterates move by O(1/t), so the kernel's anchor bounds
+leave few reference points to rescan and a quantizer costs about a twentieth
+of a dense scan. The per-tick bookkeeping (agreement recursion, perturbation
+partial sums) is a single chronological sweep over the event log.
 
 Cumulative columns follow one convention: the value reported at tick t sums
 contributions of ticks tau < t, matching the agreement recursion whose value
@@ -177,10 +179,11 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
     run_dm2 = np.zeros(D)
     run_seg = 0.0
 
+    W_buf = np.empty((min(chunk, T), D))
     for b0 in range(0, T, chunk):
         b1 = min(b0 + chunk, T)
         L = b1 - b0
-        W = np.empty((L, D))
+        W = W_buf[:L]
         for t in range(b0, b1):
             W[t - b0] = w_star
             for e in range(starts[t], starts[t + 1]):
@@ -194,20 +197,23 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
         e0, e1 = int(starts[b0]), int(starts[b1])
         E = e1 - e0
         if E:
+            # in place from here: each event-chunk array is a fresh mapping
+            # once E * width passes glibc's 128 KB mmap threshold
             _, h_evt, _, _ = batched_cell_stats(wb[e0:e1], batch)
-            h_star_evt = grad_b[ev.t[e0:e1] - b0]
-            inc = h_evt.copy()                                  # h - H per event
+            cview = coef_evt[e0:e1][:, None, None]
+            dm1 = grad_b[ev.t[e0:e1] - b0]                      # h* per event
+            dm1 -= h_evt
+            dm1 *= cview
+            inc = h_evt                                         # h - H per event
             inc[np.arange(E), ev.comp[e0:e1]] -= wb_comp[e0:e1] - ev.z[e0:e1]
             sel = np.flatnonzero(smask[e0:e1])
             if len(sel):
                 mart_rows[mart_cursor:mart_cursor + len(sel)] = \
                     inc[sel].reshape(len(sel), D)
                 mart_cursor += len(sel)
-            cview = coef_evt[e0:e1][:, None, None]
-            dm1_flat = (cview * (h_star_evt - h_evt)).reshape(E, D)
-            dm2_flat = (cview * inc).reshape(E, D)
-            cs1 = np.cumsum(dm1_flat, axis=0)
-            cs2 = np.cumsum(dm2_flat, axis=0)
+            inc *= cview
+            cs1 = np.cumsum(dm1.reshape(E, D), axis=0, out=dm1.reshape(E, D))
+            cs2 = np.cumsum(inc.reshape(E, D), axis=0, out=inc.reshape(E, D))
 
         for t in range(b0, b1):
             k = rec_of.get(t)

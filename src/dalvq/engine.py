@@ -85,6 +85,9 @@ class StepPolicy:
         return StepPolicy(kind=data["kind"], c=float(data["c"]))
 
 
+_INT_FIELDS = ("M", "kappa", "dim", "horizon", "seed", "n_ref", "cadence")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on. Two equal configs give identical artifacts."""
@@ -103,6 +106,10 @@ class RunConfig:
     init: str = "shared"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v > 2**63 - 1:
+                raise ConfigError(f"{name} must be an integer below 2**63, got {v!r}")
         if self.M < 1 or self.kappa < 1 or self.dim < 1:
             raise ConfigError("M, kappa and dim must all be >= 1")
         if self.horizon < 0:

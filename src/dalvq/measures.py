@@ -130,6 +130,8 @@ class DistributionSpec:
             w = freeze("weights", self.weights)
             mu = freeze("means", self.means)
             cv = freeze("covs", self.covs)
+            if not all(np.all(np.isfinite(a)) for a in (w, mu, cv)):
+                raise ConfigError("mixture weights, means and covs must be finite")
             d = self.low.shape[0]
             m = w.shape[0]
             if w.ndim != 1 or m < 1 or np.any(w < 0):
@@ -153,6 +155,8 @@ class DistributionSpec:
             r = freeze("radii", self.radii)
             if c.ndim != 2 or c.shape[1] != 2:
                 raise ConfigError("disk centers must have shape (m, 2)")
+            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r))):
+                raise ConfigError("disk centers and radii must be finite")
             if r.shape != (c.shape[0],) or np.any(r <= 0):
                 raise ConfigError("radii must be positive, one per center")
         else:

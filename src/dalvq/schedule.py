@@ -602,7 +602,7 @@ def read_trace(path: str) -> CommSchedule:
                         raise ConfigError(f"{path}:{line_no}: meta record must be an object")
                 else:
                     records.append((line_no, obj))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     if not records:
         raise ConfigError(f"{path}: trace has no tick records")

@@ -11,6 +11,29 @@ import numpy as np
 from dalvq.geometry import gradient_observation, min_component_separation
 
 
+def cell_stats(comps, points) -> tuple:
+    """(distortion, gradient, counts, sums, assignment) of one quantizer.
+
+    Every point is scored against every component in the direct form
+    |z - w|^2, summed in coordinate order, and goes to the smallest index
+    among the minima; nothing is pruned and nothing is shared with
+    ``batched_cell_stats``.
+    """
+    comps = np.asarray(comps, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    n, kappa = len(pts), len(comps)
+    d2 = np.zeros((n, kappa))
+    for k in range(comps.shape[1]):
+        d2 = d2 + (pts[:, k, None] - comps[None, :, k]) ** 2
+    assign = np.argmin(d2, axis=1)
+    counts = np.bincount(assign, minlength=kappa)
+    sums = np.zeros_like(comps)
+    np.add.at(sums, assign, pts)
+    dist = float(np.sum(0.5 * d2[np.arange(n), assign])) / n
+    grad = (counts[:, None] * comps - sums) / n
+    return dist, grad, counts, sums, assign
+
+
 def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
     """-eps times the winner-takes-all gradient observation, shape (kappa, dim)."""
     return -eps * gradient_observation(z, w)

@@ -248,6 +248,26 @@ class TestExitCodes:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(config_doc()).encode())
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_IO
+        assert len(err) == 1 and err[0].startswith("io error:")
+
+    @pytest.mark.parametrize("field", ["M", "kappa", "dim", "horizon", "seed", "n_ref",
+                                       "cadence"])
+    @pytest.mark.parametrize("bad", ["abc", 50.5, True, 2**63, 10**30])
+    def test_integer_fields_rejected(self, tmp_path, capsys, field, bad):
+        doc = config_doc()
+        doc[field] = bad
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def run_on_trace(self, tmp_path, capsys, trace_path, **kw):
         spec = ScheduleSpec(topology="custom-trace", trace_path=str(trace_path))
         cfg = write_config(tmp_path, config_doc(sched=spec, **kw))
@@ -285,6 +305,14 @@ class TestExitCodes:
             code, err = self.run_on_trace(tmp_path, capsys, path)
             assert code == EXIT_CONFIG, bad
             assert len(err) == 1 and err[0].startswith("config error:"), bad
+
+    def test_trace_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        code, err = self.run_on_trace(tmp_path, capsys, path)
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_malformed_trace_tick(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dalvq.geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
-                            gradient_observation, min_component_separation,
-                            nearest_cell)
+from dalvq import diagnostics
+from dalvq.agreement import phi_limit_series
+from dalvq.engine import run
+from dalvq.geometry import (_STACK_CHUNK, QuantizerVec, SampleBatch, _cell_moves,
+                            batched_cell_stats, gradient_observation,
+                            min_component_separation, nearest_cell)
 from dalvq.measures import DistributionSpec
 from dalvq.measures import make_batch as draw_batch
-from oracles import is_parted
+from oracles import cell_stats, is_parted
+from test_acceptance import big_config
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
 
@@ -23,32 +28,6 @@ def make_batch(points):
         for b in pts:
             diam = max(diam, float(np.linalg.norm(a - b)))
     return SampleBatch(points=pts, bbox_low=lo, bbox_high=hi, diameter=diam)
-
-
-def cell_oracle(comps, pts):
-    """(distortion, gradient, counts, sums, assignment) by a plain per-point
-    loop over the direct form |z - w|^2, sharing no code with the
-    implementation; ties go to the smallest index."""
-    kappa, dim = len(comps), len(comps[0])
-    counts = [0] * kappa
-    sums = [[0.0] * dim for _ in range(kappa)]
-    assign = []
-    total = 0.0
-    for z in pts:
-        best, win = math.inf, -1
-        for ell, w in enumerate(comps):
-            d = sum((zi - wi) ** 2 for zi, wi in zip(z, w))
-            if d < best:
-                best, win = d, ell
-        assign.append(win)
-        counts[win] += 1
-        for k in range(dim):
-            sums[win][k] += z[k]
-        total += 0.5 * best
-    n = len(pts)
-    grad = [[(counts[ell] * comps[ell][k] - sums[ell][k]) / n for k in range(dim)]
-            for ell in range(kappa)]
-    return total / n, np.array(grad), np.array(counts), np.array(sums), np.array(assign)
 
 
 def stats(comps, batch):
@@ -142,7 +121,7 @@ class TestEmpiricalDistortion:
         batch = make_batch(pts)
         comps = rng.random((5, 2))
         got = stats(comps, batch)[0]
-        assert got == pytest.approx(cell_oracle(comps, pts)[0], rel=1e-12)
+        assert got == pytest.approx(cell_stats(comps, pts)[0], rel=1e-12)
 
     def test_single_component_closed_form(self):
         pts = np.array([[0.0], [1.0]])
@@ -197,17 +176,17 @@ class TestBatchedCellStats:
         batch = make_batch(pts)
         comps = rng.random((7, 4))
         dist, grad, counts, sums = stats(comps, batch)
-        o_dist, o_grad, o_counts, o_sums, _ = cell_oracle(comps, pts)
+        o_dist, o_grad, o_counts, o_sums, _ = cell_stats(comps, pts)
         assert dist == pytest.approx(o_dist, abs=1e-12)
         np.testing.assert_array_equal(counts, o_counts)
         np.testing.assert_allclose(sums, o_sums, atol=1e-12)
         np.testing.assert_allclose(grad, o_grad, atol=1e-12)
         # the expanded form |z|^2 - 2 z.w + |w|^2 rounds to +-epsilon where a
-        # point is a component; the clamp keeps every such distortion >= 0
+        # point is a component; the winner's distance in the direct form is 0
         on = [stats(z[None], SampleBatch(points=z[None], bbox_low=np.zeros(4),
                                          bbox_high=np.ones(4), diameter=2.0))[0]
               for z in pts]
-        assert min(on) == 0.0 and max(on) <= 1e-15
+        assert max(on) == 0.0
 
     def test_matches_per_quantizer(self):
         batch = draw_batch(BOX, 11, 200)
@@ -215,7 +194,7 @@ class TestBatchedCellStats:
         W = rng.random((7, 3, 2))
         dist, grad, counts, sums = batched_cell_stats(W, batch)
         for c in range(7):
-            o_dist, o_grad, o_counts, o_sums, _ = cell_oracle(W[c], batch.points)
+            o_dist, o_grad, o_counts, o_sums, _ = cell_stats(W[c], batch.points)
             assert dist[c] == pytest.approx(o_dist, abs=1e-12)
             np.testing.assert_allclose(grad[c], o_grad, atol=1e-13)
             np.testing.assert_array_equal(counts[c], o_counts)
@@ -263,13 +242,93 @@ class TestBatchedCellStats:
                             bbox_high=np.full(dim, 4.0), diameter=8.0 * math.sqrt(dim))
         src = rng.integers(0, n_quant, size=256 + tail)
         dist, grad, counts, sums = batched_cell_stats(quants[src], batch)
-        oracles = [cell_oracle(w, pts) for w in quants]
+        oracles = [cell_stats(w, pts) for w in quants]
         for c, s in enumerate(src):
             o_dist, o_grad, o_counts, o_sums, _ = oracles[s]
             assert dist[c] == o_dist
             np.testing.assert_array_equal(grad[c], o_grad)
             np.testing.assert_array_equal(counts[c], o_counts)
             np.testing.assert_array_equal(sums[c], o_sums)
+
+
+class TestPrunedKernel:
+    """The anchor-bounded kernel against the dense direct-form oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), kappa=st.integers(1, 5), C=st.integers(2, 300),
+           n=st.integers(1, 400), step=st.sampled_from([0, 1, 16, 256, 2048]),
+           grid=st.booleans(), duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_drifting_stack(self, dim, kappa, C, n, step, grid, duplicate, seed):
+        # A random walk of quantizers, up to step * 2^-12 per coordinate and
+        # tick: small steps leave most points certified, while 2048 (half the
+        # point cloud's unit) forces the dense scan. On the grid every
+        # coordinate is a multiple of 2^-13, so all arithmetic is exact: a
+        # point placed on a bisector is a true tie, and every path must match
+        # the oracle bit for bit. Off the grid, sums and distortions may
+        # differ in the last bits, assignments not at all. C > 256 crosses a
+        # stack chunk.
+        rng = np.random.default_rng(seed)
+        unit = 2.0 ** -12
+        walk = np.cumsum(rng.integers(-step, step + 1, size=(C, kappa, dim)), axis=0)
+        if grid:
+            W = rng.integers(-4, 5, size=(1, kappa, dim)) + walk * unit
+            pts = rng.integers(-5 * 2**8, 5 * 2**8 + 1, size=(n, dim)) / 2.0**8
+            j, (a, b) = rng.integers(0, C, n // 3), rng.integers(0, kappa, (2, n // 3))
+            pts[: n // 3] = (W[j, a] + W[j, b]) / 2.0   # on the bisector of a and b
+        else:
+            W = rng.uniform(-4, 4, size=(1, kappa, dim)) + walk * unit * rng.random()
+            pts = rng.uniform(-5, 5, size=(n, dim))
+        if duplicate and kappa > 1:
+            W[:, -1] = W[:, 0]
+        batch = SampleBatch(points=pts, bbox_low=pts.min(axis=0), bbox_high=pts.max(axis=0),
+                            diameter=1.0 + float(np.ptp(pts, axis=0).max()))
+        dist, grad, counts, sums = batched_cell_stats(W, batch)
+        oracle = [cell_stats(w, pts) for w in W]
+        for c, (o_dist, o_grad, o_counts, o_sums, _) in enumerate(oracle):
+            np.testing.assert_array_equal(counts[c], o_counts)
+            if grid:
+                assert dist[c] == o_dist
+                np.testing.assert_array_equal(sums[c], o_sums)
+                np.testing.assert_array_equal(grad[c], o_grad)
+            else:
+                assert dist[c] == pytest.approx(o_dist, rel=1e-12, abs=1e-300)
+                np.testing.assert_allclose(sums[c], o_sums, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(grad[c], o_grad, rtol=0, atol=1e-12)
+        # assignments: the anchor's plus the listed moves, for every quantizer
+        # the dense scan did not take
+        for c0 in range(0, C, _STACK_CHUNK):
+            Wc = W[c0:c0 + _STACK_CHUNK]
+            if len(Wc) < 2:
+                continue
+            _, assign, _, dense, j, p, cell = _cell_moves(Wc, batch)
+            assert np.all(cell != assign[p])
+            for q in sorted(set(range(len(Wc))) - set(dense.tolist())):
+                got = assign.copy()
+                got[p[j == q]] = cell[j == q]
+                np.testing.assert_array_equal(got, oracle[c0 + q][4])
+
+    def test_metrics_sweep(self, monkeypatch):
+        # every kernel call of the criterion-4 sweep, cut to T = 2000: the
+        # first ticks drift too far and take the dense scan, the rest prune
+        cfg = replace(big_config(), horizon=2000)
+        art = run(cfg)
+        limits = phi_limit_series(art.schedule)
+        evaluated = []
+
+        def checked(W, batch):
+            out = batched_cell_stats(W, batch)
+            for c, w in enumerate(W):
+                o_dist, o_grad, o_counts, o_sums, _ = cell_stats(w, batch.points)
+                np.testing.assert_array_equal(out[2][c], o_counts)
+                assert out[0][c] == pytest.approx(o_dist, rel=1e-12)
+                np.testing.assert_allclose(out[1][c], o_grad, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out[3][c], o_sums, rtol=1e-12, atol=0)
+            evaluated.append(len(W))
+            return out
+
+        monkeypatch.setattr(diagnostics, "batched_cell_stats", checked)
+        diagnostics.compute_metrics(art, limits)
+        assert sum(evaluated) == cfg.horizon + art.events.n + 1
 
 
 class TestMinSeparation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,30 @@ class TestDistributionSpec:
     def test_disk_validation(self):
         with pytest.raises(ConfigError):
             DistributionSpec.disk_union(centers=[[0.0, 0.0]], radii=[0.0])
+
+    @pytest.mark.parametrize("field,path", [("weights", (0,)), ("means", (1, 0)),
+                                            ("covs", (0, 1, 1)), ("covs", (1, 0, 1))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixture_rejects_non_finite(self, field, path, bad):
+        # NaN slips past both the sign and the sum-to-1 checks on weights,
+        # and past the Cholesky factorization on covs
+        doc = MIX.to_dict()
+        node = doc[field]
+        for i in path[:-1]:
+            node = node[i]
+        node[path[-1]] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            DistributionSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("field,path", [("centers", (0, 1)), ("radii", (1,))])
+    def test_disk_rejects_non_finite(self, field, path):
+        doc = DISKS.to_dict()
+        node = doc[field]
+        for i in path[:-1]:
+            node = node[i]
+        node[path[-1]] = math.nan
+        with pytest.raises(ConfigError, match="finite"):
+            DistributionSpec.from_dict(doc)
 
     def test_roundtrip(self):
         for spec in (BOX, MIX, DISKS):
