@@ -12,8 +12,7 @@ from .agreement import (AgreementState, PhiLimitSeries, PhiTable, agreement_step
                         compute_phi, phi_family, phi_limit_series)
 from .baselines import BaselineRun, clvq_step, lloyd_step, run_clvq, run_lloyd
 from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
-                          consensus_decay, estimate_lipschitz, summarize, theta,
-                          theta_series)
+                          consensus_decay, estimate_lipschitz, summarize, theta_series)
 from .engine import EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick, run
 from .errors import ConfigError, ScheduleValidationError
 from .geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
@@ -30,7 +29,7 @@ __all__ = [
     "agreement_step", "compute_phi", "phi_family", "phi_limit_series",
     "BaselineRun", "clvq_step", "lloyd_step", "run_clvq", "run_lloyd",
     "ConvergenceReport", "RunMetrics", "compute_metrics", "consensus_decay",
-    "estimate_lipschitz", "summarize", "theta", "theta_series",
+    "estimate_lipschitz", "summarize", "theta_series",
     "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick", "run",
     "ConfigError", "ScheduleValidationError",
     "QuantizerVec", "SampleBatch", "batched_cell_stats",

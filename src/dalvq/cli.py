@@ -86,10 +86,14 @@ def _json_safe(obj):
     return obj
 
 
-def _write_json(path: str, payload) -> None:
+def _write_json(path: str | None, payload) -> None:
+    """Sorted, indented JSON to the path, or to stdout without one."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _fingerprint(cfg: RunConfig) -> str:
@@ -243,11 +247,7 @@ def _schedule_from_config(args):
 def cmd_validate_schedule(args) -> int:
     _, schedule = _schedule_from_config(args)
     report = validate(schedule)
-    payload = report.to_dict()
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        sys.stdout.write(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, report.to_dict())
     return EXIT_OK if report.passed else EXIT_SCHEDULE
 
 
@@ -263,10 +263,7 @@ def cmd_phi_table(args) -> int:
                "limits": {"phi_init": limits.phi_init, "phi": limits.phi,
                           "A_hat": limits.A_hat, "rho_hat": limits.rho_hat,
                           "eta_hat": limits.eta_hat, "resolved": limits.resolved}}
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        sys.stdout.write(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, payload)
     return EXIT_OK
 
 

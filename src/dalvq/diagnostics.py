@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .agreement import AgreementState, PhiLimitSeries, agreement_step
 from .baselines import BaselineRun
@@ -30,7 +29,6 @@ from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
 __all__ = [
-    "theta",
     "theta_series",
     "RunMetrics",
     "compute_metrics",
@@ -46,33 +44,23 @@ __all__ = [
 # the step-weight tail sum
 
 
-def theta(t: int, rho: float) -> float:
-    """Direct evaluation of sum_{tau=-1}^{t-1} rho**(t - tau) / (tau or 1)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
-    if t == 0:
-        return rho
-    tau = np.arange(-1, t)
-    terms = rho ** (t - tau).astype(float) / np.maximum(tau, 1)
-    return float(np.sum(terms))
-
-
 def theta_series(n: int, rho: float) -> np.ndarray:
-    """theta for t = 0 .. n-1 through the recurrence
-    theta_{t+1} = rho * theta_t + rho / (t or 1), theta_0 = rho."""
+    """theta_t = sum_{tau=-1}^{t-1} rho**(t - tau) / (tau or 1) for t = 0 .. n-1,
+    through the recurrence theta_{t+1} = rho * theta_t + rho / (t or 1),
+    theta_0 = rho."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
-    if n == 0:
-        return np.zeros(0)
-    x = np.empty(n)
-    x[0] = rho
-    if n > 1:
-        x[1:] = rho / np.maximum(np.arange(n - 1), 1)
-    return lfilter([1.0], [1.0, -rho], x)
+    rho = float(rho)
+    x = np.full(n, rho)
+    x[1:] /= np.maximum(np.arange(n - 1), 1)
+    out = x.tolist()
+    acc = 0.0
+    for t, term in enumerate(out):
+        acc = rho * acc + term
+        out[t] = acc
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +432,7 @@ def summarize(art: RunArtifacts, metrics: RunMetrics, limits: PhiLimitSeries,
         bound_params={"A_hat": limits.A_hat, "rho_hat": limits.rho_hat,
                       "eta_hat": limits.eta_hat, "K1": art.K1, "K2": art.K2,
                       "safety": _BOUND_SAFETY,
-                      "theta_final": theta(T, limits.rho_hat)},
+                      "theta_final": float(theta_series(T + 1, limits.rho_hat)[T])},
         final_distortion_star=float(dvals[-1]),
         distortion_cauchy_ratio=cauchy,
         final_grad_norm_star=float(metrics.grad_norm_star[-1]),

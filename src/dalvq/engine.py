@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .agreement import merged_versions
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .geometry import QuantizerVec, SampleBatch, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
                        draw_index, init_quantizer, make_batch, sample)
@@ -38,7 +38,7 @@ _INIT_POLICIES = ("shared", "per-processor")
 @dataclass(frozen=True)
 class StepPolicy:
     """Step size law: c / (t or 1) on the shared clock, or c / (own active
-    count) on the local clock. c must lie in (0, 1)."""
+    count) on the local clock. c must be a float in (0, 1)."""
 
     kind: str
     c: float
@@ -46,8 +46,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.kind not in _STEP_KINDS:
             raise ConfigError(f"step kind must be one of {_STEP_KINDS}, got {self.kind!r}")
-        if not (0.0 < self.c < 1.0):
-            raise ConfigError(f"step constant must lie in (0, 1), got {self.c}")
+        if not isinstance(self.c, float) or not 0.0 < self.c < 1.0:
+            raise ConfigError(f"step constant must be a float in (0, 1), got {self.c!r}")
 
     def epsilon(self, t: int, n_local: int) -> float:
         """Step for a descent at tick t; n_local counts the processor's active
@@ -77,12 +77,14 @@ class StepPolicy:
 
     @staticmethod
     def from_dict(data: dict) -> "StepPolicy":
+        if not isinstance(data, dict):
+            raise ConfigError("step policy must be an object")
         unknown = set(data) - {"kind", "c"}
         if unknown:
             raise ConfigError(f"unknown step policy fields: {sorted(unknown)}")
         if "kind" not in data or "c" not in data:
             raise ConfigError("step policy needs 'kind' and 'c'")
-        return StepPolicy(kind=data["kind"], c=float(data["c"]))
+        return StepPolicy(kind=data["kind"], c=data["c"])
 
 
 _INT_FIELDS = ("M", "kappa", "dim", "horizon", "seed", "n_ref", "cadence")
@@ -107,9 +109,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v > 2**63 - 1:
-                raise ConfigError(f"{name} must be an integer below 2**63, got {v!r}")
+            require_int(name, getattr(self, name))
         if self.M < 1 or self.kappa < 1 or self.dim < 1:
             raise ConfigError("M, kappa and dim must all be >= 1")
         if self.horizon < 0:
@@ -120,6 +120,8 @@ class RunConfig:
             raise ConfigError("seed must fit a nonnegative 63-bit integer")
         if self.dist.dim != self.dim:
             raise ConfigError(f"distribution dimension {self.dist.dim} != dim {self.dim}")
+        if not isinstance(self.replay_from_batch, bool):
+            raise ConfigError(f"replay_from_batch must be a bool, got {self.replay_from_batch!r}")
         if self.init not in _INIT_POLICIES:
             raise ConfigError(f"init must be one of {_INIT_POLICIES}, got {self.init!r}")
 

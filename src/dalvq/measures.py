@@ -69,6 +69,14 @@ class StreamHandle:
         return np.random.Generator(np.random.Philox(key=key, counter=ctr))
 
 
+def _numeric(value) -> bool:
+    """Whether value is a number, a numeric array or a list of these; numpy
+    would also read a bool, a numeric string or null as a float."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numeric, value))
+    return np.asarray(value).dtype.kind in "iuf"
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A sampling distribution with bounded support of known diameter.
@@ -105,8 +113,13 @@ class DistributionSpec:
         return DistributionSpec(kind=_DISK_UNION, centers=centers, radii=radii)
 
     def __post_init__(self):
-        def freeze(name, value, dtype=float):
-            arr = np.array(value, dtype=dtype)
+        def freeze(name, value):
+            if not _numeric(value):
+                raise ConfigError(f"{name} must hold only numbers")
+            try:
+                arr = np.array(value, dtype=float)
+            except ValueError as exc:  # ragged nesting
+                raise ConfigError(f"{name} must be a regular array of numbers") from exc
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             return arr
@@ -122,9 +135,7 @@ class DistributionSpec:
                 raise ConfigError("box bounds must be finite")
             if not np.all(lo < hi):
                 raise ConfigError("box must satisfy low < high in every coordinate")
-        if self.kind == _UNIFORM_BOX:
-            pass
-        elif self.kind == _GAUSS_MIX:
+        if self.kind == _GAUSS_MIX:
             if self.weights is None or self.means is None or self.covs is None:
                 raise ConfigError("mixture needs weights, means, covs")
             w = freeze("weights", self.weights)
@@ -132,10 +143,9 @@ class DistributionSpec:
             cv = freeze("covs", self.covs)
             if not all(np.all(np.isfinite(a)) for a in (w, mu, cv)):
                 raise ConfigError("mixture weights, means and covs must be finite")
-            d = self.low.shape[0]
-            m = w.shape[0]
-            if w.ndim != 1 or m < 1 or np.any(w < 0):
+            if w.ndim != 1 or len(w) < 1 or np.any(w < 0):
                 raise ConfigError("weights must be a nonnegative 1-d array")
+            d, m = len(self.low), len(w)
             if abs(float(np.sum(w)) - 1.0) > 1e-12:
                 raise ConfigError("mixture weights must sum to 1 within 1e-12")
             if mu.shape != (m, d):
@@ -159,7 +169,7 @@ class DistributionSpec:
                 raise ConfigError("disk centers and radii must be finite")
             if r.shape != (c.shape[0],) or np.any(r <= 0):
                 raise ConfigError("radii must be positive, one per center")
-        else:
+        elif self.kind != _UNIFORM_BOX:
             raise ConfigError(f"unknown distribution kind: {self.kind!r}")
 
     # ---- support geometry ----
@@ -190,13 +200,6 @@ class DistributionSpec:
     def convex_support(self) -> bool:
         # a lone disk is convex; a union of several generally is not
         return self.kind != _DISK_UNION or len(self.radii) == 1
-
-    def contains(self, z, slack: float = 0.0) -> bool:
-        z = np.asarray(z, dtype=float)
-        if self.kind == _DISK_UNION:
-            dist = np.linalg.norm(self.centers - z[None, :], axis=1)
-            return bool(np.any(dist <= self.radii + slack))
-        return bool(np.all(z >= self.low - slack) and np.all(z <= self.high + slack))
 
     def _strictly_interior(self, z) -> bool:
         z = np.asarray(z, dtype=float)
@@ -235,7 +238,7 @@ class DistributionSpec:
             _GAUSS_MIX: {"kind", "weights", "means", "covs", "low", "high"},
             _DISK_UNION: {"kind", "centers", "radii"},
         }
-        if kind not in allowed:
+        if not isinstance(kind, str) or kind not in allowed:
             raise ConfigError(f"unknown distribution kind: {kind!r}")
         unknown = set(data) - allowed[kind]
         if unknown:

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .measures import STREAM_SCHEDULE
 
 __all__ = [
@@ -69,6 +67,8 @@ class ScheduleSpec:
             raise ConfigError(f"unknown delay law {self.delay_law!r}, expected one of {_DELAY_LAWS}")
         if self.activity not in _ACTIVITIES:
             raise ConfigError(f"unknown activity law {self.activity!r}, expected one of {_ACTIVITIES}")
+        for name in ("merge_period", "delay_value", "base_window"):
+            require_int(name, getattr(self, name))
         if self.merge_period < 1:
             raise ConfigError("merge_period must be >= 1")
         if self.base_window < 1:
@@ -79,6 +79,8 @@ class ScheduleSpec:
             raise ConfigError("fixed delay must be >= 0")
         if self.delay_law == "uniform" and self.delay_value < 1:
             raise ConfigError("uniform delay law needs delay_value >= 1 (exclusive bound)")
+        if self.trace_path is not None and not isinstance(self.trace_path, str):
+            raise ConfigError(f"trace_path must be a string, got {self.trace_path!r}")
         if self.topology == "custom-trace" and not self.trace_path:
             raise ConfigError("custom-trace topology needs trace_path")
 
@@ -255,21 +257,18 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
         # A processor never merges on a tick where it also descends, except in
         # the all-active family, which deliberately runs the combined iteration.
         separated = spec.activity in ("round-robin", "random-subset", "none")
+        mergers = [i for i in range(M) if not (separated and act[i])]
         if spec.topology == "complete":
-            mergers = [i for i in range(M) if not (separated and act[i])]
             for i in mergers:
                 coeff[t, i] = _merge_row(M, i, list(range(M)))
         elif spec.topology == "ring":
-            mergers = [i for i in range(M) if not (separated and act[i])]
             for i in mergers:
                 coeff[t, i] = _merge_row(M, i, [(i - 1) % M])
-        else:  # random-symmetric-gossip
-            cands = [i for i in range(M) if not (separated and act[i])]
-            if len(cands) >= 2:
-                pair = g.choice(len(cands), size=2, replace=False)
-                a_, b_ = cands[int(pair[0])], cands[int(pair[1])]
-                coeff[t, a_] = _merge_row(M, a_, [b_])
-                coeff[t, b_] = _merge_row(M, b_, [a_])
+        elif len(mergers) >= 2:  # random-symmetric-gossip: one pair
+            pair = g.choice(len(mergers), size=2, replace=False)
+            a_, b_ = mergers[int(pair[0])], mergers[int(pair[1])]
+            coeff[t, a_] = _merge_row(M, a_, [b_])
+            coeff[t, b_] = _merge_row(M, b_, [a_])
 
         # delays attach to positive off-diagonal entries only
         for i in range(M):
@@ -312,19 +311,22 @@ def _edge_tensor(coeff: np.ndarray, horizon: int, period: Optional[int]) -> np.n
 def _first_disconnected(edges: np.ndarray, width: int) -> Optional[int]:
     """Start of the first width-tick window whose edge union is not strongly
     connected, or None; a width beyond the horizon means the whole horizon.
-    Every window's union is one block of a single graph, so one pass over its
-    strong components checks them all."""
+    A union is strongly connected exactly when processor 0 reaches every
+    processor and every processor reaches 0. Both reached sets grow for all
+    windows at once, one hop per pass, until they stop growing."""
     L, M = edges.shape[:2]
     width = min(width, L)
     counts = np.zeros((L + 1, M, M), dtype=np.int32)
     np.cumsum(edges, axis=0, out=counts[1:])
-    k, i, j = np.nonzero(counts[width:] > counts[:L - width + 1])  # window k: edge j -> i
-    n = (L - width + 1) * M
-    graph = sp.csr_matrix((np.ones(len(k), dtype=np.int8), (k * M + j, k * M + i)),
-                          shape=(n, n))
-    labels = connected_components(graph, directed=True, connection="strong")[1].reshape(-1, M)
-    bad = np.flatnonzero(np.any(labels != labels[:, :1], axis=1))
-    return int(bad[0]) if len(bad) else None
+    union = counts[width:] > counts[:L - width + 1]  # window k: edge j -> i at [k, i, j]
+    union[:, np.arange(M), np.arange(M)] = True
+    bad = np.zeros(len(union), dtype=bool)
+    for hop in (union, union.transpose(0, 2, 1)):  # 0 reaches i; i reaches 0
+        reached = hop[:, :, :1]  # one hop from 0, or to 0
+        while not np.array_equal(grown := hop @ reached, reached):
+            reached = grown
+        bad |= ~np.all(reached, axis=(1, 2))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _interval_needs(edges: np.ndarray) -> np.ndarray:
@@ -562,10 +564,8 @@ def write_trace(schedule: CommSchedule, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
         for t in range(schedule.horizon):
-            rec = {"t": t,
-                   "coeff": [[float(v) for v in row] for row in schedule.coeff(t)],
-                   "delay": [[int(v) for v in row] for row in schedule.delay(t)],
-                   "active": [int(i) for i in schedule.active(t)]}
+            rec = {"t": t, "coeff": schedule.coeff(t).tolist(),
+                   "delay": schedule.delay(t).tolist(), "active": list(schedule.active(t))}
             fh.write(json.dumps(rec) + "\n")
 
 

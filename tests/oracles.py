@@ -34,6 +34,19 @@ def cell_stats(comps, points) -> tuple:
     return dist, grad, counts, sums, assign
 
 
+def theta(t: int, rho: float) -> float:
+    """Direct evaluation of sum_{tau=-1}^{t-1} rho**(t - tau) / (tau or 1)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if rho < 0.0:
+        raise ValueError("rho must be >= 0")
+    if t == 0:
+        return rho
+    tau = np.arange(-1, t)
+    terms = rho ** (t - tau).astype(float) / np.maximum(tau, 1)
+    return float(np.sum(terms))
+
+
 def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
     """-eps times the winner-takes-all gradient observation, shape (kappa, dim)."""
     return -eps * gradient_observation(z, w)

@@ -18,7 +18,7 @@ import pytest
 
 from dalvq.agreement import AgreementState, agreement_step, phi_family, phi_limit_series
 from dalvq.baselines import run_clvq, run_lloyd
-from dalvq.diagnostics import compute_metrics, consensus_decay, summarize, theta, theta_series
+from dalvq.diagnostics import compute_metrics, consensus_decay, summarize, theta_series
 from dalvq.engine import RunConfig, StepPolicy, initial_versions, run
 from dalvq.geometry import batched_cell_stats
 from dalvq.measures import DistributionSpec, SampleBatch, make_batch

@@ -268,6 +268,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("path, bad", [
+        (("step", "c"), "abc"), (("step", "c"), [0.5]), (("step", "c"), True),
+        (("step",), 5),
+        (("sched", "base_window"), "x"), (("sched", "merge_period"), "2"),
+        (("sched", "delay_value"), 1.5), (("sched", "base_window"), True),
+        (("sched", "trace_path"), 5),
+        (("dist", "low"), ["a", 0.0]), (("dist", "low"), ["0.0", "0.0"]),
+        (("dist", "high"), [True, 1.0]), (("dist", "low"), [[0.0], 0.0]),
+        (("dist", "kind"), ["uniform-box"]),
+        (("replay_from_batch",), "yes"),
+    ], ids=repr)
+    def test_mistyped_fields_rejected(self, tmp_path, capsys, path, bad):
+        doc = config_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def run_on_trace(self, tmp_path, capsys, trace_path, **kw):
         spec = ScheduleSpec(topology="custom-trace", trace_path=str(trace_path))
         cfg = write_config(tmp_path, config_doc(sched=spec, **kw))
@@ -375,6 +398,26 @@ class TestPhiTableCommand:
         cfg = write_config(tmp_path, config_doc())
         assert main(["phi-table", "--config", cfg, "--t", "41",
                      "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+
+class TestWithoutScipy:
+    def test_run_and_validate_schedule(self, tmp_path):
+        # numpy is the only runtime dependency: hide scipy from a child process
+        # and run a generated schedule (B2 derivation and validation included)
+        launcher = ("import sys\n"
+                    "sys.modules['scipy'] = None\n"
+                    "from dalvq.cli import main\n"
+                    "sys.exit(main(sys.argv[1:]))\n")
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(dalvq.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
+        cfg = write_config(tmp_path, config_doc())
+        for argv in (["run", "--config", cfg, "--out", str(tmp_path / "out")],
+                     ["validate-schedule", "--config", cfg]):
+            proc = subprocess.run([sys.executable, "-c", launcher, *argv],
+                                  capture_output=True, env=env)
+            assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert os.path.exists(tmp_path / "out" / "report.json")
 
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -8,12 +8,12 @@ from dalvq.baselines import run_clvq, run_lloyd
 from dalvq import diagnostics, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
                                consensus_decay, estimate_lipschitz,
-                               summarize, theta, theta_series)
+                               summarize, theta_series)
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate
-from oracles import agreement_vector, dense_descent
+from oracles import agreement_vector, dense_descent, theta
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -50,9 +50,9 @@ class TestTheta:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            theta(-1, 0.5)
+            theta_series(-1, 0.5)
         with pytest.raises(ValueError):
-            theta(2, -0.1)
+            theta_series(2, -0.1)
 
     def test_series_matches_direct(self):
         for rho in (0.0, 0.3, 0.9, 1.0):
@@ -70,6 +70,15 @@ class TestTheta:
     def test_series_length_edge(self):
         assert theta_series(0, 0.5).shape == (0,)
         assert theta_series(1, 0.5)[0] == 0.5
+
+    @pytest.mark.parametrize("T, rho, expected", [
+        (8000, 0.9380173486951544, 0.001895523302464296),      # sweep-ref5k
+        (8000, 0.5818110570714146, 0.00017395995791700934),    # engine-m8-disk
+        (2000, 0.9725434130887501, 0.01804534470292662),       # impulse-gossip-m8
+    ])
+    def test_benchmark_theta_final_pinned(self, T, rho, expected):
+        # the report's theta_final at each benchmark workload's (T, rho_hat), seed 0
+        assert theta_series(T + 1, rho)[T] == expected
 
 
 # ---- the cell-statistics kernel the sweep resolves ----

@@ -98,6 +98,11 @@ class TestDistributionSpec:
         with pytest.raises(ConfigError, match="finite"):
             DistributionSpec.from_dict(doc)
 
+    def test_mixture_rejects_scalar_weights(self):
+        doc = {**MIX.to_dict(), "weights": 1.0}
+        with pytest.raises(ConfigError, match="1-d"):
+            DistributionSpec.from_dict(doc)
+
     @pytest.mark.parametrize("field,path", [("centers", (0, 1)), ("radii", (1,))])
     def test_disk_rejects_non_finite(self, field, path):
         doc = DISKS.to_dict()
