@@ -144,27 +144,22 @@ def cmd_run(args) -> int:
         return EXIT_OK if report_v.passed else EXIT_SCHEDULE
 
     write_trace(schedule, os.path.join(args.out, "schedule-trace.jsonl"))
+    head = {"mode": cfg.mode, "version": __version__, "fingerprint": effective["fingerprint"]}
 
-    if cfg.mode == "clvq-baseline":
-        res = run_clvq(rc.dist, rc.kappa, rc.horizon, rc.seed, rc.step.c,
-                       replay_from_batch=rc.replay_from_batch, n_ref=rc.n_ref)
+    if cfg.mode in ("clvq-baseline", "lloyd-baseline"):
+        if cfg.mode == "clvq-baseline":
+            res = run_clvq(rc.dist, rc.kappa, rc.horizon, rc.seed, rc.step.c,
+                           replay_from_batch=rc.replay_from_batch, n_ref=rc.n_ref)
+            extra = {}
+        else:
+            res = run_lloyd(rc.dist, rc.kappa, rc.seed, n_ref=rc.n_ref)
+            extra = {"converged": res.converged}
         _write_json(os.path.join(args.out, "final-quantizers.json"),
                     {"quantizer": _json_safe(res.quantizer.components),
                      "distortion": res.distortion})
         _write_json(os.path.join(args.out, "report.json"),
-                    {"mode": cfg.mode, "version": __version__,
-                     "fingerprint": effective["fingerprint"],
-                     "distortion": res.distortion, "iterations": res.iterations})
-    elif cfg.mode == "lloyd-baseline":
-        res = run_lloyd(rc.dist, rc.kappa, rc.seed, n_ref=rc.n_ref)
-        _write_json(os.path.join(args.out, "final-quantizers.json"),
-                    {"quantizer": _json_safe(res.quantizer.components),
-                     "distortion": res.distortion})
-        _write_json(os.path.join(args.out, "report.json"),
-                    {"mode": cfg.mode, "version": __version__,
-                     "fingerprint": effective["fingerprint"],
-                     "distortion": res.distortion, "iterations": res.iterations,
-                     "converged": res.converged})
+                    {**head, "distortion": res.distortion, "iterations": res.iterations,
+                     **extra})
     elif cfg.mode == "agreement-only":
         x0 = initial_versions(rc)
         gaps, rho_fit = consensus_decay(schedule, x0)
@@ -173,11 +168,8 @@ def cmd_run(args) -> int:
             for t, g in enumerate(gaps):
                 fh.write(f"{t},{float(g)!r}\n")
         _write_json(os.path.join(args.out, "report.json"),
-                    {"mode": cfg.mode, "version": __version__,
-                     "fingerprint": effective["fingerprint"],
-                     "rho_fit": rho_fit, "initial_gap": float(gaps[0]),
-                     "final_gap": float(gaps[-1]),
-                     "validation": report_v.to_dict()})
+                    {**head, "rho_fit": rho_fit, "initial_gap": float(gaps[0]),
+                     "final_gap": float(gaps[-1]), "validation": report_v.to_dict()})
     else:  # dalvq
         art = run(rc)
         timing["engine_s"] = time.perf_counter() - t_start
@@ -198,9 +190,7 @@ def cmd_run(args) -> int:
                      "distortion": {"per_processor": per_proc,
                                     "agreement": float(metrics.distortion_star[-1])}})
         _write_json(os.path.join(args.out, "report.json"),
-                    {"mode": cfg.mode, "version": __version__,
-                     "fingerprint": effective["fingerprint"],
-                     **report.to_dict(),
+                    {**head, **report.to_dict(),
                      "constants": {"alpha": schedule.alpha, "B1": schedule.B1,
                                    "B2": schedule.B2, "B3": schedule.B3},
                      "validation": report_v.to_dict()})

@@ -369,11 +369,7 @@ class ConvergenceReport:
     baselines: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            out[name] = v
-        return out
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def _tail_slope(times: np.ndarray, vals: np.ndarray) -> float:
