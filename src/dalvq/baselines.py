@@ -19,6 +19,9 @@ from .measures import (DistributionSpec, StreamHandle, draw_index, init_quantize
 
 __all__ = ["clvq_step", "run_clvq", "lloyd_step", "run_lloyd", "BaselineRun"]
 
+_LLOYD_REL_TOL = 1e-10
+_LLOYD_MAX_ITERS = 500
+
 
 @dataclass(frozen=True)
 class BaselineRun:
@@ -73,20 +76,19 @@ def lloyd_step(w, batch: SampleBatch) -> np.ndarray:
     return new
 
 
-def run_lloyd(dist: DistributionSpec, kappa: int, seed: int, n_ref: int = 2000,
-              rel_tol: float = 1e-10, max_iters: int = 500) -> BaselineRun:
+def run_lloyd(dist: DistributionSpec, kappa: int, seed: int, n_ref: int = 2000) -> BaselineRun:
     """Iterate batch updates on the reference batch until the quantizer moves
-    by less than rel_tol of its own scale."""
+    by less than _LLOYD_REL_TOL of its own scale, at most _LLOYD_MAX_ITERS times."""
     batch = make_batch(dist, seed, n_ref)
     w = np.array(init_quantizer(dist, kappa, seed).components)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _LLOYD_MAX_ITERS + 1):
         new = lloyd_step(w, batch)
         scale = max(float(np.linalg.norm(w)), 1e-300)
         moved = float(np.linalg.norm(new - w)) / scale
         w = new
-        if moved < rel_tol:
+        if moved < _LLOYD_REL_TOL:
             converged = True
             break
     dist, _, _, _ = batched_cell_stats(w[None], batch)

@@ -5,8 +5,8 @@ Everything here is a pure post-pass over run artifacts. The expensive parts
 ``geometry.batched_cell_stats`` a few hundred quantizers at a time: a chunk
 of consecutive ticks' w*(t), then the pre-merge versions of that chunk's
 events. Consecutive iterates move by O(1/t), so the kernel's anchor bounds
-leave few reference points to rescan and a quantizer costs about a twentieth
-of a dense scan. The per-tick bookkeeping (agreement recursion, perturbation
+leave few reference points to rescan and a quantizer costs about a thirtieth
+of a full scan. The per-tick bookkeeping (agreement recursion, perturbation
 partial sums) is a single chronological sweep over the event log.
 
 Cumulative columns follow one convention: the value reported at tick t sums
@@ -72,6 +72,8 @@ CSV_COLUMNS = ("t", "consensus_gap", "agreement_gap", "bound_normmaj",
                "sum_eps_grad2", "sum_dm1", "dm2_partial_norm")
 
 _BOUND_SAFETY = 1.1
+_SWEEP_CHUNK = 256        # consecutive ticks per kernel call
+_MART_SAMPLES = 10000     # martingale increments sampled from the event log
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,13 @@ class RunMetrics:
                 fh.write(",".join(row) + "\n")
 
 
-def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
-                    mart_samples: int = 10000) -> RunMetrics:
+def _spread(x: np.ndarray) -> np.ndarray:
+    """Largest distance between two rows of x (..., M, D), per leading index."""
+    d = x[..., :, None, :] - x[..., None, :, :]
+    return np.sqrt(np.einsum("...ijd,...ijd->...ij", d, d)).max(axis=(-2, -1))
+
+
+def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     """One chronological sweep computing every diagnostic series.
 
     Needs the run's event log; the agreement trajectory is rebuilt tick by
@@ -141,7 +148,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
     starts = np.searchsorted(ev.t, np.arange(T + 1))
 
     # martingale increment sampling: evenly spaced over the event log
-    n_s = min(mart_samples, ev.n)
+    n_s = min(_MART_SAMPLES, ev.n)
     smask = np.zeros(ev.n, dtype=bool)
     if n_s:
         smask[np.unique(np.linspace(0, ev.n - 1, n_s).astype(int))] = True
@@ -167,9 +174,9 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
     run_dm2 = np.zeros(D)
     run_seg = 0.0
 
-    W_buf = np.empty((min(chunk, T), D))
-    for b0 in range(0, T, chunk):
-        b1 = min(b0 + chunk, T)
+    W_buf = np.empty((min(_SWEEP_CHUNK, T), D))
+    for b0 in range(0, T, _SWEEP_CHUNK):
+        b1 = min(b0 + _SWEEP_CHUNK, T)
         L = b1 - b0
         W = W_buf[:L]
         for t in range(b0, b1):
@@ -236,9 +243,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
 
     # series that need no sweep
     snaps = art.snapshots
-    diffs = snaps[:, :, None, :] - snaps[:, None, :, :]
-    out["consensus_gap"][:] = np.sqrt(np.einsum("kijd,kijd->kij", diffs, diffs)) \
-        .max(axis=(1, 2))
+    out["consensus_gap"][:] = _spread(snaps)
     dev = snaps - w_star_rec[:, None, :]
     out["agreement_gap"][:] = np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1)
     out["bound_normmaj"][:] = bound_coef * theta_all[times]
@@ -277,11 +282,6 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries, chunk: int = 256,
 
 # ---------------------------------------------------------------------------
 # merge-only decay and Lipschitz probe
-
-
-def _spread(x: np.ndarray) -> float:
-    d = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt(np.einsum("ijd,ijd->ij", d, d)).max())
 
 
 def consensus_decay(schedule: CommSchedule, x0: np.ndarray,

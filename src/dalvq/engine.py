@@ -16,7 +16,7 @@ import numpy as np
 
 from .agreement import merged_versions
 from .errors import ConfigError, require_int
-from .geometry import QuantizerVec, SampleBatch, nearest_cell
+from .geometry import SampleBatch, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
                        draw_index, init_quantizer, make_batch, sample)
 from .schedule import CommSchedule, ScheduleSpec, generate
@@ -216,13 +216,9 @@ class RunArtifacts:
     K1: float
     K2: float
 
-    def quantizer(self, snap: int, proc: int) -> QuantizerVec:
-        comps = self.snapshots[snap, proc].reshape(self.config.kappa, self.config.dim)
-        return QuantizerVec(comps)
-
 
 def dalvq_tick(state: EngineState, schedule: CommSchedule, config: RunConfig,
-               batch: Optional[SampleBatch], events: Optional[EventLog]) -> None:
+               batch: Optional[SampleBatch], events: EventLog) -> None:
     """Advance one tick: merge delayed versions, then add each active
     processor's descent term (evaluated at its own pre-merge version)."""
     t = state.t
@@ -242,8 +238,7 @@ def dalvq_tick(state: EngineState, schedule: CommSchedule, config: RunConfig,
             eps = config.step.epsilon(t, int(state.n_local[i]))
             w_cur = cur[i].reshape(config.kappa, config.dim)
             comp = nearest_cell(z, w_cur)
-            if events is not None:
-                events.append(t, i, comp, eps, z, cur[i])
+            events.append(t, i, comp, eps, z, cur[i])
             lo = comp * config.dim
             merged[i, lo:lo + config.dim] += -eps * (w_cur[comp] - z)
     ring[(t + 1) % depth] = merged
@@ -269,7 +264,7 @@ def initial_versions(config: RunConfig) -> np.ndarray:
     return np.array(rows)
 
 
-def run(config: RunConfig, record_events: bool = True) -> RunArtifacts:
+def run(config: RunConfig) -> RunArtifacts:
     """Execute a full run. Byte-deterministic in the config."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
@@ -282,9 +277,7 @@ def run(config: RunConfig, record_events: bool = True) -> RunArtifacts:
                         n_local=np.zeros(config.M, dtype=np.int64),
                         handles=[StreamHandle(config.seed, i) for i in range(config.M)])
 
-    events = EventLog(_total_active(schedule, config.horizon), config.dim,
-                      config.width) if record_events else EventLog(0, config.dim,
-                                                                   config.width)
+    events = EventLog(_total_active(schedule, config.horizon), config.dim, config.width)
     snap_times = np.array(sorted(set(range(0, config.horizon + 1, config.cadence))
                                  | {config.horizon}), dtype=np.int64)
     snapshots = np.empty((len(snap_times), config.M, config.width))
@@ -294,7 +287,7 @@ def run(config: RunConfig, record_events: bool = True) -> RunArtifacts:
         k = snap_at.get(t)
         if k is not None:
             snapshots[k] = ring[t % depth]
-        dalvq_tick(state, schedule, config, batch, events if record_events else None)
+        dalvq_tick(state, schedule, config, batch, events)
     snapshots[snap_at[config.horizon]] = ring[config.horizon % depth]
 
     events.finish()

@@ -8,7 +8,9 @@ always partition the data even for degenerate quantizers.
 ``batched_cell_stats`` scores whole stacks of quantizers against a sample
 batch. Stacks that drift slowly, like the per-tick iterates of a run, are
 pruned with exact triangle-inequality bounds against one anchor quantizer per
-chunk, so only the points near a moving cell boundary are scored again.
+chunk, so only the points near a moving cell boundary are scored again. The
+anchor, the rescans and a quantizer the bounds do not serve are all scored in
+the direct form |z - w|^2, so a quantizer gets the same cells on every path.
 """
 
 from __future__ import annotations
@@ -148,23 +150,22 @@ def gradient_observation(z, w) -> np.ndarray:
     return out
 
 
-_POINT_BLOCK = 320
 _STACK_CHUNK = 256
 _PAIR_BLOCK = 4096
-# A quantizer whose bounds leave more than n / _DENSE_SHARE points to rescan
-# goes to the dense scan: a rescanned pair's gathers cost several times the
-# dense scan's share of a point. 8 ran fastest of 2..32 on the bench stacks.
-_DENSE_SHARE = 8
-# A pruned distortion whose terms cancel by more than this factor goes to the
-# dense scan: at 64 the closed form stays within ~1e-13 relative.
+# A quantizer whose bounds leave more than n / _FULL_SHARE points to rescan
+# takes a full scan: a rescanned pair's gathers cost several times a full
+# scan's share of a point. 2, 4 and 8 run within noise on the bench stacks.
+_FULL_SHARE = 8
+# A pruned distortion whose terms cancel by more than this factor takes a
+# full scan: at 64 the closed form stays within ~1e-13 relative.
 _CANCEL = 64.0
 
 
 def _work_array(batch: SampleBatch, name: str, shape: tuple, dtype=float) -> np.ndarray:
     """An uninitialized view of the batch's work array `name`, grown as
-    needed. A fresh array per call or block would be a new mapping of up to
-    megabytes (glibc maps allocations over 128 KB), zeroed page by page by
-    the OS, and a metrics sweep calls the kernel hundreds of times."""
+    needed. A fresh array per call would be a new mapping of up to megabytes
+    (glibc maps allocations over 128 KB), zeroed page by page by the OS, and
+    a metrics sweep calls the kernel hundreds of times."""
     size = math.prod(shape)
     buf = batch._work.get(name)
     if buf is None or buf.size < size:
@@ -183,15 +184,16 @@ def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, .
     points the gradient is exact.
 
     The stack is taken in chunks of _STACK_CHUNK quantizers. In each chunk
-    one anchor quantizer is scanned exactly, and every other quantizer is
+    one anchor quantizer is scanned in full, and every other quantizer is
     bounded against it by the triangle inequality (Elkan, ICML 2003; Hamerly,
     SDM 2010): only the points whose bounds cross are scanned again, and the
     statistics follow from the anchor's plus the points that changed cell
     (see _cell_moves and _pruned_stats). A lone quantizer, one whose bounds
     leave too many points to rescan, or one whose closed-form distortion
-    would cancel goes to the dense scan instead (_dense_stats). Both give the nearest component with the smallest index
-    on ties; a point within rounding of a cell boundary may fall on either
-    side, depending on the path.
+    would cancel takes a full scan of its own (_scan_stats). Every scan
+    scores a point in the direct form |z - w|^2 and gives it the nearest
+    component with the smallest index on ties, so the cells are the same
+    whichever path a quantizer takes.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 3 or W.shape[2] != batch.dim:
@@ -203,71 +205,12 @@ def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, .
     sums = np.zeros((C, kappa, dim))
     for c0 in range(0, C, _STACK_CHUNK):
         c1 = min(c0 + _STACK_CHUNK, C)
-        Wc = W[c0:c1]
-        dense = _pruned_stats(Wc, batch, dist[c0:c1], counts[c0:c1], sums[c0:c1]) \
-            if c1 - c0 > 1 else np.arange(c1 - c0)
-        if len(dense):
-            d, cnt, sm = _dense_stats(Wc[dense], batch)
-            dist[c0 + dense], counts[c0 + dense], sums[c0 + dense] = d, cnt, sm
+        full = _pruned_stats(W[c0:c1], batch, dist[c0:c1], counts[c0:c1], sums[c0:c1]) \
+            if c1 - c0 > 1 else [0]
+        for c in full:
+            dist[c0 + c], counts[c0 + c], sums[c0 + c] = _scan_stats(W[c0 + c], batch)
     grad = (counts[:, :, None] * W - sums) / batch.n
     return dist, grad, counts, sums
-
-
-def _dense_stats(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
-    """(distortion, counts, sums) of at most _STACK_CHUNK quantizers, every
-    point scored against every component.
-
-    Points go to the smallest index minimizing |w|^2 - 2 z.w (|z|^2 shifts
-    every column equally); the winner's distance is then taken in the direct
-    form, which the expanded one would lose to cancellation where z is near
-    w. The points are taken in blocks of _POINT_BLOCK: the (block, chunk *
-    kappa) score matrix is the bandwidth hot spot, and keeping it in cache
-    roughly halves the scan.
-    """
-    C, kappa, dim = Wc.shape
-    n = batch.n
-    neg2 = -2.0 * batch.points
-    counts = np.zeros(C * kappa, dtype=np.int64)
-    sums = np.zeros((C * kappa, dim))
-    comps = Wc.reshape(-1, dim)
-    comps_t = np.ascontiguousarray(comps.T)
-    w_sq = np.einsum("kd,kd->k", comps, comps)
-    # BLAS may round the scores of equal columns differently, so a component
-    # equal to an earlier one of its quantizer is kept from winning outright
-    same = np.all(Wc[:, :, None, :] == Wc[:, None, :, :], axis=3)
-    w_sq[np.tril(same, k=-1).any(axis=2).ravel()] = np.inf
-    col = kappa * np.arange(C)[None, :]
-    tot = np.zeros(C)
-    b_max = min(_POINT_BLOCK, n)
-    pq, qp = (b_max, C), (C, b_max)                     # (point, quantizer) and back
-    score_buf = _work_array(batch, "score", (b_max, len(comps)))
-    assign_buf = _work_array(batch, "assign", pq, np.intp)
-    win_buf = _work_array(batch, "win", pq, np.intp)        # the winner's row of comps
-    won_buf = _work_array(batch, "won", (dim,) + pq)        # and its coordinates
-    rmin_buf, tmp_buf = _work_array(batch, "rmin", pq), _work_array(batch, "rmin_tmp", pq)
-    coord_buf = _work_array(batch, "coord", qp)
-    flat_buf = _work_array(batch, "flat", qp, np.intp)
-    for p0 in range(0, n, _POINT_BLOCK):
-        p1 = min(p0 + _POINT_BLOCK, n)
-        b = p1 - p0
-        score = np.matmul(neg2[p0:p1], comps.T, out=score_buf[:b])
-        score += w_sq[None, :]
-        assign = np.argmin(score.reshape(b, C, kappa), axis=2, out=assign_buf[:b])
-        win = np.add(assign, col, out=win_buf[:b])
-        won = won_buf[:, :b]
-        for k in range(dim):
-            np.take(comps_t[k], win, out=won[k])
-        rmin = _sq_dist(batch.points[p0:p1].T[:, :, None], won, rmin_buf[:b], tmp_buf[:b])
-        tot += rmin.sum(axis=0)
-        flat = flat_buf[:, :b]                          # chunk-major
-        flat[:] = win.T
-        flat = flat.ravel()
-        counts += np.bincount(flat, minlength=len(counts))
-        coord = coord_buf[:, :b]
-        for k in range(dim):
-            coord[:] = batch.points[p0:p1, k]
-            sums[:, k] += np.bincount(flat, weights=coord.ravel(), minlength=len(counts))
-    return 0.5 * tot / n, counts.reshape(C, kappa), sums.reshape(C, kappa, dim)
 
 
 def _sq_dist(z: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -277,6 +220,29 @@ def _sq_dist(z: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
     for k in range(1, len(z)):
         out += np.square(np.subtract(z[k], w[k], out=tmp), out=tmp)
     return out
+
+
+def _scan(w: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
+    """Every point's squared distances to the components of w, (n, kappa),
+    its nearest component, the smallest index on ties, and its squared
+    distance to that component. The (n, kappa) distances are a work array,
+    overwritten by the next scan. A duplicate component gets bit-equal
+    distances, so it never wins over its first copy."""
+    n, kappa = batch.n, len(w)
+    d2 = _sq_dist(batch.points.T[:, :, None], w.T[:, None, :],
+                  _work_array(batch, "d2", (n, kappa)), _work_array(batch, "d2_tmp", (n, kappa)))
+    assign = np.argmin(d2, axis=1)
+    return d2, assign, d2[np.arange(n), assign]
+
+
+def _scan_stats(w: np.ndarray, batch: SampleBatch) -> tuple[float, np.ndarray, np.ndarray]:
+    """(distortion, counts, sums) of one quantizer from a full scan."""
+    kappa, dim = w.shape
+    _, assign, u2 = _scan(w, batch)
+    sums = np.empty((kappa, dim))
+    for k in range(dim):
+        sums[:, k] = np.bincount(assign, batch.points[:, k], kappa)
+    return 0.5 * u2.sum() / batch.n, np.bincount(assign, minlength=kappa), sums
 
 
 def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
@@ -297,21 +263,17 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     16 (dim + 4) eps R added to every threshold covers the errors in the
     slack, the drifts and the rescan's comparison.
 
-    Returns (j0, assign, u2, dense, j, p, cell): the anchor's index, its
-    assignment and squared distances u_p^2, the quantizers left to the dense
-    scan, and each point p whose cell under quantizer j (not dense) differs
-    from assign[p].
+    Returns (j0, assign, u2, full, j, p, cell): the anchor's index, its
+    assignment and squared distances u_p^2, the quantizers left to a full
+    scan, and each point p whose cell under quantizer j (not in full)
+    differs from assign[p].
     """
     C, kappa, dim = Wc.shape
     n, pts = batch.n, batch.points
     j0 = C // 2
     A = Wc[j0]
-    d2 = _sq_dist(pts.T[:, :, None], A.T[:, None, :], _work_array(batch, "d2", (n, kappa)),
-                  _work_array(batch, "d2_tmp", (n, kappa)))
-    assign = np.argmin(d2, axis=1)
-    rows = np.arange(n)
-    u2 = d2[rows, assign]
-    d2[rows, assign] = np.inf
+    d2, assign, u2 = _scan(A, batch)
+    d2[np.arange(n), assign] = np.inf
     slack = np.sqrt(d2.min(axis=1)) - np.sqrt(u2)      # inf when kappa == 1
     order = np.lexsort((slack, assign))
     slack = slack[order]
@@ -331,8 +293,8 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     m = np.empty((C, kappa), dtype=np.intp)
     for k in range(kappa):
         m[:, k] = np.searchsorted(slack[start[k]:start[k + 1]], theta[:, k], side="right")
-    dense = np.flatnonzero(m.sum(axis=1) > n // _DENSE_SHARE)
-    m[dense] = 0
+    full = np.flatnonzero(m.sum(axis=1) > n // _FULL_SHARE)
+    m[full] = 0
 
     lens = m.ravel()
     jk = np.repeat(np.arange(C * kappa), lens)
@@ -349,14 +311,14 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
                       out[:q1 - q0], tmp[:q1 - q0])
         np.argmin(d2, axis=1, out=new[q0:q1])
     moved = new != old
-    return j0, assign, u2, dense, j[moved], p[moved], new[moved]
+    return j0, assign, u2, full, j[moved], p[moved], new[moved]
 
 
 def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: np.ndarray,
                   sums: np.ndarray) -> np.ndarray:
     """Fill (dist, counts, sums) of a stack chunk from its anchor's cell
     statistics plus the points that changed cell (_cell_moves); returns the
-    indices left to the dense scan, whose rows hold no result.
+    indices left to a full scan, whose rows hold no result.
 
     Cell l of quantizer j holds N points with sum S and sum of squared
     distances D to the anchor's component A_l, so its distortion is
@@ -365,11 +327,11 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
     as accurate as a per-point sum. Where a quantizer's terms sum in
     magnitude to more than _CANCEL times its distortion (it sits much nearer
     its points than the anchor does), the form would lose that factor to
-    cancellation, and the quantizer is left to the dense scan too.
+    cancellation, and the quantizer is left to a full scan too.
     """
     C, kappa, dim = Wc.shape
     pts = batch.points
-    j0, assign, u2, dense, j, p, new = _cell_moves(Wc, batch)
+    j0, assign, u2, full, j, p, new = _cell_moves(Wc, batch)
     A = Wc[j0]
     size = C * kappa
     into, out = j * kappa + new, j * kappa + assign[p]
@@ -390,7 +352,7 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
     total = (cell_d + cross + quad).sum(axis=1)
     dist[:] = 0.5 * total / batch.n
     loose = (cell_d + np.abs(cross) + quad).sum(axis=1) > _CANCEL * total
-    return np.union1d(dense, np.flatnonzero(loose))
+    return np.union1d(full, np.flatnonzero(loose))
 
 
 def min_component_separation(w) -> float:

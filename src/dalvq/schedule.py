@@ -11,6 +11,7 @@ analysis exploits; traces read from disk stay dense.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -308,16 +309,23 @@ def _edge_tensor(coeff: np.ndarray, horizon: int, period: Optional[int]) -> np.n
     return edges
 
 
-def _first_disconnected(edges: np.ndarray, width: int) -> Optional[int]:
-    """Start of the first width-tick window whose edge union is not strongly
-    connected, or None; a width beyond the horizon means the whole horizon.
-    A union is strongly connected exactly when processor 0 reaches every
-    processor and every processor reaches 0. Both reached sets grow for all
-    windows at once, one hop per pass, until they stop growing."""
+def _edge_counts(edges: np.ndarray) -> np.ndarray:
+    """Cumulative edge counts: [t, i, j] is how often j -> i occurs before tick t."""
     L, M = edges.shape[:2]
-    width = min(width, L)
     counts = np.zeros((L + 1, M, M), dtype=np.int32)
     np.cumsum(edges, axis=0, out=counts[1:])
+    return counts
+
+
+def _first_disconnected(counts: np.ndarray, width: int) -> Optional[int]:
+    """Start of the first width-tick window whose edge union is not strongly
+    connected, or None; counts is _edge_counts of the edge tensor, and a
+    width beyond the horizon means the whole horizon. A union is strongly
+    connected exactly when processor 0 reaches every processor and every
+    processor reaches 0. Both reached sets grow for all windows at once, one
+    hop per pass, until they stop growing."""
+    L, M = len(counts) - 1, counts.shape[1]
+    width = min(width, L)
     union = counts[width:] > counts[:L - width + 1]  # window k: edge j -> i at [k, i, j]
     union[:, np.arange(M), np.arange(M)] = True
     bad = np.zeros(len(union), dtype=bool)
@@ -367,9 +375,14 @@ def _derive_b2(edges: np.ndarray, horizon: int) -> int:
     L, M = edges.shape[:2]
     if horizon == 0 or M == 1:
         return 1
-    # window connectivity is monotone in the width
-    width = 1 + bisect.bisect_left(range(1, L + 1), True,
-                                   key=lambda w: _first_disconnected(edges, w) is None)
+    # window connectivity is monotone in the width: double it until the
+    # windows connect, then bisect between the last two widths
+    counts = _edge_counts(edges)
+    connected = functools.cache(lambda w: _first_disconnected(counts, w) is None)
+    lo, hi = 0, 1
+    while hi < L and not connected(hi):
+        lo, hi = hi, 2 * hi
+    width = lo + 1 + bisect.bisect_left(range(lo + 1, min(hi, L) + 1), True, key=connected)
     if width > L:
         return horizon  # union never connects; validation will fail A5
     return max(width, int(np.max(_interval_needs(edges))))
@@ -487,7 +500,7 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     ok, detail, witness = True, "every B2-window union is strongly connected", None
     if T > 0 and M > 1:
         width = min(schedule.B2, T)
-        bad_start = _first_disconnected(edges, width)
+        bad_start = _first_disconnected(_edge_counts(edges), width)
         if bad_start is not None:
             ok, detail = False, "window union not strongly connected"
             witness = {"window_start": bad_start, "window": width}

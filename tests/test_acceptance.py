@@ -221,7 +221,7 @@ def test_criterion_06_reductions_are_bit_identical():
     cfg = RunConfig(M=1, kappa=4, dim=2, horizon=10_000, dist=BOX, sched=solo,
                     step=StepPolicy("global-clock", 0.3), seed=3, n_ref=500,
                     cadence=2000, init="shared")
-    art = run(cfg, record_events=False)
+    art = run(cfg)
     base = run_clvq(BOX, 4, 10_000, seed=3, c=0.3, n_ref=500)
     if not np.array_equal(art.final[0].reshape(4, 2), base.quantizer.components):
         fails.append("M=1 trajectory differs from the sequential baseline")
@@ -231,7 +231,7 @@ def test_criterion_06_reductions_are_bit_identical():
     cfg2 = RunConfig(M=3, kappa=2, dim=2, horizon=300, dist=BOX, sched=idle,
                      step=StepPolicy("local-clock", 0.5), seed=9, n_ref=50,
                      cadence=50, init="per-processor")
-    art2 = run(cfg2, record_events=False)
+    art2 = run(cfg2)
     st = AgreementState.initial(art2.x0, max(art2.schedule.B1, 1))
     snaps = {0: st.current().copy()}
     for _ in range(300):

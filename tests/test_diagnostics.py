@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dalvq import diagnostics, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
                                consensus_decay, estimate_lipschitz,
                                summarize, theta_series)
-from dalvq.engine import RunConfig, StepPolicy, run
+from dalvq.engine import EventLog, RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate
@@ -122,7 +123,7 @@ class TestDenseDescent:
 class TestComputeMetrics:
     def test_requires_events(self):
         cfg = make_config(horizon=10)
-        art = run(cfg, record_events=False)
+        art = replace(run(cfg), events=EventLog(0, cfg.dim, cfg.width))
         limits = phi_limit_series(art.schedule)
         with pytest.raises(ValueError):
             compute_metrics(art, limits)
@@ -252,14 +253,16 @@ class TestComputeMetrics:
         assert met.mart_mean_norm == pytest.approx(float(np.linalg.norm(mean)), rel=1e-10)
         assert met.mart_sigma == pytest.approx(sigma, rel=1e-10)
 
-    def test_martingale_cap(self, small):
+    def test_martingale_cap(self, small, monkeypatch):
         art, limits, _ = small
-        met = compute_metrics(art, limits, mart_samples=7)
+        monkeypatch.setattr(diagnostics, "_MART_SAMPLES", 7)
+        met = compute_metrics(art, limits)
         assert met.mart_n == 7
 
-    def test_chunk_independence(self, small):
+    def test_chunk_independence(self, small, monkeypatch):
         art, limits, met = small
-        alt = compute_metrics(art, limits, chunk=7)
+        monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK", 7)
+        alt = compute_metrics(art, limits)
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_allclose(getattr(alt, name), getattr(met, name),
                                        rtol=1e-11, atol=1e-18)

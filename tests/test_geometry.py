@@ -181,8 +181,8 @@ class TestBatchedCellStats:
         np.testing.assert_array_equal(counts, o_counts)
         np.testing.assert_allclose(sums, o_sums, atol=1e-12)
         np.testing.assert_allclose(grad, o_grad, atol=1e-12)
-        # the expanded form |z|^2 - 2 z.w + |w|^2 rounds to +-epsilon where a
-        # point is a component; the winner's distance in the direct form is 0
+        # where a point is a component, its distance is 0: the direct form
+        # has no |z|^2 - 2 z.w + |w|^2 to round to +-epsilon
         on = [stats(z[None], SampleBatch(points=z[None], bbox_low=np.zeros(4),
                                          bbox_high=np.ones(4), diameter=2.0))[0]
               for z in pts]
@@ -220,14 +220,13 @@ class TestBatchedCellStats:
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 3), kappa=st.integers(1, 4), n_quant=st.integers(1, 4),
-           n=st.integers(321, 700), tail=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 700), tail=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
            duplicate=st.booleans())
     def test_exact_on_integer_grid(self, dim, kappa, n_quant, n, tail, seed, duplicate):
         # Components on the integer grid and points on the half-integer grid:
-        # every score, distance and sum is a small dyadic number, so the
-        # expanded form, the direct form and any summation order agree
-        # exactly. n > 320 crosses a point block; C = 256 + tail (tail >= 2)
-        # crosses a stack chunk.
+        # every distance and sum is a small dyadic number, so any summation
+        # order agrees exactly. C = 256 + tail (tail >= 2) crosses a stack
+        # chunk.
         rng = np.random.default_rng(seed)
         quants = rng.integers(-3, 4, size=(n_quant, kappa, dim)).astype(float)
         if duplicate and kappa > 1:
@@ -255,35 +254,42 @@ class TestPrunedKernel:
     """The anchor-bounded kernel against the dense direct-form oracle."""
 
     @settings(max_examples=150, deadline=None)
-    @given(dim=st.integers(1, 3), kappa=st.integers(1, 5), C=st.integers(2, 300),
+    @given(dim=st.integers(1, 3), kappa=st.integers(1, 5), C=st.integers(1, 300),
            n=st.integers(1, 400), step=st.sampled_from([0, 1, 16, 256, 2048]),
-           grid=st.booleans(), duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_drifting_stack(self, dim, kappa, C, n, step, grid, duplicate, seed):
+           grid=st.booleans(), offset=st.sampled_from([0.0, 100.0, 1000.0]),
+           duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_drifting_stack(self, dim, kappa, C, n, step, grid, offset, duplicate, seed):
         # A random walk of quantizers, up to step * 2^-12 per coordinate and
         # tick: small steps leave most points certified, while 2048 (half the
-        # point cloud's unit) forces the dense scan. On the grid every
-        # coordinate is a multiple of 2^-13, so all arithmetic is exact: a
-        # point placed on a bisector is a true tie, and every path must match
-        # the oracle bit for bit. Off the grid, sums and distortions may
+        # point cloud's unit) forces full scans. A third of the points sit on
+        # or within a few ulps of a bisector, so a quantizer's cells depend
+        # on the last bits of its distances; far from the origin an expanded
+        # form |z|^2 - 2 z.w + |w|^2 would round those bits away. On the grid
+        # every coordinate is a multiple of 2^-13, so all arithmetic is exact:
+        # a point placed on a bisector is a true tie, and every path must
+        # match the oracle bit for bit. Off the grid, sums and distortions may
         # differ in the last bits, assignments not at all. C > 256 crosses a
-        # stack chunk.
+        # stack chunk; C = 1 and C = 257 leave a lone quantizer.
         rng = np.random.default_rng(seed)
         unit = 2.0 ** -12
         walk = np.cumsum(rng.integers(-step, step + 1, size=(C, kappa, dim)), axis=0)
         if grid:
             W = rng.integers(-4, 5, size=(1, kappa, dim)) + walk * unit
             pts = rng.integers(-5 * 2**8, 5 * 2**8 + 1, size=(n, dim)) / 2.0**8
-            j, (a, b) = rng.integers(0, C, n // 3), rng.integers(0, kappa, (2, n // 3))
-            pts[: n // 3] = (W[j, a] + W[j, b]) / 2.0   # on the bisector of a and b
         else:
             W = rng.uniform(-4, 4, size=(1, kappa, dim)) + walk * unit * rng.random()
             pts = rng.uniform(-5, 5, size=(n, dim))
+        W, pts = W + offset, pts + offset
         if duplicate and kappa > 1:
             W[:, -1] = W[:, 0]
+        j, (a, b) = rng.integers(0, C, n // 3), rng.integers(0, kappa, (2, n // 3))
+        mid = (W[j, a] + W[j, b]) / 2.0                 # on the bisector of a and b
+        pts[: n // 3] = mid if grid else mid + np.spacing(mid) * rng.integers(-2, 3, mid.shape)
         batch = SampleBatch(points=pts, bbox_low=pts.min(axis=0), bbox_high=pts.max(axis=0),
                             diameter=1.0 + float(np.ptp(pts, axis=0).max()))
         dist, grad, counts, sums = batched_cell_stats(W, batch)
         oracle = [cell_stats(w, pts) for w in W]
+        tol = 1e-12 * (1.0 + offset)
         for c, (o_dist, o_grad, o_counts, o_sums, _) in enumerate(oracle):
             np.testing.assert_array_equal(counts[c], o_counts)
             if grid:
@@ -292,24 +298,29 @@ class TestPrunedKernel:
                 np.testing.assert_array_equal(grad[c], o_grad)
             else:
                 assert dist[c] == pytest.approx(o_dist, rel=1e-12, abs=1e-300)
-                np.testing.assert_allclose(sums[c], o_sums, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(grad[c], o_grad, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(sums[c], o_sums, rtol=0, atol=tol)
+                np.testing.assert_allclose(grad[c], o_grad, rtol=0, atol=tol)
+        # a lone quantizer's full scan does the oracle's arithmetic
+        for c in (0, C - 1):
+            lone = batched_cell_stats(W[c:c + 1], batch)
+            for got, want in zip(lone, oracle[c]):
+                np.testing.assert_array_equal(got[0], want)
         # assignments: the anchor's plus the listed moves, for every quantizer
-        # the dense scan did not take
+        # not left to a full scan
         for c0 in range(0, C, _STACK_CHUNK):
             Wc = W[c0:c0 + _STACK_CHUNK]
             if len(Wc) < 2:
                 continue
-            _, assign, _, dense, j, p, cell = _cell_moves(Wc, batch)
+            _, assign, _, full, j, p, cell = _cell_moves(Wc, batch)
             assert np.all(cell != assign[p])
-            for q in sorted(set(range(len(Wc))) - set(dense.tolist())):
+            for q in sorted(set(range(len(Wc))) - set(full.tolist())):
                 got = assign.copy()
                 got[p[j == q]] = cell[j == q]
                 np.testing.assert_array_equal(got, oracle[c0 + q][4])
 
     def test_metrics_sweep(self, monkeypatch):
         # every kernel call of the criterion-4 sweep, cut to T = 2000: the
-        # first ticks drift too far and take the dense scan, the rest prune
+        # first ticks drift too far and take full scans, the rest prune
         cfg = replace(big_config(), horizon=2000)
         art = run(cfg)
         limits = phi_limit_series(art.schedule)
