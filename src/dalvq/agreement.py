@@ -109,8 +109,7 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
     resid is each one's largest current-version residual (None without
     limits). Stopped blocks between running ones ride along unrecorded.
     """
-    M, depth = schedule.M, schedule.B1
-    P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
+    M, depth, P = schedule.M, schedule.B1, schedule.cycle
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
@@ -252,8 +251,7 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     Otherwise A_hat = rho_hat = 1, which holds since every weight is in [0, 1].
     """
     T = schedule.horizon if horizon is None else horizon
-    M, n = schedule.M, schedule.B1 * schedule.M
-    P = schedule.period if schedule.period is not None else max(schedule.horizon, 1)
+    M, n, P = schedule.M, schedule.B1 * schedule.M, schedule.cycle
     tau0 = P * math.ceil(schedule.B1 / P)
     direct_hi = min(tau0 + P, T)
 

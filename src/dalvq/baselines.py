@@ -48,13 +48,12 @@ def run_clvq(dist: DistributionSpec, kappa: int, horizon: int, seed: int, c: flo
         raise ConfigError("horizon must be >= 0")
     batch = make_batch(dist, seed, n_ref)
     w = np.array(init_quantizer(dist, kappa, seed).components)
-    handle = StreamHandle(seed, 0)
     for t in range(horizon):
+        draw = StreamHandle(seed, 0, t)
         if replay_from_batch:
-            idx, handle = draw_index(batch.n, handle)
-            z = batch.points[idx]
+            z = batch.points[draw_index(batch.n, draw)]
         else:
-            z, handle = sample(dist, handle)
+            z = sample(dist, draw)
         eps = c / max(t, 1)
         comp = nearest_cell(z, w)
         w[comp] = w[comp] + -eps * (w[comp] - z)

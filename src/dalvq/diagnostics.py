@@ -24,7 +24,7 @@ import numpy as np
 
 from .agreement import AgreementState, PhiLimitSeries, agreement_step
 from .baselines import BaselineRun
-from .engine import RunArtifacts, _total_active
+from .engine import RunArtifacts
 from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
@@ -128,8 +128,9 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     cfg = art.config
     T, M, kappa, dim, D = cfg.horizon, cfg.M, cfg.kappa, cfg.dim, cfg.width
     ev = art.events
-    if ev.n != _total_active(art.schedule, T):
-        raise ValueError("metrics require a run recorded with events")
+    t_plan, proc_plan, _ = art.schedule.descents()
+    if not (np.array_equal(ev.t, t_plan) and np.array_equal(ev.proc, proc_plan)):
+        raise ValueError("metrics need the run's event log of every planned descent")
     batch = art.batch
     diam = batch.diameter
 

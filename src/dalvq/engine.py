@@ -2,15 +2,16 @@
 
 Each simulated processor repeats: draw a sample, apply one winner-takes-all
 descent tick scaled by its step policy, and merge delayed versions of its
-peers according to the communication schedule. Everything is driven by
-counter-based streams, so a run is a pure function of its config and schedule;
+peers according to the communication schedule. The schedule alone fixes every
+descent's tick, processor, step and draw counter, so a run plans them all
+before its first draw. Draw k of processor i is addressed as (seed, i, k) in a
+counter-based stream, so a run is a pure function of its config and schedule;
 replaying any processor's draws needs no coordination with the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .schedule import CommSchedule, ScheduleSpec, generate
 __all__ = [
     "StepPolicy",
     "RunConfig",
-    "EngineState",
     "EventLog",
     "RunArtifacts",
     "dalvq_tick",
@@ -49,28 +49,16 @@ class StepPolicy:
         if not isinstance(self.c, float) or not 0.0 < self.c < 1.0:
             raise ConfigError(f"step constant must be a float in (0, 1), got {self.c!r}")
 
-    def epsilon(self, t: int, n_local: int) -> float:
-        """Step for a descent at tick t; n_local counts the processor's active
-        ticks t' <= t, including this one."""
-        if self.kind == "global-clock":
-            return self.c / max(t, 1)
-        return self.c / max(n_local, 1)
-
-    def derived_constants(self, schedule: CommSchedule, horizon: int) -> tuple[float, float]:
-        """(K1, K2) with K1 * (t or 1) <= step <= K2 * (t or 1) on every active
-        tick of this schedule, K2 floored at 1. Exact: enumerates the activity
-        pattern instead of assuming a worst case."""
-        if self.kind == "global-clock":
-            return self.c, max(1.0, self.c)
-        ts = np.arange(horizon)
-        idx = ts % schedule.period if schedule.period is not None else ts
-        act = schedule.active_table[idx]                     # (horizon, M)
-        if horizon == 0 or not act.any():
-            return self.c, 1.0
-        counts = np.cumsum(act, axis=0)
-        ratio = self.c * np.maximum(ts, 1)[:, None] / np.maximum(counts, 1)
-        vals = ratio[act]
-        return float(vals.min()), max(1.0, float(vals.max()))
+    def steps(self, t: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Steps of the descents at ticks t, each its processor's n-th active
+        tick, and (K1, K2) with K1 <= step * (t or 1) <= K2 on every one of
+        them, K2 floored at 1. Exact: takes the planned descents instead of
+        assuming a worst case."""
+        eps = self.c / np.maximum(t if self.kind == "global-clock" else n, 1)
+        if self.kind == "global-clock" or len(t) == 0:
+            return eps, self.c, 1.0
+        ratio = self.c * np.maximum(t, 1) / n
+        return eps, float(ratio.min()), max(1.0, float(ratio.max()))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "c": self.c}
@@ -110,6 +98,10 @@ class RunConfig:
     def __post_init__(self):
         for name in _INT_FIELDS:
             require_int(name, getattr(self, name))
+        for name, kind in (("dist", DistributionSpec), ("sched", ScheduleSpec),
+                           ("step", StepPolicy)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}")
         if self.M < 1 or self.kappa < 1 or self.dim < 1:
             raise ConfigError("M, kappa and dim must all be >= 1")
         if self.horizon < 0:
@@ -154,50 +146,28 @@ class RunConfig:
 
 
 class EventLog:
-    """Per-descent records in tick order, preallocated to the exact count.
+    """Per-descent records in tick order, one for each planned descent.
 
     For event k: processor proc[k] descended at tick t[k] with step eps[k] on
-    sample z[k]; comp[k] is the winning component and w_before[k] the flat
-    quantizer the gradient observation was evaluated at (its version at t[k],
-    before that tick's merge). The descent vector is recoverable as
-    -eps * (w_before[comp] - z) on the winning rows.
+    sample z[k], the draw at counter draw[k] of its stream; comp[k] is the
+    winning component and w_before[k] the flat quantizer the gradient
+    observation was evaluated at (its version at t[k], before that tick's
+    merge). The descent vector is recoverable as -eps * (w_before[comp] - z)
+    on the winning rows. The plan gives t, proc, draw and eps; the ticks fill
+    in comp, z and w_before.
     """
 
-    def __init__(self, capacity: int, dim: int, width: int):
-        self.t = np.zeros(capacity, dtype=np.int64)
-        self.proc = np.zeros(capacity, dtype=np.int32)
-        self.comp = np.zeros(capacity, dtype=np.int32)
-        self.eps = np.zeros(capacity, dtype=float)
-        self.z = np.zeros((capacity, dim), dtype=float)
-        self.w_before = np.zeros((capacity, width), dtype=float)
-        self.n = 0
-
-    def append(self, t: int, proc: int, comp: int, eps: float,
-               z: np.ndarray, w_before: np.ndarray) -> None:
-        k = self.n
-        self.t[k] = t
-        self.proc[k] = proc
-        self.comp[k] = comp
-        self.eps[k] = eps
-        self.z[k] = z
-        self.w_before[k] = w_before
-        self.n = k + 1
+    def __init__(self, t: np.ndarray, proc: np.ndarray, draw: np.ndarray,
+                 eps: np.ndarray, dim: int, width: int):
+        self.t, self.proc, self.draw, self.eps = t, proc, draw, eps
+        self.n = len(t)
+        self.comp = np.zeros(self.n, dtype=np.int32)
+        self.z = np.zeros((self.n, dim))
+        self.w_before = np.zeros((self.n, width))
 
     def finish(self) -> None:
-        for name in ("t", "proc", "comp", "eps", "z", "w_before"):
-            arr = getattr(self, name)[:self.n]
+        for arr in (self.t, self.proc, self.draw, self.eps, self.comp, self.z, self.w_before):
             arr.flags.writeable = False
-            setattr(self, name, arr)
-
-
-@dataclass
-class EngineState:
-    """Mutable in-run state: the version ring plus per-processor bookkeeping."""
-
-    ring: np.ndarray                   # (depth, M, width)
-    t: int
-    n_local: np.ndarray                # (M,) active-tick counts
-    handles: list                      # per-processor StreamHandle
 
 
 @dataclass(frozen=True)
@@ -212,45 +182,31 @@ class RunArtifacts:
     snap_times: np.ndarray             # (n_snap,) recorded ticks
     snapshots: np.ndarray              # (n_snap, M, width) versions at those ticks
     final: np.ndarray                  # (M, width) versions at the horizon
-    n_local: np.ndarray                # (M,) final active counts
     K1: float
     K2: float
 
 
-def dalvq_tick(state: EngineState, schedule: CommSchedule, config: RunConfig,
-               batch: Optional[SampleBatch], events: EventLog) -> None:
-    """Advance one tick: merge delayed versions, then add each active
-    processor's descent term (evaluated at its own pre-merge version)."""
-    t = state.t
-    ring = state.ring
+def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, config: RunConfig,
+               batch: SampleBatch, events: EventLog, ks: range) -> None:
+    """Advance the version ring (depth, M, width) from tick t to t + 1: merge
+    delayed versions, then add the descent term of each of the tick's planned
+    events ks, evaluated at its processor's pre-merge version."""
     depth = ring.shape[0]
     merged = merged_versions(schedule.coeff(t), schedule.delay(t), ring, t)
-    active = schedule.active(t)
-    if active:
-        cur = ring[t % depth]
-        for i in active:
-            if config.replay_from_batch:
-                idx, state.handles[i] = draw_index(batch.n, state.handles[i])
-                z = batch.points[idx]
-            else:
-                z, state.handles[i] = sample(config.dist, state.handles[i])
-            state.n_local[i] += 1
-            eps = config.step.epsilon(t, int(state.n_local[i]))
-            w_cur = cur[i].reshape(config.kappa, config.dim)
-            comp = nearest_cell(z, w_cur)
-            events.append(t, i, comp, eps, z, cur[i])
-            lo = comp * config.dim
-            merged[i, lo:lo + config.dim] += -eps * (w_cur[comp] - z)
+    cur = ring[t % depth]
+    for k in ks:
+        i = int(events.proc[k])
+        draw = StreamHandle(config.seed, i, int(events.draw[k]))
+        if config.replay_from_batch:
+            z = batch.points[draw_index(batch.n, draw)]
+        else:
+            z = sample(config.dist, draw)
+        w_cur = cur[i].reshape(config.kappa, config.dim)
+        comp = nearest_cell(z, w_cur)
+        events.comp[k], events.z[k], events.w_before[k] = comp, z, cur[i]
+        lo = comp * config.dim
+        merged[i, lo:lo + config.dim] += -events.eps[k] * (w_cur[comp] - z)
     ring[(t + 1) % depth] = merged
-    state.t = t + 1
-
-
-def _total_active(schedule: CommSchedule, horizon: int) -> int:
-    tab = schedule.active_table
-    if schedule.period is None:
-        return int(tab[:horizon].sum())
-    P = schedule.period
-    return int(tab.sum()) * (horizon // P) + int(tab[:horizon % P].sum())
 
 
 def initial_versions(config: RunConfig) -> np.ndarray:
@@ -265,19 +221,20 @@ def initial_versions(config: RunConfig) -> np.ndarray:
 
 
 def run(config: RunConfig) -> RunArtifacts:
-    """Execute a full run. Byte-deterministic in the config."""
+    """Execute a full run. Byte-deterministic in the config. The schedule plans
+    every descent before the first draw; the ticks fill in their samples."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
     x0 = initial_versions(config)
 
+    t_ev, proc, n = schedule.descents()
+    eps, K1, K2 = config.step.steps(t_ev, n)
+    events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
+    starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
+
     depth = max(schedule.B1, 1)
     ring = np.zeros((depth, config.M, config.width))
     ring[0] = x0
-    state = EngineState(ring=ring, t=0,
-                        n_local=np.zeros(config.M, dtype=np.int64),
-                        handles=[StreamHandle(config.seed, i) for i in range(config.M)])
-
-    events = EventLog(_total_active(schedule, config.horizon), config.dim, config.width)
     snap_times = np.array(sorted(set(range(0, config.horizon + 1, config.cadence))
                                  | {config.horizon}), dtype=np.int64)
     snapshots = np.empty((len(snap_times), config.M, config.width))
@@ -287,14 +244,13 @@ def run(config: RunConfig) -> RunArtifacts:
         k = snap_at.get(t)
         if k is not None:
             snapshots[k] = ring[t % depth]
-        dalvq_tick(state, schedule, config, batch, events)
+        dalvq_tick(t, ring, schedule, config, batch, events, range(starts[t], starts[t + 1]))
     snapshots[snap_at[config.horizon]] = ring[config.horizon % depth]
 
     events.finish()
     final = ring[config.horizon % depth].copy()
-    for arr in (x0, snap_times, snapshots, final, state.n_local):
+    for arr in (x0, snap_times, snapshots, final):
         arr.flags.writeable = False
-    K1, K2 = config.step.derived_constants(schedule, config.horizon)
     return RunArtifacts(config=config, schedule=schedule, batch=batch, x0=x0,
                         events=events, snap_times=snap_times, snapshots=snapshots,
-                        final=final, n_local=state.n_local, K1=K1, K2=K2)
+                        final=final, K1=K1, K2=K2)

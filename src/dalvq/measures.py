@@ -45,7 +45,7 @@ _DISK_UNION = "uniform-disk-union"
 
 @dataclass(frozen=True)
 class StreamHandle:
-    """Address of the next draw in a replayable stream."""
+    """Address of one draw: counter number `counter` of stream `stream`."""
 
     seed: int
     stream: int
@@ -58,9 +58,6 @@ class StreamHandle:
                 raise ConfigError(f"stream handle field {name} must be a nonnegative integer")
         if self.seed >= 2**64 or self.stream >= 2**64:
             raise ConfigError("seed and stream id must fit in 64 bits")
-
-    def advanced(self, n: int = 1) -> "StreamHandle":
-        return StreamHandle(self.seed, self.stream, self.counter + n)
 
     def generator(self) -> np.random.Generator:
         """Generator owning this counter's private block of the keyed Philox space."""
@@ -250,13 +247,13 @@ class DistributionSpec:
         return DistributionSpec(kind=kind, **body)
 
 
-def sample(spec: DistributionSpec, stream: StreamHandle) -> tuple[np.ndarray, StreamHandle]:
-    """Draw one point from the distribution; returns (point, advanced stream).
+def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
+    """The point drawn from the distribution at one stream address.
 
     The point depends only on (spec, seed, stream, counter), never on earlier
     draws, so replaying any counter reproduces its sample bit-exactly.
     """
-    g = stream.generator()
+    g = draw.generator()
     if spec.kind == _UNIFORM_BOX:
         u = g.random(spec.dim)
         z = spec.low + u * (spec.high - spec.low)
@@ -282,25 +279,23 @@ def sample(spec: DistributionSpec, stream: StreamHandle) -> tuple[np.ndarray, St
         r = spec.radii[disk] * np.sqrt(g.random())
         ang = 2.0 * np.pi * g.random()
         z = spec.centers[disk] + r * np.array([np.cos(ang), np.sin(ang)])
-    return z, stream.advanced()
+    return z
 
 
-def draw_index(n: int, stream: StreamHandle) -> tuple[int, StreamHandle]:
+def draw_index(n: int, draw: StreamHandle) -> int:
     """Uniform index in [0, n), replayable like sample(); used by batch replay."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = stream.generator().random()
-    return int(u * n), stream.advanced()
+    return int(draw.generator().random() * n)
 
 
 def make_batch(spec: DistributionSpec, seed: int, n: int) -> SampleBatch:
     """n deterministic draws packaged with the declared support geometry."""
     if n < 1:
         raise ConfigError("batch size must be >= 1")
-    stream = StreamHandle(seed, STREAM_REF_BATCH)
     pts = np.empty((n, spec.dim))
     for k in range(n):
-        pts[k], stream = sample(spec, stream)
+        pts[k] = sample(spec, StreamHandle(seed, STREAM_REF_BATCH, k))
     lo, hi = spec.bbox
     return SampleBatch(points=pts, bbox_low=lo, bbox_high=hi, diameter=spec.diameter)
 
@@ -309,15 +304,15 @@ def init_quantizer(spec: DistributionSpec, kappa: int, seed: int,
                    stream: int = STREAM_INIT_BASE) -> QuantizerVec:
     """kappa points drawn from the distribution, resampled as a group until
     they are pairwise separated by at least 1e-6 of the support diameter and
-    strictly interior to the support."""
+    strictly interior to the support. Round r takes counters r * kappa ..
+    (r + 1) * kappa - 1 of the stream."""
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
-    handle = StreamHandle(seed, stream)
     min_sep = 1e-6 * spec.diameter
-    for _ in range(_MAX_INIT_ROUNDS):
+    for r in range(_MAX_INIT_ROUNDS):
         pts = np.empty((kappa, spec.dim))
         for k in range(kappa):
-            pts[k], handle = sample(spec, handle)
+            pts[k] = sample(spec, StreamHandle(seed, stream, r * kappa + k))
         if not all(spec._strictly_interior(p) for p in pts):
             continue
         if kappa == 1 or min_component_separation(pts) >= min_sep:

@@ -138,7 +138,7 @@ class CommSchedule:
         c = np.ascontiguousarray(self.coeff_table, dtype=float)
         d = np.ascontiguousarray(self.delay_table, dtype=np.int64)
         a = np.ascontiguousarray(self.active_table, dtype=bool)
-        P = self.period if self.period is not None else max(self.horizon, 1)
+        P = self.cycle
         if c.shape != (P, self.M, self.M) or d.shape != c.shape or a.shape != (P, self.M):
             raise ConfigError("schedule tables have inconsistent shapes")
         if not np.all(np.isfinite(c)):
@@ -151,12 +151,18 @@ class CommSchedule:
         object.__setattr__(self, "delay_table", d)
         object.__setattr__(self, "active_table", a)
 
+    @property
+    def cycle(self) -> int:
+        """Number of rows in each table; tick t reads row t % cycle. The period,
+        or a dense trace's horizon (at least 1)."""
+        return self.period if self.period is not None else max(self.horizon, 1)
+
     # ---- per-tick accessors ----
 
     def _idx(self, t: int) -> int:
         if not (0 <= t < self.horizon):
             raise ValueError(f"tick {t} outside horizon [0, {self.horizon})")
-        return t % self.period if self.period is not None else t
+        return t % self.cycle
 
     def coeff(self, t: int) -> np.ndarray:
         return self.coeff_table[self._idx(t)]
@@ -170,13 +176,21 @@ class CommSchedule:
     def active(self, t: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.active_table[self._idx(t)]))
 
+    def descents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every descent over the horizon in tick order, then processor order:
+        (t, proc, n), where processor proc[k] descends at tick t[k] and n[k]
+        counts its active ticks up to and including t[k]."""
+        act = self.active_table[np.arange(self.horizon) % self.cycle]
+        t, proc = np.nonzero(act)
+        return t, proc, np.cumsum(act, axis=0)[act]
+
     def materialize(self, t0: int = 0, t1: Optional[int] = None):
         """Dense (coeff, delay, active) arrays for ticks t0..t1-1, delays clamped."""
         t1 = self.horizon if t1 is None else t1
         if not (0 <= t0 <= t1 <= self.horizon):
             raise ValueError(f"bad tick range [{t0}, {t1}) for horizon {self.horizon}")
         ts = np.arange(t0, t1)
-        idx = ts % self.period if self.period is not None else ts
+        idx = ts % self.cycle
         coeff = self.coeff_table[idx]
         delay = np.minimum(self.delay_table[idx], ts[:, None, None])
         active = self.active_table[idx]
@@ -280,7 +294,7 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
                     elif spec.delay_law == "uniform":
                         delay[t, i, j] = int(g.integers(0, spec.delay_value))
 
-    alpha, B1, B2, B3 = _measure(coeff, delay, horizon, P)
+    alpha, B1, B2, B3 = _measure(coeff, delay, horizon)
     return CommSchedule(M=M, horizon=horizon, alpha=alpha, B1=B1, B2=B2, B3=B3,
                         coeff_table=coeff, delay_table=delay, active_table=active,
                         period=P)
@@ -290,7 +304,7 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
 # edge analysis on a boolean tensor: E[t, i, j] is True when (j -> i) in E(t)
 
 
-def _edge_tensor(coeff: np.ndarray, horizon: int, period: Optional[int]) -> np.ndarray:
+def _edge_tensor(coeff: np.ndarray, horizon: int) -> np.ndarray:
     """Edges at every tick of the horizon; a periodic horizon comes folded.
 
     Ticks t and t + P carry the same edges, so a horizon T >= 2P answers every
@@ -299,9 +313,10 @@ def _edge_tensor(coeff: np.ndarray, horizon: int, period: Optional[int]) -> np.n
     of these occur) exactly as its first L = 2P + (T - 2P) % P ticks do. Two
     periods hold every window and every wrap-around gap; L = T (mod P) lines
     the last period up with the horizon's end. A witness tick t >= P of the
-    fold is tick t + T - L of the horizon.
+    fold is tick t + T - L of the horizon. The table repeats with period
+    P = len(coeff), a dense table's being the horizon.
     """
-    P = period if period is not None else max(horizon, 1)
+    P = len(coeff)
     L = min(horizon, 2 * P + (horizon - 2 * P) % P)
     edges = coeff[np.arange(L) % P] > 0.0
     M = coeff.shape[1]
@@ -394,11 +409,10 @@ def _derive_b3(edges: np.ndarray) -> int:
     return 1 if np.any(gap < 0) else int(np.max(gap)) + 1
 
 
-def _measure(coeff: np.ndarray, delay: np.ndarray, horizon: int,
-             period: Optional[int]) -> tuple[float, int, int, int]:
+def _measure(coeff: np.ndarray, delay: np.ndarray, horizon: int) -> tuple[float, int, int, int]:
     """The constants (alpha, B1, B2, B3) a table realizes over the horizon."""
     alpha = float(np.min(coeff[coeff > 0.0])) if np.any(coeff > 0.0) else 1.0
-    edges = _edge_tensor(coeff, horizon, period)
+    edges = _edge_tensor(coeff, horizon)
     return alpha, int(np.max(delay)) + 1, _derive_b2(edges, horizon), _derive_b3(edges)
 
 
@@ -442,10 +456,9 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     overall verdict that additionally requires a nonempty active set per tick.
     """
     M, T = schedule.M, schedule.horizon
-    # a periodic tick t >= P + max delay repeats tick t - P, delay clamp and all,
+    # a tick t >= cycle + max delay repeats tick t - cycle, delay clamp and all,
     # so the ticks before it hold the first witness of every per-tick fault
-    span = T if schedule.period is None else \
-        min(T, schedule.period + int(np.max(schedule.delay_table, initial=0)) + 1)
+    span = min(T, schedule.cycle + int(np.max(schedule.delay_table, initial=0)) + 1)
     coeff, delay, active = schedule.materialize(0, span)
     checks: dict[str, CheckResult] = {}
 
@@ -494,7 +507,7 @@ def validate(schedule: CommSchedule) -> ValidationReport:
                                                                     "coeff": float(diag[t, i])}
     checks["convex_combination"] = CheckResult(ok, detail, witness)
 
-    edges = _edge_tensor(schedule.coeff_table, T, schedule.period)
+    edges = _edge_tensor(schedule.coeff_table, T)
 
     # connectivity: every B2-length window's edge union is strongly connected
     ok, detail, witness = True, "every B2-window union is strongly connected", None
@@ -529,7 +542,7 @@ def validate(schedule: CommSchedule) -> ValidationReport:
         if bad is not None:
             r, s = bad
             t = int(tick[r, s])
-            if schedule.period is not None and t >= schedule.period:
+            if t >= schedule.cycle:
                 t += T - len(edges)  # back from the fold
             ok, witness = False, {"sender": s, "receiver": r, "t": t}
             if gap[r, s] < 0:
@@ -594,7 +607,7 @@ def read_trace(path: str) -> CommSchedule:
     read overwritten versions. So is a meta record that is not an object or
     lacks a finite number for any of alpha, B1, B2 and B3, and a line that is
     not an object. Each tick needs an M x M array of numbers for coeff, one
-    of integers for delay, and a list of processor indices for active."""
+    of integers for delay, and a list of distinct processor indices for active."""
     records = []
     meta = None
     try:
@@ -651,10 +664,12 @@ def read_trace(path: str) -> CommSchedule:
             if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < M):
                 raise ConfigError(f"{path}:{line_no}: active entry {i!r} is not an index "
                                   f"below {M}")
+            if active[k, i]:
+                raise ConfigError(f"{path}:{line_no}: active index {i} is listed twice")
             active[k, i] = True
 
     if meta is None:
-        alpha, B1, B2, B3 = _measure(coeff, delay, T, None)
+        alpha, B1, B2, B3 = _measure(coeff, delay, T)
     else:
         keys = ("alpha", "B1", "B2", "B3")
         if not all(isinstance(v, int) and not isinstance(v, bool)

@@ -43,8 +43,7 @@ def response_series(sch, tau, n_merges, limit=None):
     given its limit (M,), until every version in the ring, current and
     history, lies within 1e-14 of it. Returns the weights at times tau + 1,
     tau + 2, ..."""
-    M, depth = sch.M, sch.B1
-    P = sch.period if sch.period is not None else max(sch.horizon, 1)
+    M, depth, P = sch.M, sch.B1, sch.cycle
     ring = np.zeros((depth, M, M))
     ring[(tau + 1) % depth] = np.eye(M)
     out = [np.eye(M)]

@@ -342,7 +342,7 @@ class TestExitCodes:
         write_trace(generate(RING, 3, 40, seed=5), str(path))
         lines = path.read_text().splitlines()
         rec = json.loads(lines[4])
-        for bad in ("5", {**rec, "active": 3}, {**rec, "active": ["a"]},
+        for bad in ("5", {**rec, "active": 3}, {**rec, "active": ["a"]}, {**rec, "active": [2, 2]},
                     {**rec, "coeff": "abc"}, {**rec, "coeff": rec["coeff"][:2] + [[1.0]]},
                     {**rec, "delay": [[0.5, 0, 0]] + rec["delay"][1:]}):
             text = bad if isinstance(bad, str) else json.dumps(bad)

@@ -122,11 +122,17 @@ class TestDenseDescent:
 
 class TestComputeMetrics:
     def test_requires_events(self):
+        # an empty log, and one of the right length whose processors are not
+        # the schedule's
         cfg = make_config(horizon=10)
-        art = replace(run(cfg), events=EventLog(0, cfg.dim, cfg.width))
+        art = run(cfg)
+        ev = art.events
+        none = np.zeros(0, dtype=np.int64)
         limits = phi_limit_series(art.schedule)
-        with pytest.raises(ValueError):
-            compute_metrics(art, limits)
+        for log in (EventLog(none, none, none, np.zeros(0), cfg.dim, cfg.width),
+                    EventLog(ev.t, ev.proc[::-1], ev.draw, ev.eps, cfg.dim, cfg.width)):
+            with pytest.raises(ValueError):
+                compute_metrics(replace(art, events=log), limits)
 
     def test_times_are_snapshot_times(self, small):
         art, _, met = small

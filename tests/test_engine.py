@@ -1,12 +1,17 @@
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dalvq.engine import (EngineState, EventLog, RunConfig, StepPolicy, _total_active,
-                          dalvq_tick, initial_versions, run)
+from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
 from dalvq.errors import ConfigError
 from dalvq.geometry import gradient_observation, nearest_cell
-from dalvq.measures import DistributionSpec
-from dalvq.schedule import ScheduleSpec, generate
+from dalvq.measures import DistributionSpec, StreamHandle, draw_index, make_batch, sample
+from dalvq.schedule import ScheduleSpec, generate, write_trace
 from oracles import descent_term
 
 
@@ -33,24 +38,25 @@ class TestStepPolicy:
             StepPolicy("warp", 0.5)
 
     def test_global_clock_law(self):
-        p = StepPolicy("global-clock", 0.3)
-        assert p.epsilon(0, 1) == 0.3
-        assert p.epsilon(1, 1) == 0.3
-        assert p.epsilon(10, 3) == 0.03
+        eps, _, _ = StepPolicy("global-clock", 0.3).steps(np.array([0, 1, 10]),
+                                                          np.array([1, 1, 3]))
+        assert eps.tolist() == [0.3, 0.3, 0.03]
 
     def test_local_clock_law(self):
-        p = StepPolicy("local-clock", 0.4)
-        assert p.epsilon(100, 1) == 0.4   # first own step, whatever the tick
-        assert p.epsilon(100, 8) == 0.05
+        # the first own step is c, whatever the tick
+        eps, _, _ = StepPolicy("local-clock", 0.4).steps(np.array([100, 100]),
+                                                         np.array([1, 8]))
+        assert eps.tolist() == [0.4, 0.05]
 
     def test_global_constants(self):
-        sch = generate(RING, 3, 50, seed=1)
-        assert StepPolicy("global-clock", 0.3).derived_constants(sch, 50) == (0.3, 1.0)
+        t, _, n = generate(RING, 3, 50, seed=1).descents()
+        assert StepPolicy("global-clock", 0.3).steps(t, n)[1:] == (0.3, 1.0)
 
     def test_local_constants_against_brute_force(self):
         c = 0.45
         sch = generate(RING, 3, 80, seed=2)
-        k1, k2 = StepPolicy("local-clock", c).derived_constants(sch, 80)
+        t, _, n_plan = sch.descents()
+        _, k1, k2 = StepPolicy("local-clock", c).steps(t, n_plan)
         n = np.zeros(3, dtype=int)
         lo, hi = np.inf, 1.0
         for t in range(80):
@@ -91,6 +97,12 @@ class TestRunConfig:
     def test_width(self):
         assert make_config(kappa=5, dim=2).width == 10
 
+    @pytest.mark.parametrize("field", ["dist", "sched", "step"])
+    def test_dict_parts_rejected(self, field):
+        # the library takes the parsed specs; a dict form is a config error
+        with pytest.raises(ConfigError, match=field):
+            make_config(**{field: make_config().to_dict()[field]})
+
 
 # ---- initial versions ----
 
@@ -116,39 +128,71 @@ class TestDescentTerm:
                                       -0.2 * gradient_observation(z, w))
 
 
+@st.composite
+def small_runs(draw):
+    """Config fields of a small run, and whether to replay its schedule from a trace."""
+    law = draw(st.sampled_from(["zero", "fixed", "uniform"]))
+    value = 0 if law == "zero" else draw(st.integers(1 if law == "uniform" else 0, 3))
+    sched = ScheduleSpec(
+        topology=draw(st.sampled_from(["complete", "ring", "random-symmetric-gossip"])),
+        merge_period=draw(st.integers(1, 3)), delay_law=law, delay_value=value,
+        activity=draw(st.sampled_from(["all-active", "round-robin", "random-subset", "none"])),
+        base_window=draw(st.integers(1, 8)))
+    kw = dict(M=draw(st.integers(1, 4)), kappa=draw(st.integers(1, 3)),
+              horizon=draw(st.integers(0, 30)), sched=sched, seed=draw(st.integers(0, 2**20)),
+              step=StepPolicy(draw(st.sampled_from(["global-clock", "local-clock"])), 0.5),
+              init=draw(st.sampled_from(["shared", "per-processor"])),
+              replay_from_batch=draw(st.booleans()), n_ref=7, cadence=4)
+    return kw, draw(st.booleans())
+
+
 class TestRunDynamics:
-    def test_naive_reference_trajectory(self):
-        cfg = make_config(horizon=25, cadence=5, init="per-processor")
-        art = run(cfg)
-        sch = art.schedule
-        # replay the dynamics with a plain dict of full version history,
-        # using only the recorded draws; steps and winners are recomputed
+    @settings(max_examples=150, deadline=None)
+    @given(small_runs())
+    def test_naive_reference_trajectory(self, drawn):
+        kw, as_trace = drawn
+        cfg = make_config(**kw)
+        try:
+            sch = generate(cfg.sched, cfg.M, cfg.horizon, cfg.seed)
+        except ConfigError:  # gossip without enough mergeable processors
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            if as_trace and cfg.horizon:  # the same schedule as a custom trace
+                path = os.path.join(tmp, "trace.jsonl")
+                write_trace(sch, path)
+                cfg = replace(cfg, sched=ScheduleSpec(topology="custom-trace", trace_path=path))
+            art = run(cfg)
+        sch, M, c = art.schedule, cfg.M, cfg.step.c
+        # replay the dynamics with a plain dict of full version history, its
+        # own draw counters and the scalar step law
         hist = {0: art.x0.copy()}
-        n_local = np.zeros(3, dtype=int)
-        ev_ptr = 0
-        ev = art.events
-        for t in range(25):
-            merged = np.zeros((3, 4))
+        draws = [0] * M
+        rows = []
+        for t in range(cfg.horizon):
+            merged = np.zeros((M, cfg.width))
             coeff, delay = sch.coeff(t), sch.delay(t)
-            for i in range(3):
-                for j in range(3):
+            for i in range(M):
+                for j in range(M):
                     if coeff[i, j]:
                         merged[i] += coeff[i, j] * hist[t - delay[i, j]][j]
-            for i in sorted(sch.active(t)):
-                assert ev.t[ev_ptr] == t and ev.proc[ev_ptr] == i
-                z = ev.z[ev_ptr]
-                n_local[i] += 1
-                eps = cfg.step.epsilon(t, n_local[i])
-                assert eps == ev.eps[ev_ptr]
-                w_cur = hist[t][i].reshape(2, 2)
+            for i in sch.active(t):
+                handle = StreamHandle(cfg.seed, i, draws[i])
+                draws[i] += 1
+                if cfg.replay_from_batch:
+                    z = art.batch.points[draw_index(art.batch.n, handle)]
+                else:
+                    z = sample(cfg.dist, handle)
+                eps = c / max(t if cfg.step.kind == "global-clock" else draws[i], 1)
+                w_cur = hist[t][i].reshape(cfg.kappa, cfg.dim)
                 comp = nearest_cell(z, w_cur)
-                assert comp == ev.comp[ev_ptr]
-                assert np.array_equal(hist[t][i], ev.w_before[ev_ptr])
+                rows.append((t, i, eps, comp, z, hist[t][i]))
                 merged[i] += descent_term(z, w_cur, eps).reshape(-1)
-                ev_ptr += 1
             hist[t + 1] = merged
-        assert ev_ptr == ev.n
-        np.testing.assert_allclose(hist[25], art.final, atol=1e-13)
+        ev = art.events
+        assert ev.n == len(rows)
+        for name, col in zip(("t", "proc", "eps", "comp", "z", "w_before"), zip(*rows)):
+            assert np.array_equal(getattr(ev, name), np.array(col)), name
+        np.testing.assert_allclose(hist[cfg.horizon], art.final, atol=1e-13)
         for k, t in enumerate(art.snap_times):
             np.testing.assert_allclose(hist[int(t)], art.snapshots[k], atol=1e-13)
 
@@ -161,8 +205,8 @@ class TestRunDynamics:
     def test_event_log_complete_and_ordered(self):
         art = run(make_config(horizon=40))
         ev = art.events
-        assert ev.n == _total_active(art.schedule, 40)
-        assert np.all(np.diff(ev.t) >= 0)
+        expect = [(t, i) for t in range(40) for i in art.schedule.active(t)]
+        assert list(zip(ev.t.tolist(), ev.proc.tolist())) == expect
         for arr in (ev.t, ev.z, ev.w_before):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -172,7 +216,10 @@ class TestRunDynamics:
         expect = np.zeros(3, dtype=int)
         for t in range(31):
             expect[list(art.schedule.active(t))] += 1
-        assert np.array_equal(art.n_local, expect)
+        ev = art.events
+        assert np.array_equal(np.bincount(ev.proc, minlength=3), expect)
+        for i in range(3):  # each processor's draws take counters 0, 1, 2, ...
+            assert ev.draw[ev.proc == i].tolist() == list(range(expect[i]))
 
     def test_snapshot_times(self):
         art = run(make_config(horizon=25, cadence=10))
@@ -216,16 +263,15 @@ class TestDalvqTick:
     def test_manual_state_advances(self):
         cfg = make_config(horizon=6)
         sch = generate(cfg.sched, cfg.M, cfg.horizon, cfg.seed)
-        from dalvq.measures import StreamHandle, make_batch
-        x0 = initial_versions(cfg)
-        depth = max(sch.B1, 1)
+        t_ev, proc, n = sch.descents()
+        eps, _, _ = cfg.step.steps(t_ev, n)
+        log = EventLog(t_ev, proc, n - 1, eps, cfg.dim, cfg.width)
+        depth = sch.B1
         ring = np.zeros((depth, 3, 4))
-        ring[0] = x0
-        state = EngineState(ring=ring, t=0, n_local=np.zeros(3, dtype=np.int64),
-                            handles=[StreamHandle(cfg.seed, i) for i in range(3)])
-        log = EventLog(_total_active(sch, 6), 2, 4)
-        for _ in range(6):
-            dalvq_tick(state, sch, cfg, make_batch(cfg.dist, cfg.seed, cfg.n_ref), log)
-        assert state.t == 6
+        ring[0] = initial_versions(cfg)
+        batch = make_batch(cfg.dist, cfg.seed, cfg.n_ref)
+        for t in range(6):
+            dalvq_tick(t, ring, sch, cfg, batch, log, np.flatnonzero(t_ev == t))
         art = run(cfg)
-        assert np.array_equal(state.ring[6 % depth], art.final)
+        assert np.array_equal(ring[6 % depth], art.final)
+        assert np.array_equal(log.z, art.events.z)

@@ -329,14 +329,15 @@ class TestTraceRoundtrip:
     @pytest.mark.parametrize("line, field, value", [
         ("5", None, None), ("null", None, None),
         (None, "active", 3), (None, "active", ["a"]), (None, "active", [1.0]),
+        (None, "active", [2, 2]),
         (None, "coeff", "abc"), (None, "coeff", [[0.5, 0.5, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
         (None, "coeff", [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         (None, "coeff", [[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         (None, "delay", [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]),
         (None, "delay", [[0, 0, 0], [0, 0, True], [0, 0, 0]])],
         ids=["number-line", "null-line", "active-number", "active-string",
-             "active-float", "coeff-string", "coeff-ragged", "coeff-string-entry",
-             "coeff-bool", "delay-fraction", "delay-bool"])
+             "active-float", "active-duplicate", "coeff-string", "coeff-ragged",
+             "coeff-string-entry", "coeff-bool", "delay-fraction", "delay-bool"])
     def test_malformed_tick_rejected(self, tmp_path, line, field, value):
         sch = generate(ring_spec(delay_value=2), 3, 24, seed=1)
         path = tmp_path / "trace.jsonl"
@@ -504,7 +505,7 @@ class TestEdgeAnalysis:
     def test_matches_naive_tiled_analysis(self, table, use_derived, seed):
         coeff, horizon, period, declared = table
         M = coeff.shape[1]
-        edges = _edge_tensor(coeff, horizon, period)
+        edges = _edge_tensor(coeff, horizon)
         derived = (_derive_b2(edges, horizon), _derive_b3(edges))
         want, _ = naive_edge_analysis(coeff, horizon, period, *declared)
         assert derived == want
