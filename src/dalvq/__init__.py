@@ -8,34 +8,31 @@ the consensus and convergence guarantees of the underlying theory.
 
 __version__ = "0.1.0"
 
-from .agreement import (AgreementState, PhiLimitSeries, PhiTable, agreement_step,
-                        compute_phi, phi_family, phi_limit_series)
+from .agreement import PhiLimitSeries, PhiTable, compute_phi, phi_limit_series
 from .baselines import BaselineRun, clvq_step, lloyd_step, run_clvq, run_lloyd
 from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
                           consensus_decay, estimate_lipschitz, summarize, theta_series)
 from .engine import EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick, run
 from .errors import ConfigError, ScheduleValidationError
 from .geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
-                       gradient_observation, min_component_separation, nearest_cell)
+                       min_component_separation, nearest_cell)
 from .measures import (DistributionSpec, StreamHandle, draw_index, init_quantizer,
                        make_batch, sample)
-from .schedule import (CommSchedule, ScheduleSpec, ValidationReport,
-                       communication_graph, generate, read_trace, validate,
-                       write_trace)
+from .schedule import (CommSchedule, ScheduleSpec, ValidationReport, generate,
+                       read_trace, validate, write_trace)
 
 __all__ = [
     "__version__",
-    "AgreementState", "PhiLimitSeries", "PhiTable",
-    "agreement_step", "compute_phi", "phi_family", "phi_limit_series",
+    "PhiLimitSeries", "PhiTable", "compute_phi", "phi_limit_series",
     "BaselineRun", "clvq_step", "lloyd_step", "run_clvq", "run_lloyd",
     "ConvergenceReport", "RunMetrics", "compute_metrics", "consensus_decay",
     "estimate_lipschitz", "summarize", "theta_series",
     "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick", "run",
     "ConfigError", "ScheduleValidationError",
     "QuantizerVec", "SampleBatch", "batched_cell_stats",
-    "gradient_observation", "min_component_separation", "nearest_cell",
+    "min_component_separation", "nearest_cell",
     "DistributionSpec", "StreamHandle", "draw_index", "init_quantizer",
     "make_batch", "sample",
-    "CommSchedule", "ScheduleSpec", "ValidationReport", "communication_graph",
-    "generate", "read_trace", "validate", "write_trace",
+    "CommSchedule", "ScheduleSpec", "ValidationReport", "generate",
+    "read_trace", "validate", "write_trace",
 ]

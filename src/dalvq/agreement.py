@@ -19,71 +19,28 @@ import numpy as np
 from .schedule import CommSchedule
 
 __all__ = [
-    "AgreementState",
-    "agreement_step",
     "merged_versions",
     "PhiTable",
     "PhiLimitSeries",
     "compute_phi",
-    "phi_family",
     "phi_limit_series",
 ]
 
 
-def merged_versions(coeff: np.ndarray, delay: np.ndarray, ring: np.ndarray,
-                    t: int) -> np.ndarray:
-    """One merge: out[i] = sum_j coeff[i,j] * version of j at time t - delay[i,j].
+def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int) -> np.ndarray:
+    """The merge at tick t: out[i] = sum_j a_ij(t) * version of j at t - tau_ij(t).
 
-    ring holds the last B versions, slot u % B for time u; delays must already
-    be clamped to t (schedule accessors do this), so every read lands on a
+    ring (depth, M, ...) holds the last depth versions, slot u % depth for time
+    u, with depth at least the delay bound B1. The schedule's accessors clamp
+    the delays to t and repeat past the horizon, so every read lands on a
     written slot.
     """
     B = ring.shape[0]
-    slots = (t - delay) % B
-    senders = np.arange(ring.shape[1])[None, :]
-    gathered = ring[slots, senders]            # (M, M, D): [i, j] = delayed version of j
-    return np.einsum("ij,ijd->id", coeff, gathered)
-
-
-@dataclass(frozen=True)
-class AgreementState:
-    """Versions of all processors with their recent history ring.
-
-    ring has shape (depth, M, D) with depth >= the schedule's delay bound;
-    slot u % depth holds the versions computed at time u.
-    """
-
-    ring: np.ndarray
-    t: int
-
-    @staticmethod
-    def initial(x0: np.ndarray, depth: int) -> "AgreementState":
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim != 2:
-            raise ValueError("initial versions must have shape (M, D)")
-        if depth < 1:
-            raise ValueError("ring depth must be >= 1")
-        ring = np.zeros((depth, x0.shape[0], x0.shape[1]))
-        ring[0] = x0
-        return AgreementState(ring=ring, t=0)
-
-    @property
-    def depth(self) -> int:
-        return self.ring.shape[0]
-
-    def current(self) -> np.ndarray:
-        return self.ring[self.t % self.depth]
-
-
-def agreement_step(state: AgreementState, schedule: CommSchedule) -> AgreementState:
-    """Advance the pure merge iteration by one tick (no descent terms)."""
-    if state.depth < schedule.B1:
-        raise ValueError(f"ring depth {state.depth} below delay bound {schedule.B1}")
-    t = state.t
-    new = merged_versions(schedule.coeff(t), schedule.delay(t), state.ring, t)
-    ring = state.ring.copy()
-    ring[(t + 1) % state.depth] = new
-    return AgreementState(ring=ring, t=t + 1)
+    if B < schedule.B1:
+        raise ValueError(f"ring depth {B} below delay bound {schedule.B1}")
+    slots = (t - schedule.delay(t)) % B
+    gathered = ring[slots, np.arange(ring.shape[1])]   # [i, j] = delayed version of j
+    return np.einsum("ij,ijd->id", schedule.coeff(t), gathered)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +57,7 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
     is below 1e-14 + delta * age: a row-stochastic merge never increases it,
     and rows that miss 1 by delta move it by at most delta per tick. A merge
     never mixes columns, so each block follows exactly the arithmetic of a run
-    on its own. Past the horizon the schedule repeats (its period, or the
-    whole trace when dense).
+    on its own. Past the horizon the schedule repeats.
 
     Yields (t, lo, x, live, resid) for t = 0, 1, ... until every block has
     stopped. x (M, W * M) holds blocks lo .. lo + W - 1 at time t, the last of
@@ -109,7 +65,7 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
     resid is each one's largest current-version residual (None without
     limits). Stopped blocks between running ones ride along unrecorded.
     """
-    M, depth, P = schedule.M, schedule.B1, schedule.cycle
+    M, depth = schedule.M, schedule.B1
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
@@ -130,8 +86,7 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
             return
         lo, hi = int(np.argmax(live)), min(t + 2, n)
         cols = slice(lo * M, hi * M)
-        x = merged_versions(schedule.coeff_table[t % P],
-                            np.minimum(schedule.delay_table[t % P], t), ring[:, :, cols], t)
+        x = merged_versions(schedule, ring[:, :, cols], t)
         if t + 1 < n:  # block t + 1 enters at time t + 1
             x[:, (t + 1 - lo) * M:] = eye
         ring[(t + 1) % depth, :, cols] = x
@@ -173,40 +128,19 @@ def compute_phi(schedule: CommSchedule, t: int) -> PhiTable:
     return PhiTable(t=t, phi=x.reshape(schedule.M, t + 1, schedule.M).transpose(1, 0, 2).copy())
 
 
-def phi_family(schedule: CommSchedule, t_end: int) -> np.ndarray:
-    """Impulse weights phi(t, tau) for every 0 <= t <= t_end, -1 <= tau < t.
-
-    Returns F of shape (t_end + 1, t_end + 1, M, M): F[t, k, i, j] is the
-    weight processor i's version at time t puts on the unit injected at
-    processor j at tick tau = k - 1 (k = 0 probes the initial versions).
-    Entries with tau >= t are zero.
-    """
-    if not (0 <= t_end <= schedule.horizon):
-        raise ValueError(f"t_end must lie in [0, horizon], got {t_end}")
-    M = schedule.M
-    n_tau = t_end + 1
-    if n_tau * n_tau * M * M > 2**24:
-        raise ValueError("phi family would exceed the in-memory budget; "
-                         "query single times with compute_phi instead")
-    out = np.zeros((t_end + 1, M, n_tau * M))
-    for t, lo, x, _, _ in _impulse_blocks(schedule, n_tau, t_end=t_end):
-        out[t, :, lo * M:lo * M + x.shape[1]] = x
-    return out.reshape(t_end + 1, M, n_tau, M).transpose(0, 2, 1, 3).copy()
-
-
 # ---------------------------------------------------------------------------
 # limits
 
 
-def _step_matrix(schedule: CommSchedule, P: int, t: int) -> np.ndarray:
+def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
     """The merge at tick t on the augmented state, whose slot k holds the M
     versions at time t - k: slot 0 takes the merge, the others shift back by
-    one. Delays are clamped to t; the schedule repeats with period P."""
+    one."""
     M, B = schedule.M, schedule.B1
     i, j = np.indices((M, M))
     k, m = np.arange(1, B)[:, None], np.arange(M)
     a = np.zeros((B, M, B, M))
-    a[0, i, np.minimum(schedule.delay_table[t % P], t), j] = schedule.coeff_table[t % P]
+    a[0, i, schedule.delay(t), j] = schedule.coeff(t)
     a[k, m, k - 1, m] = 1.0
     return a.reshape(B * M, B * M)
 
@@ -257,7 +191,7 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
 
     prod = np.eye(n)
     for s in range(tau0, tau0 + P):
-        prod = _step_matrix(schedule, P, s) @ prod
+        prod = _step_matrix(schedule, s) @ prod
     # moduli, largest first; the appended 0 gives a 1 x 1 product a lambda_2
     lam = np.sort(np.abs(np.append(np.linalg.eigvals(prod), 0.0)))[::-1]
     resolved = bool(abs(lam[0] - 1.0) < 1e-9 and lam[1] < 1.0 - 1e-9)
@@ -268,7 +202,7 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     limits = np.empty((tau0 + P + 1, M))
     limits[-1] = pi[:M]
     for s in range(tau0 + P - 1, -1, -1):
-        pi = pi @ _step_matrix(schedule, P, s)
+        pi = pi @ _step_matrix(schedule, s)
         limits[s] = pi[:M]
     limits = limits[:direct_hi + 1]
 

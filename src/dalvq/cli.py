@@ -204,18 +204,31 @@ def cmd_run(args) -> int:
 # report table
 
 
+class RunDirError(ValueError):
+    """A run directory file unlike any a run writes (CLI exit 4)."""
+
+
+def _load_run_file(d: str, name: str, key: str = "") -> dict:
+    """A JSON object a run wrote into directory d, holding key if one is named."""
+    path = os.path.join(d, name)
+    data = _load_config(path)
+    if not isinstance(data, dict) or key and key not in data:
+        raise RunDirError(f"{path}: not a JSON object" + (f" with {key!r}" if key else ""))
+    return data
+
+
 def cmd_report(args) -> int:
     rows = [("run_dir", "mode", "seed", "fingerprint", "distortion",
              "consensus_gap", "consensus_slope", "wall_s")]
     for d in args.run_dirs:
-        rep = _load_config(os.path.join(d, "report.json"))
-        eff = _load_config(os.path.join(d, "effective-config.json"))
+        rep = _load_run_file(d, "report.json", "mode")
+        eff = _load_run_file(d, "effective-config.json")
         try:
-            wall = _load_config(os.path.join(d, "timing.json")).get("total_s", "")
+            wall = _load_run_file(d, "timing.json").get("total_s", "")
         except OSError:
             wall = ""
         dist = rep.get("final_distortion_star", rep.get("distortion", ""))
-        rows.append((d, rep.get("mode", eff.get("mode", "")), eff.get("seed", ""),
+        rows.append((d, rep["mode"], eff.get("seed", ""),
                      rep.get("fingerprint", ""), dist,
                      rep.get("final_consensus_gap", rep.get("final_gap", "")),
                      rep.get("consensus_slope", rep.get("rho_fit", "")), wall))
@@ -303,7 +316,7 @@ def main(argv=None) -> int:
     except ScheduleValidationError as exc:
         sys.stderr.write(f"schedule error: {exc}\n")
         return EXIT_SCHEDULE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RunDirError) as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agreement import AgreementState, PhiLimitSeries, agreement_step
+from .agreement import PhiLimitSeries, merged_versions
 from .baselines import BaselineRun
 from .engine import RunArtifacts
 from .geometry import batched_cell_stats, min_component_separation
@@ -285,21 +285,21 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
 # merge-only decay and Lipschitz probe
 
 
-def consensus_decay(schedule: CommSchedule, x0: np.ndarray,
-                    horizon: Optional[int] = None) -> tuple[np.ndarray, float]:
+def consensus_decay(schedule: CommSchedule, x0: np.ndarray) -> tuple[np.ndarray, float]:
     """Spread of the pure merge iteration per tick, with a fitted decay rate.
 
     Returns (gaps over ticks 0..T, rho_fit); rho_fit is the least-squares
     per-tick rate on ticks whose spread exceeds 1e-14, and 0.0 when fewer
     than three such ticks exist (consensus reached essentially at once).
     """
-    T = schedule.horizon if horizon is None else horizon
-    state = AgreementState.initial(x0, max(schedule.B1, 1))
+    T, depth = schedule.horizon, schedule.B1
+    ring = np.zeros((depth, *np.shape(x0)))
+    ring[0] = x0
     gaps = np.empty(T + 1)
-    gaps[0] = _spread(state.current())
-    for _ in range(T):
-        state = agreement_step(state, schedule)
-        gaps[state.t] = _spread(state.current())
+    gaps[0] = _spread(ring[0])
+    for t in range(T):
+        ring[(t + 1) % depth] = merged_versions(schedule, ring, t)
+        gaps[t + 1] = _spread(ring[(t + 1) % depth])
     pos = np.flatnonzero(gaps > 1e-14)
     if len(pos) < 3:
         return gaps, 0.0

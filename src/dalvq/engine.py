@@ -192,7 +192,7 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, config: RunConf
     delayed versions, then add the descent term of each of the tick's planned
     events ks, evaluated at its processor's pre-merge version."""
     depth = ring.shape[0]
-    merged = merged_versions(schedule.coeff(t), schedule.delay(t), ring, t)
+    merged = merged_versions(schedule, ring, t)
     cur = ring[t % depth]
     for k in ks:
         i = int(events.proc[k])
@@ -232,7 +232,7 @@ def run(config: RunConfig) -> RunArtifacts:
     events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
     starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
 
-    depth = max(schedule.B1, 1)
+    depth = schedule.B1
     ring = np.zeros((depth, config.M, config.width))
     ring[0] = x0
     snap_times = np.array(sorted(set(range(0, config.horizon + 1, config.cadence))

@@ -24,7 +24,6 @@ __all__ = [
     "QuantizerVec",
     "SampleBatch",
     "nearest_cell",
-    "gradient_observation",
     "batched_cell_stats",
     "min_component_separation",
 ]
@@ -38,13 +37,6 @@ def _as_components(w) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {arr.shape}")
     return arr
-
-
-def _check_point(z, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (dim,):
-        raise ValueError(f"point has shape {z.shape}, expected ({dim},)")
-    return z
 
 
 @dataclass(frozen=True)
@@ -128,26 +120,12 @@ def nearest_cell(z, w) -> int:
     the first duplicate falls out of first-occurrence argmin.
     """
     comps = _as_components(w)
-    z = _check_point(z, comps.shape[1])
+    z = np.asarray(z, dtype=float)
+    if z.shape != comps.shape[1:]:
+        raise ValueError(f"point has shape {z.shape}, expected {comps.shape[1:]}")
     diff = comps - z
     sq = np.einsum("kd,kd->k", diff, diff)
     return int(np.argmin(sq))
-
-
-def gradient_observation(z, w) -> np.ndarray:
-    """Single-sample winner-takes-all gradient surrogate.
-
-    Returns a (kappa, dim) array that is zero except in the winning row,
-    which holds w_winner - z. Its only nonzero row has norm <= the distance
-    from z to the quantizer, hence <= the support diameter whenever both live
-    in the support hull.
-    """
-    comps = _as_components(w)
-    z = _check_point(z, comps.shape[1])
-    out = np.zeros_like(comps)
-    win = nearest_cell(z, comps)
-    out[win] = comps[win] - z
-    return out
 
 
 _STACK_CHUNK = 256

@@ -29,7 +29,6 @@ __all__ = [
     "ValidationReport",
     "generate",
     "validate",
-    "communication_graph",
     "write_trace",
     "read_trace",
 ]
@@ -113,7 +112,8 @@ class CommSchedule:
 
     Stored delays may exceed t near the start; the accessors clamp them to t so
     a requested version time is never negative. The clamped value is the
-    schedule.
+    schedule. Past the horizon the accessors repeat the tables (the period, or
+    the whole trace when dense).
     """
 
     M: int
@@ -160,8 +160,8 @@ class CommSchedule:
     # ---- per-tick accessors ----
 
     def _idx(self, t: int) -> int:
-        if not (0 <= t < self.horizon):
-            raise ValueError(f"tick {t} outside horizon [0, {self.horizon})")
+        if t < 0:
+            raise ValueError(f"tick {t} is negative")
         return t % self.cycle
 
     def coeff(self, t: int) -> np.ndarray:
@@ -169,9 +169,6 @@ class CommSchedule:
 
     def delay(self, t: int) -> np.ndarray:
         return np.minimum(self.delay_table[self._idx(t)], t)
-
-    def active_mask(self, t: int) -> np.ndarray:
-        return self.active_table[self._idx(t)]
 
     def active(self, t: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.active_table[self._idx(t)]))
@@ -184,17 +181,13 @@ class CommSchedule:
         t, proc = np.nonzero(act)
         return t, proc, np.cumsum(act, axis=0)[act]
 
-    def materialize(self, t0: int = 0, t1: Optional[int] = None):
-        """Dense (coeff, delay, active) arrays for ticks t0..t1-1, delays clamped."""
-        t1 = self.horizon if t1 is None else t1
-        if not (0 <= t0 <= t1 <= self.horizon):
-            raise ValueError(f"bad tick range [{t0}, {t1}) for horizon {self.horizon}")
-        ts = np.arange(t0, t1)
+    def materialize(self, t1: Optional[int] = None):
+        """Dense (coeff, delay, active) arrays of the accessors' values for
+        ticks 0..t1-1, by default over the horizon."""
+        ts = np.arange(self.horizon if t1 is None else t1)
         idx = ts % self.cycle
-        coeff = self.coeff_table[idx]
-        delay = np.minimum(self.delay_table[idx], ts[:, None, None])
-        active = self.active_table[idx]
-        return coeff, delay, active
+        return (self.coeff_table[idx], np.minimum(self.delay_table[idx], ts[:, None, None]),
+                self.active_table[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +452,7 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     # a tick t >= cycle + max delay repeats tick t - cycle, delay clamp and all,
     # so the ticks before it hold the first witness of every per-tick fault
     span = min(T, schedule.cycle + int(np.max(schedule.delay_table, initial=0)) + 1)
-    coeff, delay, active = schedule.materialize(0, span)
+    coeff, delay, active = schedule.materialize(span)
     checks: dict[str, CheckResult] = {}
 
     # delays: in range, zero on the diagonal and wherever the coefficient is zero
@@ -569,14 +562,6 @@ def validate(schedule: CommSchedule) -> ValidationReport:
                  "period": schedule.period}
     return ValidationReport(checks=checks, asy1=asy1, asy2=asy2, passed=passed,
                             constants=constants)
-
-
-def communication_graph(schedule: CommSchedule, t: int) -> list[tuple[int, int]]:
-    """Directed edges (sender, receiver) present at tick t, sorted."""
-    c = schedule.coeff(t)
-    M = schedule.M
-    return sorted((j, i) for i in range(M) for j in range(M)
-                  if i != j and c[i, j] > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Direct reference implementations the tests compare the library against.
 
 None of these is used by the library itself: each spells out one quantity the
-fast paths compute, in the plainest form.
+fast paths compute, in the plainest form, or records what the library only
+streams (``phi_family``).
 """
 
 from typing import Optional
 
 import numpy as np
 
-from dalvq.geometry import gradient_observation, min_component_separation
+from dalvq.agreement import _impulse_blocks
+from dalvq.geometry import min_component_separation, nearest_cell
 
 
 def cell_stats(comps, points) -> tuple:
@@ -45,6 +47,16 @@ def theta(t: int, rho: float) -> float:
     tau = np.arange(-1, t)
     terms = rho ** (t - tau).astype(float) / np.maximum(tau, 1)
     return float(np.sum(terms))
+
+
+def gradient_observation(z, w) -> np.ndarray:
+    """Single-sample winner-takes-all gradient surrogate: (kappa, dim), zero
+    except in the winning row, which holds w_winner - z."""
+    comps = np.asarray(w, dtype=float)
+    out = np.zeros_like(comps)
+    win = nearest_cell(z, comps)
+    out[win] = comps[win] - z
+    return out
 
 
 def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
@@ -101,3 +113,43 @@ def agreement_vector(limits, initial: np.ndarray, descent: Optional[np.ndarray],
         for tau in range(t):
             out = out + limits.phi[tau] @ flat_s[tau]
     return out.reshape(shape)
+
+
+def communication_graph(schedule, t: int) -> list:
+    """Directed edges (sender, receiver) present at tick t, sorted."""
+    c = schedule.coeff(t)
+    M = schedule.M
+    return sorted((j, i) for i in range(M) for j in range(M)
+                  if i != j and c[i, j] > 0.0)
+
+
+def averaging_iteration(schedule, x0: np.ndarray, T: int) -> np.ndarray:
+    """Versions of the pure merge iteration at times 0..T, shape (T + 1, M, D).
+
+    Keeps every version instead of a ring of the last B1, and applies the
+    merge's einsum to versions read by time, so each tick's arithmetic is the
+    library's.
+    """
+    hist = np.zeros((T + 1, *np.shape(x0)))
+    hist[0] = x0
+    senders = np.arange(schedule.M)[None, :]
+    for t in range(T):
+        gathered = hist[t - schedule.delay(t), senders]
+        hist[t + 1] = np.einsum("ij,ijd->id", schedule.coeff(t), gathered)
+    return hist
+
+
+def phi_family(schedule, t_end: int) -> np.ndarray:
+    """Impulse weights phi(t, tau) for every 0 <= t <= t_end, -1 <= tau < t.
+
+    Returns F of shape (t_end + 1, t_end + 1, M, M): F[t, k, i, j] is the
+    weight processor i's version at time t puts on the unit injected at
+    processor j at tick tau = k - 1 (k = 0 probes the initial versions).
+    Entries with tau >= t are zero. Records every time of the library's joint
+    impulse propagator, which ``compute_phi`` reads at one time only.
+    """
+    M, n = schedule.M, t_end + 1
+    out = np.zeros((n, M, n * M))
+    for t, lo, x, _, _ in _impulse_blocks(schedule, n, t_end=t_end):
+        out[t, :, lo * M:lo * M + x.shape[1]] = x
+    return out.reshape(n, M, n, M).transpose(0, 2, 1, 3).copy()

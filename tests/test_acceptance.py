@@ -16,14 +16,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dalvq.agreement import AgreementState, agreement_step, phi_family, phi_limit_series
+from dalvq.agreement import phi_limit_series
 from dalvq.baselines import run_clvq, run_lloyd
 from dalvq.diagnostics import compute_metrics, consensus_decay, summarize, theta_series
 from dalvq.engine import RunConfig, StepPolicy, initial_versions, run
 from dalvq.geometry import batched_cell_stats
 from dalvq.measures import DistributionSpec, SampleBatch, make_batch
 from dalvq.schedule import ScheduleSpec, generate, validate
-from oracles import dense_descent
+from oracles import averaging_iteration, dense_descent, phi_family
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -232,11 +232,7 @@ def test_criterion_06_reductions_are_bit_identical():
                      step=StepPolicy("local-clock", 0.5), seed=9, n_ref=50,
                      cadence=50, init="per-processor")
     art2 = run(cfg2)
-    st = AgreementState.initial(art2.x0, max(art2.schedule.B1, 1))
-    snaps = {0: st.current().copy()}
-    for _ in range(300):
-        st = agreement_step(st, art2.schedule)
-        snaps[st.t] = st.current().copy()
+    snaps = averaging_iteration(art2.schedule, art2.x0, 300)
     same = all(np.array_equal(art2.snapshots[k], snaps[int(t)])
                for k, t in enumerate(art2.snap_times))
     if not same:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import dalvq.agreement
-from dalvq.agreement import (AgreementState, _impulse_blocks, agreement_step, compute_phi,
-                             merged_versions, phi_family, phi_limit_series)
+from dalvq.agreement import (_impulse_blocks, _step_matrix, compute_phi, merged_versions,
+                             phi_limit_series)
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.measures import DistributionSpec
 from dalvq.schedule import CommSchedule, ScheduleSpec, generate, read_trace, write_trace
-from oracles import agreement_vector, dense_descent
+from oracles import agreement_vector, dense_descent, phi_family
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -43,15 +43,14 @@ def response_series(sch, tau, n_merges, limit=None):
     given its limit (M,), until every version in the ring, current and
     history, lies within 1e-14 of it. Returns the weights at times tau + 1,
     tau + 2, ..."""
-    M, depth, P = sch.M, sch.B1, sch.cycle
+    M, depth = sch.M, sch.B1
     ring = np.zeros((depth, M, M))
     ring[(tau + 1) % depth] = np.eye(M)
     out = [np.eye(M)]
     for u in range(tau + 1, tau + 1 + n_merges):
         if limit is not None and np.max(np.abs(ring - limit)) < 1e-14:
             break
-        x = merged_versions(sch.coeff_table[u % P], np.minimum(sch.delay_table[u % P], u),
-                            ring, u)
+        x = merged_versions(sch, ring, u)
         ring[(u + 1) % depth] = x
         out.append(x)
     return np.array(out)
@@ -86,6 +85,22 @@ def base_taus(sch):
 # ---- the merge primitive ----
 
 
+def fixed_schedule(coeff, delay, B1):
+    """One merge table repeated every tick."""
+    M = len(coeff)
+    return CommSchedule(M=M, horizon=4, alpha=float(np.min(coeff[coeff > 0])), B1=B1, B2=1,
+                        B3=1, coeff_table=np.array([coeff]), delay_table=np.array([delay]),
+                        active_table=np.ones((1, M), dtype=bool), period=1)
+
+
+def trace_schedule(horizon=20, seed=3):
+    # a gossip schedule read back as a dense trace: its cycle is the horizon
+    coeff, delay, active = gossip_schedule(M=4, horizon=horizon, seed=seed).materialize()
+    return CommSchedule(M=4, horizon=horizon, alpha=float(np.min(coeff[coeff > 0])),
+                        B1=int(delay.max()) + 1, B2=horizon, B3=1, coeff_table=coeff,
+                        delay_table=delay, active_table=active, period=None)
+
+
 class TestMergedVersions:
     def test_hand_example_with_delay(self):
         # ring holds versions for times 0 and 1; processor 0 mixes its current
@@ -93,41 +108,65 @@ class TestMergedVersions:
         ring = np.zeros((2, 2, 1))
         ring[0] = [[1.0], [10.0]]   # time 0
         ring[1] = [[2.0], [20.0]]   # time 1
-        coeff = np.array([[0.5, 0.5], [0.0, 1.0]])
-        delay = np.array([[0, 1], [0, 0]])
-        out = merged_versions(coeff, delay, ring, t=1)
+        sch = fixed_schedule(np.array([[0.5, 0.5], [0.0, 1.0]]), np.array([[0, 1], [0, 0]]), 2)
+        out = merged_versions(sch, ring, t=1)
         assert out[0, 0] == 0.5 * 2.0 + 0.5 * 10.0
         assert out[1, 0] == 20.0
 
     def test_identity_coeff_is_identity(self):
         ring = np.random.default_rng(0).random((3, 4, 5))
-        out = merged_versions(np.eye(4), np.zeros((4, 4), dtype=int), ring, t=2)
+        sch = fixed_schedule(np.eye(4), np.zeros((4, 4), dtype=int), 1)
+        out = merged_versions(sch, ring, t=2)
         assert np.array_equal(out, ring[2])
-
-
-class TestAgreementState:
-    def test_initial_and_current(self):
-        x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        st = AgreementState.initial(x0, depth=3)
-        assert st.t == 0 and st.depth == 3
-        assert np.array_equal(st.current(), x0)
 
     def test_step_is_convex_in_buffered_versions(self):
         sch = ring_schedule(M=4, horizon=30, delay=2)
         rng = np.random.default_rng(1)
-        st = AgreementState.initial(rng.random((4, 3)), max(sch.B1, 1))
-        for _ in range(30):
-            lo = st.ring.min(axis=(0, 1)) - 1e-12
-            hi = st.ring.max(axis=(0, 1)) + 1e-12
-            st = agreement_step(st, sch)
-            assert np.all(st.current() >= lo) and np.all(st.current() <= hi)
-        assert st.t == 30
+        ring = np.zeros((sch.B1, 4, 3))
+        ring[0] = rng.random((4, 3))
+        for t in range(30):
+            lo = ring.min(axis=(0, 1)) - 1e-12
+            hi = ring.max(axis=(0, 1)) + 1e-12
+            ring[(t + 1) % sch.B1] = x = merged_versions(sch, ring, t)
+            assert np.all(x >= lo) and np.all(x <= hi)
 
     def test_depth_below_delay_bound_rejected(self):
         sch = ring_schedule(delay=3)
-        st = AgreementState.initial(np.zeros((3, 2)), depth=2)
         with pytest.raises(ValueError):
-            agreement_step(st, sch)
+            merged_versions(sch, np.zeros((2, 3, 2)), 0)
+
+
+class TestOneMerge:
+    """The merge on the version ring and on the augmented state are one map."""
+
+    CASES = {"ring": lambda: ring_schedule(M=3, horizon=60, delay=2),
+             "gossip": lambda: gossip_schedule(),
+             "complete": lambda: complete_schedule("uniform", horizon=40),
+             "trace": trace_schedule}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_step_matrix_equals_merge(self, case):
+        sch = self.CASES[case]()
+        M, B = sch.M, sch.B1
+        assert int(sch.delay_table.max()) > 0
+        rng = np.random.default_rng(2)
+        for t in range(2 * sch.cycle + B):   # past the horizon for the trace
+            ring = rng.random((B, M, 3))
+            # slot k of the augmented state holds the versions at time t - k
+            aug = ring[(t - np.arange(B)) % B]
+            stepped = (_step_matrix(sch, t) @ aug.reshape(B * M, 3)).reshape(B, M, 3)
+            np.testing.assert_allclose(stepped[0], merged_versions(sch, ring, t),
+                                       rtol=0, atol=1e-15)
+            assert np.array_equal(stepped[1:], aug[:-1])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_accessors_repeat_past_the_horizon(self, case):
+        sch = self.CASES[case]()
+        for t in range(sch.B1, sch.horizon + sch.cycle):
+            assert np.array_equal(sch.coeff(t + sch.cycle), sch.coeff(t))
+            assert np.array_equal(sch.delay(t + sch.cycle), sch.delay(t))
+        with pytest.raises(ValueError):
+            sch.coeff(-1)
 
 
 # ---- impulse weights ----
@@ -178,11 +217,6 @@ class TestPhiFamily:
         fam = phi_family(sch, 12)
         for tau in (-1, 0, 4, 11):
             assert np.array_equal(fam[tau + 1, tau + 1], np.eye(3))
-
-    def test_memory_guard(self):
-        sch = ring_schedule(M=8, horizon=600, delay=1)
-        with pytest.raises(ValueError):
-            phi_family(sch, 600)
 
 
 class TestDecomposition:

@@ -367,6 +367,30 @@ class TestReportCommand:
         cells = lines[1].split(",")
         assert cells[0] == out and cells[1] == "dalvq" and cells[2] == "5"
 
+    @pytest.mark.parametrize("name, text", [
+        ("report.json", "[1, 2]"), ("report.json", "{}"), ("report.json", '"dalvq"'),
+        ("report.json", "{"), ("report.json", None),
+        ("effective-config.json", "[1, 2]"), ("effective-config.json", "null"),
+        ("effective-config.json", None),
+        ("timing.json", "[1, 2]"), ("timing.json", "3.5"), ("timing.json", "{")],
+        ids=lambda v: "missing" if v is None else v)
+    def test_malformed_run_dir(self, tmp_path, capsys, name, text):
+        # every run writes these three as JSON objects, report.json with a mode
+        docs = {"report.json": {"mode": "dalvq"}, "effective-config.json": {"seed": 5},
+                "timing.json": {"total_s": 1.0}}
+        for fname, doc in docs.items():
+            (tmp_path / fname).write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
+        assert main(["report", str(tmp_path)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("io error:")
+
 
 class TestValidateScheduleCommand:
     def test_passing(self, tmp_path):

@@ -306,11 +306,6 @@ class TestConsensusDecay:
         assert 0.0 < rho < 1.0
         assert gaps[-1] < 0.05 * gaps[0]
 
-    def test_horizon_override(self):
-        sch = generate(RING, 3, 80, seed=2)
-        gaps, _ = consensus_decay(sch, np.eye(3), horizon=12)
-        assert gaps.shape == (13,)
-
 
 # ---- Lipschitz probe and the report ----
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
 from dalvq.errors import ConfigError
-from dalvq.geometry import gradient_observation, nearest_cell
+from dalvq.geometry import nearest_cell
 from dalvq.measures import DistributionSpec, StreamHandle, draw_index, make_batch, sample
 from dalvq.schedule import ScheduleSpec, generate, write_trace
-from oracles import descent_term
+from oracles import descent_term, gradient_observation
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -60,7 +60,7 @@ class TestStepPolicy:
         n = np.zeros(3, dtype=int)
         lo, hi = np.inf, 1.0
         for t in range(80):
-            for i in np.flatnonzero(sch.active_mask(t)):
+            for i in sch.active(t):
                 n[i] += 1
                 r = c * max(t, 1) / n[i]
                 lo, hi = min(lo, r), max(hi, r)

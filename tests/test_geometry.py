@@ -10,11 +10,10 @@ from dalvq import diagnostics
 from dalvq.agreement import phi_limit_series
 from dalvq.engine import run
 from dalvq.geometry import (_STACK_CHUNK, QuantizerVec, SampleBatch, _cell_moves,
-                            batched_cell_stats, gradient_observation,
-                            min_component_separation, nearest_cell)
+                            batched_cell_stats, min_component_separation, nearest_cell)
 from dalvq.measures import DistributionSpec
 from dalvq.measures import make_batch as draw_batch
-from oracles import cell_stats, is_parted
+from oracles import cell_stats, gradient_observation, is_parted
 from test_acceptance import big_config
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
