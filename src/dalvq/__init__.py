@@ -9,7 +9,7 @@ the consensus and convergence guarantees of the underlying theory.
 __version__ = "0.1.0"
 
 from .agreement import PhiLimitSeries, PhiTable, compute_phi, phi_limit_series
-from .baselines import BaselineRun, clvq_step, lloyd_step, run_clvq, run_lloyd
+from .baselines import BaselineRun, lloyd_step, run_clvq, run_lloyd
 from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
                           consensus_decay, estimate_lipschitz, summarize, theta_series)
 from .engine import EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick, run
@@ -24,7 +24,7 @@ from .schedule import (CommSchedule, ScheduleSpec, ValidationReport, generate,
 __all__ = [
     "__version__",
     "PhiLimitSeries", "PhiTable", "compute_phi", "phi_limit_series",
-    "BaselineRun", "clvq_step", "lloyd_step", "run_clvq", "run_lloyd",
+    "BaselineRun", "lloyd_step", "run_clvq", "run_lloyd",
     "ConvergenceReport", "RunMetrics", "compute_metrics", "consensus_decay",
     "estimate_lipschitz", "summarize", "theta_series",
     "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick", "run",

@@ -120,9 +120,10 @@ class PhiTable:
 
 
 def compute_phi(schedule: CommSchedule, t: int) -> PhiTable:
-    """Impulse weights at time t for every injection tick tau in [-1, t)."""
-    if not (0 <= t <= schedule.horizon):
-        raise ValueError(f"t must lie in [0, horizon], got {t}")
+    """Impulse weights at time t for every injection tick tau in [-1, t); past
+    the horizon the schedule repeats, as its accessors do."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     for _, _, x, _, _ in _impulse_blocks(schedule, t + 1, t_end=t):
         pass
     return PhiTable(t=t, phi=x.reshape(schedule.M, t + 1, schedule.M).transpose(1, 0, 2).copy())

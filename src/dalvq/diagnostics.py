@@ -25,6 +25,7 @@ import numpy as np
 from .agreement import PhiLimitSeries, merged_versions
 from .baselines import BaselineRun
 from .engine import RunArtifacts
+from . import geometry
 from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
@@ -72,7 +73,6 @@ CSV_COLUMNS = ("t", "consensus_gap", "agreement_gap", "bound_normmaj",
                "sum_eps_grad2", "sum_dm1", "dm2_partial_norm")
 
 _BOUND_SAFETY = 1.1
-_SWEEP_CHUNK = 256        # consecutive ticks per kernel call
 _MART_SAMPLES = 10000     # martingale increments sampled from the event log
 
 
@@ -175,9 +175,10 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     run_dm2 = np.zeros(D)
     run_seg = 0.0
 
-    W_buf = np.empty((min(_SWEEP_CHUNK, T), D))
-    for b0 in range(0, T, _SWEEP_CHUNK):
-        b1 = min(b0 + _SWEEP_CHUNK, T)
+    chunk = geometry._STACK_CHUNK   # one kernel anchor chunk of consecutive ticks
+    W_buf = np.empty((min(chunk, T), D))
+    for b0 in range(0, T, chunk):
+        b1 = min(b0 + chunk, T)
         L = b1 - b0
         W = W_buf[:L]
         for t in range(b0, b1):

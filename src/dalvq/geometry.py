@@ -9,8 +9,9 @@ always partition the data even for degenerate quantizers.
 batch. Stacks that drift slowly, like the per-tick iterates of a run, are
 pruned with exact triangle-inequality bounds against one anchor quantizer per
 chunk, so only the points near a moving cell boundary are scored again. The
-anchor, the rescans and a quantizer the bounds do not serve are all scored in
-the direct form |z - w|^2, so a quantizer gets the same cells on every path.
+anchor, the rescans, a quantizer the bounds do not serve and the one point
+``nearest_cell`` scores are all scored in the direct form |z - w|^2, summed in
+coordinate order, so a point gets the same cell on every path.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class SampleBatch:
 
 
 def nearest_cell(z, w) -> int:
-    """Index of the component closest to z, smallest index on ties.
+    """Index of the component closest to z, smallest index on ties, scored
+    by the kernel's rule (_sq_dist): the cell a scan of a batch gives z.
 
     Duplicate components produce bit-identical distances, so the collapse to
     the first duplicate falls out of first-occurrence argmin.
@@ -123,9 +125,8 @@ def nearest_cell(z, w) -> int:
     z = np.asarray(z, dtype=float)
     if z.shape != comps.shape[1:]:
         raise ValueError(f"point has shape {z.shape}, expected {comps.shape[1:]}")
-    diff = comps - z
-    sq = np.einsum("kd,kd->k", diff, diff)
-    return int(np.argmin(sq))
+    kappa = len(comps)
+    return int(np.argmin(_sq_dist(z, comps.T, np.empty(kappa), np.empty(kappa))))
 
 
 _STACK_CHUNK = 256

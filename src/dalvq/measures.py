@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_numeric
 from .geometry import QuantizerVec, SampleBatch, min_component_separation
 
 __all__ = [
@@ -66,14 +66,6 @@ class StreamHandle:
         return np.random.Generator(np.random.Philox(key=key, counter=ctr))
 
 
-def _numeric(value) -> bool:
-    """Whether value is a number, a numeric array or a list of these; numpy
-    would also read a bool, a numeric string or null as a float."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_numeric, value))
-    return np.asarray(value).dtype.kind in "iuf"
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """A sampling distribution with bounded support of known diameter.
@@ -111,12 +103,13 @@ class DistributionSpec:
 
     def __post_init__(self):
         def freeze(name, value):
-            if not _numeric(value):
-                raise ConfigError(f"{name} must hold only numbers")
             try:
-                arr = np.array(value, dtype=float)
+                arr = np.asarray(value)
             except ValueError as exc:  # ragged nesting
                 raise ConfigError(f"{name} must be a regular array of numbers") from exc
+            if not is_numeric(value, arr):
+                raise ConfigError(f"{name} must hold only numbers")
+            arr = np.array(arr, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             return arr

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, is_numeric, require_int
 from .measures import STREAM_SCHEDULE
 
 __all__ = [
@@ -580,11 +580,6 @@ def write_trace(schedule: CommSchedule, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is or nests a boolean, which numpy reads as 0 or 1."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
-
-
 def read_trace(path: str) -> CommSchedule:
     """Read a dense schedule from JSONL; constants come from the meta record
     when present and are measured from the trace otherwise. A meta B1 below
@@ -638,8 +633,7 @@ def read_trace(path: str) -> CommSchedule:
             raise ConfigError(f"{path}:{line_no}: coeff/delay must be {M}x{M}") from exc
         if c.shape != (M, M) or d.shape != (M, M):
             raise ConfigError(f"{path}:{line_no}: coeff/delay must be {M}x{M}")
-        if c.dtype.kind not in "iuf" or d.dtype.kind not in "iu" \
-                or _holds_bool(rec["coeff"]) or _holds_bool(rec["delay"]):
+        if not (is_numeric(rec["coeff"], c) and is_numeric(rec["delay"], d, "iu")):
             raise ConfigError(f"{path}:{line_no}: coeff must hold numbers and delay integers")
         coeff[k], delay[k] = c, d
         act = rec["active"]

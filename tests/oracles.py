@@ -11,6 +11,7 @@ import numpy as np
 
 from dalvq.agreement import _impulse_blocks
 from dalvq.geometry import min_component_separation, nearest_cell
+from dalvq.measures import StreamHandle, draw_index, init_quantizer, make_batch, sample
 
 
 def cell_stats(comps, points) -> tuple:
@@ -62,6 +63,28 @@ def gradient_observation(z, w) -> np.ndarray:
 def descent_term(z: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
     """-eps times the winner-takes-all gradient observation, shape (kappa, dim)."""
     return -eps * gradient_observation(z, w)
+
+
+def clvq_step(w: np.ndarray, z: np.ndarray, eps: float) -> np.ndarray:
+    """One online tick: pull the winning component toward the sample."""
+    comp = nearest_cell(z, w)
+    new = np.array(w, dtype=float)
+    new[comp] = w[comp] + -eps * (w[comp] - z)
+    return new
+
+
+def sequential_clvq(dist, kappa: int, horizon: int, seed: int, c: float,
+                    replay_from_batch: bool = False, n_ref: int = 2000) -> np.ndarray:
+    """The sequential online law as a plain loop: from the shared init, draw t
+    of stream 0 (or the batch point it indexes) moves the winner with step
+    c / (t or 1), t = 0 .. horizon-1. Returns the final (kappa, dim) quantizer."""
+    batch = make_batch(dist, seed, n_ref)
+    w = np.array(init_quantizer(dist, kappa, seed).components)
+    for t in range(horizon):
+        draw = StreamHandle(seed, 0, t)
+        z = batch.points[draw_index(batch.n, draw)] if replay_from_batch else sample(dist, draw)
+        w = clvq_step(w, z, c / max(t, 1))
+    return w
 
 
 def is_parted(q, delta: float) -> bool:

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from dalvq.agreement import phi_limit_series
-from dalvq.baselines import run_clvq, run_lloyd
+from dalvq.baselines import run_lloyd
 from dalvq.diagnostics import compute_metrics, consensus_decay, summarize, theta_series
 from dalvq.engine import RunConfig, StepPolicy, initial_versions, run
 from dalvq.geometry import batched_cell_stats
 from dalvq.measures import DistributionSpec, SampleBatch, make_batch
 from dalvq.schedule import ScheduleSpec, generate, validate
-from oracles import averaging_iteration, dense_descent, phi_family
+from oracles import averaging_iteration, dense_descent, phi_family, sequential_clvq
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -222,8 +222,8 @@ def test_criterion_06_reductions_are_bit_identical():
                     step=StepPolicy("global-clock", 0.3), seed=3, n_ref=500,
                     cadence=2000, init="shared")
     art = run(cfg)
-    base = run_clvq(BOX, 4, 10_000, seed=3, c=0.3, n_ref=500)
-    if not np.array_equal(art.final[0].reshape(4, 2), base.quantizer.components):
+    base = sequential_clvq(BOX, 4, 10_000, seed=3, c=0.3, n_ref=500)
+    if not np.array_equal(art.final[0].reshape(4, 2), base):
         fails.append("M=1 trajectory differs from the sequential baseline")
     # no descent anywhere: the pure averaging iteration
     idle = ScheduleSpec(topology="ring", merge_period=2, delay_law="fixed",

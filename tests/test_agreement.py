@@ -66,9 +66,8 @@ def complete_schedule(delay_law, horizon=1500):
 
 def receiver_means(sch, t, taus):
     """Receiver means of the exact weights at time t, for tau in [-1, taus - 1),
-    of a copy of sch with the same tables and a horizon of at least t, and
-    their largest spread across receivers."""
-    tab = compute_phi(dataclasses.replace(sch, horizon=max(t, sch.horizon)), t)
+    and their largest spread across receivers."""
+    tab = compute_phi(sch, t)
     phi = tab.phi[:taus]
     return np.mean(phi, axis=1), float(np.max(np.ptp(phi, axis=1)))
 
@@ -261,6 +260,16 @@ class TestImpulseOracle:
                 want = response_series(sch, tau, t - tau - 1)[-1]
                 assert np.array_equal(tab.at(tau), want), (t, tau)
                 assert np.array_equal(fam[t, tau + 1], want), (t, tau)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tables_past_the_horizon(self, case):
+        # the schedule repeats past its horizon, and so do the tables
+        sch = self.CASES[case]()
+        t = sch.horizon + 2 * sch.cycle + 1
+        tab = compute_phi(sch, t)
+        for tau in range(-1, t):
+            want = response_series(sch, tau, t - tau - 1)[-1]
+            assert np.array_equal(tab.at(tau), want), tau
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_limits_equal_single_runs(self, case):

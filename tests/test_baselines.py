@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dalvq.baselines import clvq_step, lloyd_step, run_clvq, run_lloyd
+from dalvq.baselines import lloyd_step, run_clvq, run_lloyd
 from dalvq.errors import ConfigError
 from dalvq.geometry import SampleBatch, batched_cell_stats
 from dalvq.measures import DistributionSpec, make_batch
+from oracles import clvq_step, sequential_clvq
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -42,6 +43,15 @@ class TestRunClvq:
     def test_validation(self):
         with pytest.raises(ConfigError):
             run_clvq(BOX, 4, 10, seed=0, c=1.5)
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_equals_sequential_loop(self, replay):
+        box3 = DistributionSpec.uniform_box([0.0] * 3, [1.0] * 3)
+        got = run_clvq(box3, 5, 2000, seed=4, c=0.4, replay_from_batch=replay, n_ref=300)
+        want = sequential_clvq(box3, 5, 2000, seed=4, c=0.4, replay_from_batch=replay,
+                               n_ref=300)
+        assert np.array_equal(got.quantizer.components, want)
+        assert got.iterations == 2000
 
     def test_improves_on_long_horizon(self):
         short = run_clvq(BOX, 4, 50, seed=7, c=0.5, n_ref=1500)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -231,22 +232,106 @@ class TestDeterminism:
 # ---- exit codes ----
 
 
+PREFIX = {EXIT_CONFIG: "config error:", EXIT_SCHEDULE: "schedule error:", EXIT_IO: "io error:"}
+
+
+def run_args(tmp_path, config, *extra, command="run"):
+    """Arguments of `command` on the config file config, with --out under
+    tmp_path for `run`."""
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    return [command, "--config", str(config), *out, *extra]
+
+
+def edited_config(tmp_path, path, value):
+    """The config file of config_doc() with the field at path set to value,
+    which may make it invalid: JSON keeps NaN and Infinity."""
+    doc = node = config_doc()
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return write_config(tmp_path, doc)
+
+
+def text_file(tmp_path, text, name="config.json"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def trace_config(tmp_path, edit=None, trace_path=None):
+    """A custom-trace config reading the 40-tick ring trace, after
+    edit(lines) rewrote its lines, or reading trace_path instead."""
+    path = tmp_path / "trace.jsonl"
+    if trace_path is None:
+        write_trace(generate(RING, 3, 40, seed=5), str(path))
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+    spec = ScheduleSpec(topology="custom-trace", trace_path=str(trace_path or path))
+    return write_config(tmp_path, config_doc(sched=spec))
+
+
+# Each row builds its argv from tmp_path; a read-only --out needs a user
+# whose writes the file mode stops, so it is not a row (root writes anyway).
+FAULTS = [
+    ("config-missing", EXIT_IO, lambda p: run_args(p, p / "nope.json")),
+    ("config-truncated", EXIT_IO,
+     lambda p: run_args(p, text_file(p, json.dumps(config_doc())[:60]))),
+    ("config-not-object", EXIT_CONFIG, lambda p: run_args(p, text_file(p, "[1, 2]"))),
+    ("config-directory", EXIT_IO, lambda p: run_args(p, p)),
+    ("out-is-file", EXIT_IO,
+     lambda p: ["run", "--config", write_config(p, config_doc()),
+                "--out", text_file(p, "x", "taken")]),
+    ("out-under-file", EXIT_IO,
+     lambda p: ["run", "--config", write_config(p, config_doc()),
+                "--out", os.path.join(text_file(p, "x", "taken"), "o")]),
+    ("validate-schedule-out-directory", EXIT_IO,
+     lambda p: run_args(p, write_config(p, config_doc()), "--out", str(p),
+                        command="validate-schedule")),
+    ("phi-table-out-directory", EXIT_IO,
+     lambda p: run_args(p, write_config(p, config_doc()), "--out", str(p), command="phi-table")),
+    ("phi-table-t-negative", EXIT_CONFIG,
+     lambda p: run_args(p, write_config(p, config_doc()), "--t", "-1", command="phi-table")),
+    ("phi-table-t-past-horizon", EXIT_CONFIG,
+     lambda p: run_args(p, write_config(p, config_doc()), "--t", "41", command="phi-table")),
+    ("trace-missing", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, trace_path=p / "none.jsonl"))),
+    ("trace-directory", EXIT_CONFIG, lambda p: run_args(p, trace_config(p, trace_path=p))),
+    ("trace-empty", EXIT_CONFIG, lambda p: run_args(p, trace_config(p, lambda lines: []))),
+    ("trace-meta-only", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: lines[:1]))),
+    ("trace-short", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: lines[:21]))),
+    ("trace-truncated-line", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: lines[:-1] + [lines[-1][:25]]))),
+    ("seed-2**70", EXIT_CONFIG,
+     lambda p: run_args(p, write_config(p, config_doc()), "--seed", str(2**70))),
+    ("box-bound-infinite", EXIT_CONFIG,
+     lambda p: run_args(p, edited_config(p, ("dist", "high"), [1.0, math.inf]))),
+    ("M-zero", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("M",), 0))),
+    ("trace-path-integer", EXIT_CONFIG,
+     lambda p: run_args(p, edited_config(p, ("sched", "trace_path"), 5))),
+    ("step-c-nan", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("step", "c"), math.nan))),
+    ("report-missing-run-dir", EXIT_IO, lambda p: ["report", str(p / "none")]),
+    ("report-empty-run-dir", EXIT_IO, lambda p: ["report", str(p)]),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, code", [pytest.param(make, code, id=name)
+                                            for name, code, make in FAULTS])
+    def test_fault_matrix(self, tmp_path, capsys, argv, code):
+        # bad input never gives a traceback: an exit code of 2, 3 or 4 and
+        # exactly one stderr line naming the kind of error
+        got = main(argv(tmp_path))
+        err = capsys.readouterr().err.splitlines()
+        assert got == code
+        assert len(err) == 1 and err[0].startswith(PREFIX[code]), err
+
     def test_config_error(self, tmp_path):
         doc = config_doc()
         doc["bogus"] = 1
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-
-    def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "o")]) == EXIT_IO
-
-    def test_malformed_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == EXIT_IO
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -417,11 +502,6 @@ class TestPhiTableCommand:
         assert len(payload["limits"]["phi_init"]) == 3
         taus = {rec["tau"] for rec in payload["records"]}
         assert -1 in taus and 11 in taus
-
-    def test_t_out_of_range(self, tmp_path):
-        cfg = write_config(tmp_path, config_doc())
-        assert main(["phi-table", "--config", cfg, "--t", "41",
-                     "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
 
 
 class TestWithoutScipy:

@@ -267,7 +267,7 @@ class TestComputeMetrics:
 
     def test_chunk_independence(self, small, monkeypatch):
         art, limits, met = small
-        monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK", 7)
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", 7)
         alt = compute_metrics(art, limits)
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_allclose(getattr(alt, name), getattr(met, name),

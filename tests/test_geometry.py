@@ -95,6 +95,22 @@ class TestNearestCell:
         q = QuantizerVec([[0.0], [1.0]])
         assert nearest_cell(np.array([0.9]), q) == 1
 
+    def test_reflected_near_ties_score_as_the_kernel(self):
+        # two components mirrored through z are equidistant from it in exact
+        # arithmetic, so which one wins turns on rounding: the scorer must
+        # round as the kernel's scan does, summing coordinates in order
+        rng = np.random.default_rng(12)
+        differ = []
+        for dim in range(3, 9):
+            for _ in range(3000):
+                z = rng.random(dim)
+                u = rng.normal(size=dim)
+                w = np.array([z + u, z - u, z + 4.0 * rng.normal(size=dim)])
+                w = w[rng.permutation(3)]
+                if nearest_cell(z, w) != cell_stats(w, z[None])[4][0]:
+                    differ.append(dim)
+        assert not differ, f"{len(differ)} of 18000 cases differ, at dims {sorted(set(differ))}"
+
 
 class TestGradientObservation:
     def test_single_nonzero_row(self):

@@ -73,6 +73,16 @@ class TestDistributionSpec:
                                               covs=[[[1.0, 2.0], [2.0, 1.0]]],
                                               low=[-5.0, -5.0], high=[5.0, 5.0])
 
+    @pytest.mark.parametrize("bad", [["a", 0.0], ["0.0", "0.0"], [None, 0.0], "1.0", True,
+                                     [True, 1.0], (True, 1.0), [np.True_, 1.0], [[0.0], 0.0],
+                                     [2**70, 1.0]], ids=repr)
+    def test_bounds_hold_only_numbers(self, bad):
+        # numpy reads a bool among numbers as 0 or 1, so the rule scans for one
+        with pytest.raises(ConfigError):
+            DistributionSpec.uniform_box(bad, [1.0, 1.0])
+        spec = DistributionSpec.uniform_box([0, 0], (1, 1.0))
+        assert spec.low.dtype == spec.high.dtype == float
+
     def test_disk_validation(self):
         with pytest.raises(ConfigError):
             DistributionSpec.disk_union(centers=[[0.0, 0.0]], radii=[0.0])
