@@ -6,8 +6,9 @@ Everything here is a pure post-pass over run artifacts. The expensive parts
 of consecutive ticks' w*(t), then the pre-merge versions of that chunk's
 events. Consecutive iterates move by O(1/t), so the kernel's anchor bounds
 leave few reference points to rescan and a quantizer costs about a thirtieth
-of a full scan. The per-tick bookkeeping (agreement recursion, perturbation
-partial sums) is a single chronological sweep over the event log.
+of a full scan. The per-tick bookkeeping (the agreement trajectory, the
+perturbation partial sums) is a prefix sum over each chunk's events, in
+event order, and each recorded tick reads its row by one gather.
 
 Cumulative columns follow one convention: the value reported at tick t sums
 contributions of ticks tau < t, matching the agreement recursion whose value
@@ -121,9 +122,11 @@ def _spread(x: np.ndarray) -> np.ndarray:
 def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     """One chronological sweep computing every diagnostic series.
 
-    Needs the run's event log; the agreement trajectory is rebuilt tick by
-    tick from the limit weights and each descent event, and all distortion or
-    gradient evaluations go through the batched kernel.
+    Needs the run's event log. The sweep walks the kernel's anchor chunks of
+    consecutive ticks; in each, the agreement trajectory w*(t) and the
+    perturbation partial sums are prefix sums over the chunk's events, in
+    event order, and all distortion or gradient evaluations go through the
+    batched kernel.
     """
     cfg = art.config
     T, M, kappa, dim, D = cfg.horizon, cfg.M, cfg.kappa, cfg.dim, cfg.width
@@ -137,111 +140,99 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     # per-event quantities
     wb = ev.w_before.reshape(ev.n, kappa, dim)
     wb_comp = wb[np.arange(ev.n), ev.comp]                     # (n_ev, dim)
-    s_evt = -ev.eps[:, None] * (wb_comp - ev.z)                # descent rows
-    phi_evt = limits.phi[ev.t, ev.proc] if ev.n else np.zeros(0)
+    phi_evt = limits.phi[ev.t, ev.proc]
     coef_evt = phi_evt * ev.eps
+    step_evt = phi_evt[:, None] * (-ev.eps[:, None] * (wb_comp - ev.z))   # phi * s
 
-    eps_star_all = np.zeros(max(T, 1))
-    n_active = np.zeros(max(T, 1))
-    if ev.n:
-        np.add.at(eps_star_all, ev.t, coef_evt)
-        np.add.at(n_active, ev.t, 1.0)
+    eps_star_all = np.bincount(ev.t, weights=coef_evt, minlength=T + 1)
+    n_active = np.bincount(ev.t, minlength=T + 1)
     starts = np.searchsorted(ev.t, np.arange(T + 1))
 
     # martingale increment sampling: evenly spaced over the event log
-    n_s = min(_MART_SAMPLES, ev.n)
     smask = np.zeros(ev.n, dtype=bool)
-    if n_s:
-        smask[np.unique(np.linspace(0, ev.n - 1, n_s).astype(int))] = True
-    n_s = int(smask.sum())
-    mart_rows = np.empty((n_s, D))
+    smask[np.unique(np.linspace(0, ev.n - 1, min(_MART_SAMPLES, ev.n)).astype(int))] = True
+    mart_rows = np.empty((int(smask.sum()), D))
     mart_cursor = 0
 
     times = art.snap_times
     n_rec = len(times)
-    rec_of = {int(t): k for k, t in enumerate(times)}
     out = {name: np.zeros(n_rec) for name in CSV_COLUMNS[1:]}
     w_star_rec = np.empty((n_rec, D))
+    dm_rec = np.empty((n_rec, 2, D))      # the dm1 and dm2 partial sums
 
     theta_all = theta_series(T + 1, limits.rho_hat)
     bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
 
-    tick_w = np.maximum(np.arange(max(T, 1)), 1).astype(float)
+    tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
     env_cum = np.cumsum(n_active / tick_w**2)
     env_coef = 4.0 * kappa * diam**2 * art.K2**2
 
+    # Each prefix sum below runs behind a -0.0 row or over -0.0 fill, since
+    # x + (-0.0) keeps every bit of x: row p then holds the first p events'
+    # sum, added in the order a loop over the events would add them.
     w_star = limits.phi_init @ art.x0
-    run_dm1 = np.zeros(D)
-    run_dm2 = np.zeros(D)
+    run_dm = np.zeros((2, D))
     run_seg = 0.0
 
     chunk = geometry._STACK_CHUNK   # one kernel anchor chunk of consecutive ticks
-    W_buf = np.empty((min(chunk, T), D))
     for b0 in range(0, T, chunk):
         b1 = min(b0 + chunk, T)
         L = b1 - b0
-        W = W_buf[:L]
-        for t in range(b0, b1):
-            W[t - b0] = w_star
-            for e in range(starts[t], starts[t + 1]):
-                lo = int(ev.comp[e]) * dim
-                w_star[lo:lo + dim] += phi_evt[e] * s_evt[e]
+        e0, e1 = int(starts[b0]), int(starts[b1])
+        E = e1 - e0
+        evs = slice(e0, e1)
+        ev_rows = np.arange(E)
+
+        # w* before each of the chunk's events, and after the last
+        acc = np.full((E + 1, D), -0.0)
+        acc[0] = w_star
+        acc.reshape(E + 1, kappa, dim)[ev_rows + 1, ev.comp[evs]] = step_evt[evs]
+        np.cumsum(acc, axis=0, out=acc)
+        W = acc[starts[b0:b1] - e0]
+        w_star = acc[E]
 
         dist_b, grad_b, _, _ = batched_cell_stats(W.reshape(L, kappa, dim), batch)
         gn2_b = np.einsum("ckd,ckd->c", grad_b, grad_b)
-        seg_b = np.cumsum(eps_star_all[b0:b1] * gn2_b)
+        seg = np.cumsum(np.concatenate(([-0.0], eps_star_all[b0:b1] * gn2_b)))
 
-        e0, e1 = int(starts[b0]), int(starts[b1])
-        E = e1 - e0
-        if E:
-            # in place from here: each event-chunk array is a fresh mapping
-            # once E * width passes glibc's 128 KB mmap threshold
-            _, h_evt, _, _ = batched_cell_stats(wb[e0:e1], batch)
-            cview = coef_evt[e0:e1][:, None, None]
-            dm1 = grad_b[ev.t[e0:e1] - b0]                      # h* per event
-            dm1 -= h_evt
-            dm1 *= cview
-            inc = h_evt                                         # h - H per event
-            inc[np.arange(E), ev.comp[e0:e1]] -= wb_comp[e0:e1] - ev.z[e0:e1]
-            sel = np.flatnonzero(smask[e0:e1])
-            if len(sel):
-                mart_rows[mart_cursor:mart_cursor + len(sel)] = \
-                    inc[sel].reshape(len(sel), D)
-                mart_cursor += len(sel)
-            inc *= cview
-            cs1 = np.cumsum(dm1.reshape(E, D), axis=0, out=dm1.reshape(E, D))
-            cs2 = np.cumsum(inc.reshape(E, D), axis=0, out=inc.reshape(E, D))
+        _, h_evt, _, _ = batched_cell_stats(wb[evs], batch)
+        dm = np.full((E + 1, 2, kappa, dim), -0.0)
+        dm1, dm2 = dm[1:, 0], dm[1:, 1]
+        cview = coef_evt[evs, None, None]
+        dm1[...] = grad_b[ev.t[evs] - b0]                        # h* per event
+        dm1 -= h_evt
+        dm1 *= cview
+        inc = h_evt                                              # h - H per event
+        inc[ev_rows, ev.comp[evs]] -= wb_comp[evs] - ev.z[evs]
+        picked = inc[smask[evs]]
+        mart_rows[mart_cursor:mart_cursor + len(picked)] = picked.reshape(-1, D)
+        mart_cursor += len(picked)
+        np.multiply(inc, cview, out=dm2)
+        dm = dm.reshape(E + 1, 2, D)
+        np.cumsum(dm, axis=0, out=dm)
 
-        for t in range(b0, b1):
-            k = rec_of.get(t)
-            if k is None:
-                continue
-            w_star_rec[k] = W[t - b0]
-            out["distortion_star"][k] = dist_b[t - b0]
-            out["grad_norm_star"][k] = math.sqrt(gn2_b[t - b0])
-            out["eps_star"][k] = eps_star_all[t]
-            out["sum_eps_grad2"][k] = run_seg + (seg_b[t - b0 - 1] if t > b0 else 0.0)
-            p = int(starts[t]) - e0
-            v1 = run_dm1 + (cs1[p - 1] if (E and p > 0) else 0.0)
-            v2 = run_dm2 + (cs2[p - 1] if (E and p > 0) else 0.0)
-            out["sum_dm1"][k] = float(np.linalg.norm(v1))
-            out["dm2_partial_norm"][k] = float(np.linalg.norm(v2))
+        # the chunk's recorded ticks, by one gather each
+        ks = slice(*np.searchsorted(times, [b0, b1]))
+        rec = times[ks]
+        w_star_rec[ks] = W[rec - b0]
+        out["distortion_star"][ks] = dist_b[rec - b0]
+        out["grad_norm_star"][ks] = np.sqrt(gn2_b[rec - b0])
+        out["sum_eps_grad2"][ks] = run_seg + seg[rec - b0]
+        dm_rec[ks] = run_dm + dm[starts[rec] - e0]
 
-        run_seg += float(seg_b[-1]) if L else 0.0
-        if E:
-            run_dm1 += cs1[-1]
-            run_dm2 += cs2[-1]
+        run_seg += float(seg[L])
+        run_dm += dm[E]
 
     # final recorded tick (the horizon itself)
-    k = rec_of[T]
-    w_star_rec[k] = w_star
+    w_star_rec[-1] = w_star
     dist_f, grad_f, _, _ = batched_cell_stats(w_star.reshape(1, kappa, dim), batch)
-    out["distortion_star"][k] = dist_f[0]
-    out["grad_norm_star"][k] = float(np.linalg.norm(grad_f))
-    out["eps_star"][k] = 0.0
-    out["sum_eps_grad2"][k] = run_seg
-    out["sum_dm1"][k] = float(np.linalg.norm(run_dm1))
-    out["dm2_partial_norm"][k] = float(np.linalg.norm(run_dm2))
+    out["distortion_star"][-1] = dist_f[0]
+    out["grad_norm_star"][-1] = float(np.linalg.norm(grad_f))
+    out["sum_eps_grad2"][-1] = run_seg
+    dm_rec[-1] = run_dm
+    out["eps_star"][:] = eps_star_all[times]      # no event falls at the horizon
+    out["sum_dm1"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 0]]
+    out["dm2_partial_norm"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 1]]
 
     # series that need no sweep
     snaps = art.snapshots
@@ -277,7 +268,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
                       dm2_envelope=env,
                       eps_ratio_min=r_min, eps_ratio_min_t=t_min,
                       eps_ratio_max=r_max, eps_ratio_max_t=t_max,
-                      eps_star_total=float(np.sum(eps_star_all)),
+                      eps_star_total=float(np.sum(eps_star_all[:T])),
                       mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma,
                       mart_n=len(mart), **out)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agreement import merged_versions
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, strict_object
 from .geometry import SampleBatch, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
                        draw_index, init_quantizer, make_batch, sample)
@@ -65,14 +65,7 @@ class StepPolicy:
 
     @staticmethod
     def from_dict(data: dict) -> "StepPolicy":
-        if not isinstance(data, dict):
-            raise ConfigError("step policy must be an object")
-        unknown = set(data) - {"kind", "c"}
-        if unknown:
-            raise ConfigError(f"unknown step policy fields: {sorted(unknown)}")
-        if "kind" not in data or "c" not in data:
-            raise ConfigError("step policy needs 'kind' and 'c'")
-        return StepPolicy(kind=data["kind"], c=data["c"])
+        return StepPolicy(**strict_object("step policy", data, ("kind", "c")))
 
 
 _INT_FIELDS = ("M", "kappa", "dim", "horizon", "seed", "n_ref", "cadence")
@@ -130,15 +123,9 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        fields = {"M", "kappa", "dim", "horizon", "dist", "sched", "step", "seed",
-                  "n_ref", "cadence", "replay_from_batch", "init"}
-        unknown = set(data) - fields
-        if unknown:
-            raise ConfigError(f"unknown run config fields: {sorted(unknown)}")
-        missing = {"M", "kappa", "dim", "horizon", "dist", "sched", "step", "seed"} - set(data)
-        if missing:
-            raise ConfigError(f"run config missing fields: {sorted(missing)}")
-        kw = dict(data)
+        kw = dict(strict_object("run config", data,
+                                ("M", "kappa", "dim", "horizon", "dist", "sched", "step", "seed"),
+                                ("n_ref", "cadence", "replay_from_batch", "init")))
         kw["dist"] = DistributionSpec.from_dict(kw["dist"])
         kw["sched"] = ScheduleSpec.from_dict(kw["sched"])
         kw["step"] = StepPolicy.from_dict(kw["step"])

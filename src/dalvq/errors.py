@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and number rules."""
+"""Exception types shared across the package, and the object, integer and number rules."""
 
 import numpy as np
 
@@ -15,6 +15,21 @@ def require_int(name: str, value) -> None:
     """A config integer: not a bool, a float or a string, and below 2**63."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value > 2**63 - 1:
         raise ConfigError(f"{name} must be an integer below 2**63, got {value!r}")
+
+
+def strict_object(what: str, data, required, optional=()) -> dict:
+    """data, a JSON object with every required field and no field outside
+    required and optional. A dict built in Python may mix key types, so the
+    unknown ones are listed in the order of their str."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(data) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {sorted(unknown, key=str)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ConfigError(f"{what} missing field(s): {sorted(missing)}")
+    return data
 
 
 def is_numeric(value, arr: np.ndarray, kinds: str = "iuf") -> bool:

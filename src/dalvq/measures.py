@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, is_numeric
+from .errors import ConfigError, is_numeric, strict_object
 from .geometry import QuantizerVec, SampleBatch, min_component_separation
 
 __all__ = [
@@ -41,6 +41,9 @@ _MAX_INIT_ROUNDS = 1000
 _UNIFORM_BOX = "uniform-box"
 _GAUSS_MIX = "truncated-gaussian-mixture"
 _DISK_UNION = "uniform-disk-union"
+_FIELDS = {_UNIFORM_BOX: ("kind", "low", "high"),
+           _GAUSS_MIX: ("kind", "weights", "means", "covs", "low", "high"),
+           _DISK_UNION: ("kind", "centers", "radii")}
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ class DistributionSpec:
     centers: np.ndarray = None
     radii: np.ndarray = None
     _chols: np.ndarray = field(repr=False, compare=False, default=None)
+    _cdf: np.ndarray = field(repr=False, compare=False, default=None)   # component choice
 
     # ---- constructors ----
 
@@ -148,6 +152,7 @@ class DistributionSpec:
                 raise ConfigError("each covariance must be symmetric positive definite") from exc
             chols.flags.writeable = False
             object.__setattr__(self, "_chols", chols)
+            object.__setattr__(self, "_cdf", _categorical(w))
         elif self.kind == _DISK_UNION:
             if self.centers is None or self.radii is None:
                 raise ConfigError("disk union needs centers and radii")
@@ -159,6 +164,8 @@ class DistributionSpec:
                 raise ConfigError("disk centers and radii must be finite")
             if r.shape != (c.shape[0],) or np.any(r <= 0):
                 raise ConfigError("radii must be positive, one per center")
+            areas = r**2
+            object.__setattr__(self, "_cdf", _categorical(areas / np.sum(areas)))
         elif self.kind != _UNIFORM_BOX:
             raise ConfigError(f"unknown distribution kind: {self.kind!r}")
 
@@ -220,24 +227,20 @@ class DistributionSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "DistributionSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ConfigError("distribution must be an object with a 'kind' field")
-        kind = data["kind"]
-        allowed = {
-            _UNIFORM_BOX: {"kind", "low", "high"},
-            _GAUSS_MIX: {"kind", "weights", "means", "covs", "low", "high"},
-            _DISK_UNION: {"kind", "centers", "radii"},
-        }
-        if not isinstance(kind, str) or kind not in allowed:
+        # every field passes this first check; the kind then names the allowed ones
+        kind = strict_object("distribution", data, ("kind",), data)["kind"]
+        if not isinstance(kind, str) or kind not in _FIELDS:
             raise ConfigError(f"unknown distribution kind: {kind!r}")
-        unknown = set(data) - allowed[kind]
-        if unknown:
-            raise ConfigError(f"unknown distribution field(s): {sorted(unknown)}")
-        missing = allowed[kind] - set(data)
-        if missing:
-            raise ConfigError(f"distribution missing field(s): {sorted(missing)}")
-        body = {k: v for k, v in data.items() if k != "kind"}
-        return DistributionSpec(kind=kind, **body)
+        return DistributionSpec(**strict_object(f"{kind} distribution", data, _FIELDS[kind]))
+
+
+def _categorical(p: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of the probabilities p, its last entry set to
+    exactly 1 so that every uniform draw in [0, 1) finds a component."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    cum.flags.writeable = False
+    return cum
 
 
 def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
@@ -251,9 +254,7 @@ def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
         u = g.random(spec.dim)
         z = spec.low + u * (spec.high - spec.low)
     elif spec.kind == _GAUSS_MIX:
-        cum = np.cumsum(spec.weights)
-        cum[-1] = 1.0
-        comp = int(np.searchsorted(cum, g.random(), side="right"))
+        comp = int(np.searchsorted(spec._cdf, g.random(), side="right"))
         mean = spec.means[comp]
         chol = spec._chols[comp]
         for _ in range(_MAX_REJECTION_ATTEMPTS):
@@ -265,10 +266,7 @@ def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
                 "truncation box rejects virtually all mass of component "
                 f"{comp}; loosen the box or move the component")
     else:  # disk union, area-weighted disk choice
-        areas = spec.radii**2
-        cum = np.cumsum(areas / np.sum(areas))
-        cum[-1] = 1.0
-        disk = int(np.searchsorted(cum, g.random(), side="right"))
+        disk = int(np.searchsorted(spec._cdf, g.random(), side="right"))
         r = spec.radii[disk] * np.sqrt(g.random())
         ang = 2.0 * np.pi * g.random()
         z = spec.centers[disk] + r * np.array([np.cos(ang), np.sin(ang)])

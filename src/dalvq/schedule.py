@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, is_numeric, require_int
-from .measures import STREAM_SCHEDULE
+from .errors import ConfigError, is_numeric, require_int, strict_object
+from .measures import STREAM_SCHEDULE, StreamHandle
 
 __all__ = [
     "CommSchedule",
@@ -94,16 +94,9 @@ class ScheduleSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ScheduleSpec":
-        if not isinstance(data, dict):
-            raise ConfigError("schedule must be an object")
-        allowed = {"topology", "merge_period", "delay_law", "delay_value",
-                   "activity", "base_window", "trace_path"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown schedule field(s): {sorted(unknown)}")
-        if "topology" not in data:
-            raise ConfigError("schedule missing field 'topology'")
-        return ScheduleSpec(**data)
+        return ScheduleSpec(**strict_object(
+            "schedule", data, ("topology",),
+            ("merge_period", "delay_law", "delay_value", "activity", "base_window", "trace_path")))
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,7 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
         periods.append(spec.base_window)
     P = math.lcm(*periods)
 
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, STREAM_SCHEDULE],
-                                                          dtype=np.uint64)))
+    g = StreamHandle(seed, STREAM_SCHEDULE).generator()
     coeff = np.zeros((P, M, M))
     delay = np.zeros((P, M, M), dtype=np.int64)
     active = np.zeros((P, M), dtype=bool)

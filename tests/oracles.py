@@ -138,6 +138,28 @@ def agreement_vector(limits, initial: np.ndarray, descent: Optional[np.ndarray],
     return out.reshape(shape)
 
 
+def agreement_trajectory(art, limits) -> np.ndarray:
+    """w*(t) at each recorded tick of a run, (n_rec, width), by the per-event
+    loop: w*(0) = phi_init @ x0, and each descent event, in log order, adds
+    phi[t, proc] times its descent term to its winning component's slice.
+    w*(t) is read before tick t's events."""
+    cfg, ev = art.config, art.events
+    wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
+    s_evt = -ev.eps[:, None] * (wb[np.arange(ev.n), ev.comp] - ev.z)
+    phi_evt = limits.phi[ev.t, ev.proc]
+    rec_of = {int(t): k for k, t in enumerate(art.snap_times)}
+    out = np.empty((len(rec_of), cfg.width))
+    starts = np.searchsorted(ev.t, np.arange(cfg.horizon + 2))
+    w = limits.phi_init @ art.x0
+    for t in range(cfg.horizon + 1):
+        if t in rec_of:
+            out[rec_of[t]] = w
+        for e in range(starts[t], starts[t + 1]):
+            lo = int(ev.comp[e]) * cfg.dim
+            w[lo:lo + cfg.dim] += phi_evt[e] * s_evt[e]
+    return out
+
+
 def communication_graph(schedule, t: int) -> list:
     """Directed edges (sender, receiver) present at tick t, sorted."""
     c = schedule.coeff(t)

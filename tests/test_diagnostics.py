@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
 from dalvq.engine import EventLog, RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
-from dalvq.schedule import ScheduleSpec, generate
-from oracles import agreement_vector, dense_descent, theta
+from dalvq.schedule import ScheduleSpec, generate, write_trace
+from oracles import agreement_trajectory, agreement_vector, dense_descent, theta
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -83,6 +84,10 @@ class TestTheta:
 
 
 # ---- the cell-statistics kernel the sweep resolves ----
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def kernel(w, batch):
@@ -272,7 +277,8 @@ class TestComputeMetrics:
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_allclose(getattr(alt, name), getattr(met, name),
                                        rtol=1e-11, atol=1e-18)
-        np.testing.assert_allclose(alt.w_star_rec, met.w_star_rec, atol=1e-13)
+        # w* does not go through the kernel, so its chunks leave no trace
+        assert same_bits(alt.w_star_rec, met.w_star_rec)
 
     def test_csv_round_trip(self, small, tmp_path):
         _, _, met = small
@@ -283,6 +289,70 @@ class TestComputeMetrics:
         np.testing.assert_array_equal(rows["t"], met.times)
         np.testing.assert_array_equal(rows["agreement_gap"], met.agreement_gap)
         np.testing.assert_array_equal(rows["dm2_partial_norm"], met.dm2_partial_norm)
+
+
+# ---- the agreement trajectory, bit for bit ----
+
+
+class KeepSigns(np.ndarray):
+    """Initial limit weights whose product with x0 adds its terms from the
+    first, so a column of -0.0 in x0 stays -0.0 in w*(0); a BLAS product
+    starts from +0.0 and would clear it."""
+
+    def __matmul__(self, x0):
+        return functools.reduce(np.add, np.asarray(self)[:, None] * x0)
+
+
+class TestAgreementTrajectoryBits:
+    """w*(t) at every recorded tick equals the per-event loop of
+    ``oracles.agreement_trajectory`` in every bit, sign of zero included."""
+
+    def check(self, art, limits):
+        met = compute_metrics(art, limits)
+        assert same_bits(met.w_star_rec, agreement_trajectory(art, limits))
+        return met
+
+    @pytest.mark.parametrize("chunk", [256, 7, 1])
+    def test_small(self, small, chunk, monkeypatch):
+        # horizon 60: below one chunk of 256, and not a multiple of 7
+        art, limits, _ = small
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        self.check(art, limits)
+
+    def test_horizon_not_a_chunk_multiple(self):
+        art = run(make_config(horizon=300, cadence=1))
+        self.check(art, phi_limit_series(art.schedule))
+
+    @pytest.mark.parametrize("chunk", [256, 7])
+    def test_negative_zero_columns(self, chunk, monkeypatch):
+        # the first coordinate of every component starts at -0.0 and keeps
+        # it until that component first wins a descent
+        art = run(make_config(cadence=1))
+        x0 = art.x0.copy()
+        x0[:, ::art.config.dim] = -0.0
+        limits = phi_limit_series(art.schedule)
+        limits = replace(limits, phi_init=limits.phi_init.view(KeepSigns))
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        met = self.check(replace(art, x0=x0), limits)
+        firsts = np.signbit(met.w_star_rec[:, ::art.config.dim])
+        assert firsts[0].all() and firsts[1].any()
+
+    def test_idle_ticks_at_chunk_edges(self, tmp_path, monkeypatch):
+        # the trace leaves the first and last tick of every 7-tick chunk idle
+        chunk, T = 7, 40
+        sch = generate(RING, 3, T, seed=5)
+        coeff, delay, active = sch.materialize()
+        active = active.copy()
+        edges = np.arange(0, T, chunk)
+        active[np.concatenate([edges, edges[1:] - 1])] = False
+        path = str(tmp_path / "idle-edges.jsonl")
+        write_trace(replace(sch, coeff_table=coeff, delay_table=delay,
+                            active_table=active, period=None), path)
+        art = run(make_config(horizon=T, cadence=1,
+                              sched=ScheduleSpec(topology="custom-trace", trace_path=path)))
+        assert not np.isin(edges, art.events.t).any()
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        self.check(art, phi_limit_series(art.schedule))
 
 
 # ---- merge-only decay ----

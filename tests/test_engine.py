@@ -94,6 +94,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(d)
 
+    def test_mixed_type_unknown_keys_rejected(self):
+        d = make_config().to_dict()
+        d.update({1: 0, "threads": 4})
+        with pytest.raises(ConfigError, match="threads"):
+            RunConfig.from_dict(d)
+
     def test_width(self):
         assert make_config(kappa=5, dim=2).width == 10
 

@@ -177,6 +177,30 @@ class TestSamplers:
         frac = np.mean(d0 <= 1.0 + 1e-12)
         assert frac == pytest.approx(0.8, abs=0.03)
 
+    @pytest.mark.parametrize("weights", [[0.7, 0.3], [0.0, 1.0], [1.0, 0.0],
+                                         [0.25, 0.0, 0.75], [0.1, 0.2, 0.3, 0.4]])
+    def test_mixture_cdf_is_the_per_draw_rule(self, weights):
+        m = len(weights)
+        means = np.linspace(0.1, 0.9, m)[:, None]
+        spec = DistributionSpec.gaussian_mixture(
+            weights=weights, means=means, covs=np.full((m, 1, 1), 1e-4), low=[0.0], high=[1.0])
+        cum = np.cumsum(np.array(weights))
+        cum[-1] = 1.0
+        assert np.array_equal(spec._cdf, cum)
+        # a zero-weight component never draws
+        zs = draw_many(spec, 6, 300)[:, 0]
+        near = np.abs(zs[:, None] - means[:, 0]).argmin(axis=1)
+        assert set(near) == set(np.flatnonzero(weights))
+
+    @pytest.mark.parametrize("radii", [[1.0, 0.5], [0.3, 0.7, 1.1], [0.4]])
+    def test_disk_cdf_is_the_per_draw_rule(self, radii):
+        centers = [[3.0 * k, 0.0] for k in range(len(radii))]
+        spec = DistributionSpec.disk_union(centers=centers, radii=radii)
+        areas = np.array(radii)**2
+        cum = np.cumsum(areas / np.sum(areas))
+        cum[-1] = 1.0
+        assert np.array_equal(spec._cdf, cum)
+
     def test_impossible_truncation_raises(self):
         bad = DistributionSpec.gaussian_mixture(
             weights=[1.0], means=[[100.0]], covs=[[[1e-6]]], low=[0.0], high=[1.0])
