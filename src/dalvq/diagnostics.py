@@ -18,13 +18,12 @@ at t is built from descents strictly before t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .agreement import PhiLimitSeries, merged_versions
-from .baselines import BaselineRun
 from .engine import RunArtifacts
 from . import geometry
 from .geometry import batched_cell_stats, min_component_separation
@@ -292,33 +291,32 @@ def consensus_decay(schedule: CommSchedule, x0: np.ndarray) -> tuple[np.ndarray,
     for t in range(T):
         ring[(t + 1) % depth] = merged_versions(schedule, ring, t)
         gaps[t + 1] = _spread(ring[(t + 1) % depth])
-    pos = np.flatnonzero(gaps > 1e-14)
-    if len(pos) < 3:
-        return gaps, 0.0
-    slope = np.polyfit(pos.astype(float), np.log(gaps[pos]), 1)[0]
-    return gaps, float(np.exp(slope))
+    slope = _log_slope(np.arange(T + 1), gaps, 1e-14)
+    return gaps, 0.0 if slope is None else float(np.exp(slope))
+
+
+def _log_slope(t: np.ndarray, v: np.ndarray, floor: float) -> Optional[float]:
+    """Least-squares slope of log v against t over the values above floor,
+    or None when fewer than three are."""
+    keep = v > floor
+    if np.count_nonzero(keep) < 3:
+        return None
+    return float(np.polyfit(t[keep].astype(float), np.log(v[keep]), 1)[0])
 
 
 def estimate_lipschitz(art: RunArtifacts, metrics: RunMetrics) -> float:
     """Largest observed ratio ||h(a) - h(b)|| / ||a - b|| over the run's own
     recorded quantizers paired with the agreement trajectory."""
     cfg = art.config
-    kappa, dim = cfg.kappa, cfg.dim
-    n_rec, M = art.snapshots.shape[0], cfg.M
-    A = art.snapshots.reshape(n_rec * M, kappa, dim)
-    _, hA, _, _ = batched_cell_stats(A, art.batch)
-    _, hS, _, _ = batched_cell_stats(metrics.w_star_rec.reshape(n_rec, kappa, dim),
+    n_rec, M = art.snapshots.shape[:2]
+    _, hA, _, _ = batched_cell_stats(art.snapshots.reshape(n_rec * M, cfg.kappa, cfg.dim),
                                       art.batch)
-    best = 0.0
-    floor = 1e-9 * art.batch.diameter
-    for k in range(n_rec):
-        for i in range(M):
-            dw = float(np.linalg.norm(A[k * M + i] - metrics.w_star_rec[k].reshape(kappa, dim)))
-            if dw <= floor:
-                continue
-            dh = float(np.linalg.norm(hA[k * M + i] - hS[k]))
-            best = max(best, dh / dw)
-    return best
+    _, hS, _, _ = batched_cell_stats(metrics.w_star_rec.reshape(n_rec, cfg.kappa, cfg.dim),
+                                      art.batch)
+    dw = np.linalg.norm(art.snapshots - metrics.w_star_rec[:, None], axis=2)
+    dh = np.linalg.norm(hA.reshape(n_rec, M, -1) - hS.reshape(n_rec, 1, -1), axis=2)
+    keep = dw > 1e-9 * art.batch.diameter
+    return float(np.max(dh[keep] / dw[keep], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +357,13 @@ class ConvergenceReport:
     p_hat: float
     limits_resolved: bool
     rho_hat: float
-    baselines: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-def _tail_slope(times: np.ndarray, vals: np.ndarray) -> float:
-    half = len(times) // 2
-    t, v = times[half:].astype(float), vals[half:]
-    keep = v > 1e-300
-    if keep.sum() < 3:
-        return 0.0
-    return float(np.polyfit(t[keep], np.log(v[keep]), 1)[0])
-
-
-def summarize(art: RunArtifacts, metrics: RunMetrics, limits: PhiLimitSeries,
-              clvq: Optional[BaselineRun] = None,
-              lloyd: Optional[BaselineRun] = None,
-              p_hat: Optional[float] = None) -> ConvergenceReport:
+def summarize(art: RunArtifacts, metrics: RunMetrics,
+              limits: PhiLimitSeries) -> ConvergenceReport:
     T = art.config.horizon
     times = metrics.times
     gaps = metrics.agreement_gap
@@ -397,25 +383,13 @@ def summarize(art: RunArtifacts, metrics: RunMetrics, limits: PhiLimitSeries,
     seg_final = float(seg[-1]) if len(seg) else 0.0
     seg_tail = float(seg[-1] - seg[q]) / seg_final if seg_final > 0 and len(seg) > q else 0.0
 
-    if p_hat is None:
-        p_hat = estimate_lipschitz(art, metrics)
-
-    base = {}
-    if clvq is not None:
-        base["clvq_distortion"] = clvq.distortion
-    if lloyd is not None:
-        base["lloyd_distortion"] = lloyd.distortion
-        base["lloyd_converged"] = lloyd.converged
-    if base:
-        dist_f = float(metrics.distortion_star[-1])
-        for name in ("clvq_distortion", "lloyd_distortion"):
-            if name in base and base[name] > 0:
-                base["ratio_vs_" + name.split("_")[0]] = dist_f / base[name]
+    half = len(times) // 2
+    slope = _log_slope(times[half:], metrics.consensus_gap[half:], 1e-300)
 
     return ConvergenceReport(
         horizon=T, n_events=int(art.events.n),
         final_consensus_gap=float(metrics.consensus_gap[-1]),
-        consensus_slope=_tail_slope(times, metrics.consensus_gap),
+        consensus_slope=0.0 if slope is None else slope,
         final_agreement_gap=float(gaps[-1]),
         worst_bound_ratio=worst,
         bound_params={"A_hat": limits.A_hat, "rho_hat": limits.rho_hat,
@@ -442,8 +416,7 @@ def summarize(art: RunArtifacts, metrics: RunMetrics, limits: PhiLimitSeries,
         mart_sigma=metrics.mart_sigma,
         mart_n=metrics.mart_n,
         min_sep_star_min=float(np.min(metrics.min_sep_star)),
-        p_hat=p_hat,
+        p_hat=estimate_lipschitz(art, metrics),
         limits_resolved=limits.resolved,
         rho_hat=limits.rho_hat,
-        baselines=base,
     )

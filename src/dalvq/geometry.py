@@ -140,7 +140,7 @@ _FULL_SHARE = 8
 _CANCEL = 64.0
 
 
-def _work_array(batch: SampleBatch, name: str, shape: tuple, dtype=float) -> np.ndarray:
+def _work_array(batch: SampleBatch, name: str, shape: tuple) -> np.ndarray:
     """An uninitialized view of the batch's work array `name`, grown as
     needed. A fresh array per call would be a new mapping of up to megabytes
     (glibc maps allocations over 128 KB), zeroed page by page by the OS, and
@@ -148,7 +148,7 @@ def _work_array(batch: SampleBatch, name: str, shape: tuple, dtype=float) -> np.
     size = math.prod(shape)
     buf = batch._work.get(name)
     if buf is None or buf.size < size:
-        buf = batch._work[name] = np.empty(size, dtype=dtype)
+        buf = batch._work[name] = np.empty(size)
     return buf[:size].reshape(shape)
 
 

@@ -337,29 +337,24 @@ def _first_disconnected(counts: np.ndarray, width: int) -> Optional[int]:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _interval_needs(edges: np.ndarray) -> np.ndarray:
-    """Per pair (receiver i, sender j) seen at least twice, the window width that
-    holds one of its ticks wherever it starts: max(first tick + 1, largest gap
-    between its ticks, L - last tick). 0 for every other pair."""
+def _pair_gaps(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair (receiver i, sender j), from one scan of its ticks:
+    - need: for a pair seen at least twice, the window width that holds one
+      of its ticks wherever it starts, max(first tick + 1, largest gap
+      between its ticks, L - last tick); 0 for every other pair;
+    - gap, tick: for a pair that occurs, the largest distance from one of its
+      ticks to the nearest tick of the reverse pair, and the first tick at
+      that distance; a pair never reversed gets -1 at its first tick, and
+      pairs that never occur get 0."""
     L, M = edges.shape[:2]
-    need = np.zeros((M, M), dtype=np.int64)
-    for i, j in zip(*np.nonzero(np.sum(edges, axis=0) >= 2)):
-        occ = np.flatnonzero(edges[:, i, j])
-        need[i, j] = max(occ[0] + 1, np.max(np.diff(occ)), L - occ[-1])
-    return need
-
-
-def _mirror_gaps(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair (receiver i, sender j) that occurs: the largest distance from
-    one of its ticks to the nearest tick of the reverse pair, and the first
-    tick at that distance. A pair never reversed gets -1 at its first tick;
-    pairs that never occur get 0."""
-    M = edges.shape[1]
-    gap = np.zeros((M, M), dtype=np.int64)
-    tick = np.zeros((M, M), dtype=np.int64)
-    for i, j in zip(*np.nonzero(np.any(edges, axis=0))):
-        a, b = np.flatnonzero(edges[:, i, j]), np.flatnonzero(edges[:, j, i])
-        if len(b) == 0:
+    need, gap, tick = (np.zeros((M, M), dtype=np.int64) for _ in range(3))
+    ticks = {(i, j): np.flatnonzero(edges[:, i, j])
+             for i, j in zip(*np.nonzero(np.any(edges, axis=0)))}
+    for (i, j), a in ticks.items():
+        if len(a) >= 2:
+            need[i, j] = max(a[0] + 1, np.max(np.diff(a)), L - a[-1])
+        b = ticks.get((j, i))
+        if b is None:
             gap[i, j], tick[i, j] = -1, a[0]
             continue
         pos = np.searchsorted(b, a)
@@ -367,11 +362,12 @@ def _mirror_gaps(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                              np.abs(b[np.minimum(pos, len(b) - 1)] - a))
         worst = int(np.argmax(nearest))
         gap[i, j], tick[i, j] = nearest[worst], a[worst]
-    return gap, tick
+    return need, gap, tick
 
 
-def _derive_b2(edges: np.ndarray, horizon: int) -> int:
-    """Smallest width covering both window connectivity and recurring-pair gaps."""
+def _derive_b2(edges: np.ndarray, horizon: int, need: np.ndarray) -> int:
+    """Smallest width covering both window connectivity and the recurring
+    pairs' needs (_pair_gaps)."""
     L, M = edges.shape[:2]
     if horizon == 0 or M == 1:
         return 1
@@ -385,20 +381,17 @@ def _derive_b2(edges: np.ndarray, horizon: int) -> int:
     width = lo + 1 + bisect.bisect_left(range(lo + 1, min(hi, L) + 1), True, key=connected)
     if width > L:
         return horizon  # union never connects; validation will fail A5
-    return max(width, int(np.max(_interval_needs(edges))))
-
-
-def _derive_b3(edges: np.ndarray) -> int:
-    """Tightest b with every edge mirrored within |t - tau| < b, else 1."""
-    gap, _ = _mirror_gaps(edges)
-    return 1 if np.any(gap < 0) else int(np.max(gap)) + 1
+    return max(width, int(np.max(need)))
 
 
 def _measure(coeff: np.ndarray, delay: np.ndarray, horizon: int) -> tuple[float, int, int, int]:
-    """The constants (alpha, B1, B2, B3) a table realizes over the horizon."""
+    """The constants (alpha, B1, B2, B3) a table realizes over the horizon.
+    B3 is the tightest b with every edge mirrored within |t - tau| < b, else 1."""
     alpha = float(np.min(coeff[coeff > 0.0])) if np.any(coeff > 0.0) else 1.0
     edges = _edge_tensor(coeff, horizon)
-    return alpha, int(np.max(delay)) + 1, _derive_b2(edges, horizon), _derive_b3(edges)
+    need, gap, _ = _pair_gaps(edges)
+    B3 = 1 if np.any(gap < 0) else int(np.max(gap)) + 1
+    return alpha, int(np.max(delay)) + 1, _derive_b2(edges, horizon, need), B3
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +486,7 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     checks["convex_combination"] = CheckResult(ok, detail, witness)
 
     edges = _edge_tensor(schedule.coeff_table, T)
+    need, gap, tick = _pair_gaps(edges)
 
     # connectivity: every B2-length window's edge union is strongly connected
     ok, detail, witness = True, "every B2-window union is strongly connected", None
@@ -507,7 +501,6 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     # bounded communication intervals: recurring pairs occur in every B2-window
     ok, detail, witness = True, "recurring pairs reappear within every B2-window", None
     if T > 0 and M > 1:
-        need = _interval_needs(edges)
         bad = np.argwhere(need > schedule.B2)
         singles = int(np.sum(np.sum(edges, axis=0) == 1))
         if len(bad):
@@ -521,7 +514,6 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     # symmetry: each edge is mirrored within strict distance B3
     ok, detail, witness = True, "every edge has its reverse within |t - tau| < B3", None
     if T > 0 and M > 1:
-        gap, tick = _mirror_gaps(edges)
         pairs = ((r, s) for i in range(M) for j in range(i + 1, M) for r, s in ((i, j), (j, i)))
         bad = next(((r, s) for r, s in pairs if gap[r, s] < 0 or gap[r, s] >= schedule.B3), None)
         if bad is not None:

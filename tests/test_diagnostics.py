@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dalvq.agreement import phi_limit_series
-from dalvq.baselines import run_clvq, run_lloyd
 from dalvq import diagnostics, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
                                consensus_decay, estimate_lipschitz,
@@ -408,9 +407,7 @@ class TestEstimateLipschitz:
 class TestSummarize:
     def test_report_coherence(self, small):
         art, limits, met = small
-        clvq = run_clvq(BOX, 2, 200, seed=5, c=0.5, n_ref=200)
-        lloyd = run_lloyd(BOX, 2, seed=5, n_ref=200)
-        rep = summarize(art, met, limits, clvq=clvq, lloyd=lloyd)
+        rep = summarize(art, met, limits)
         assert rep.horizon == art.config.horizon
         assert rep.n_events == art.events.n
         assert rep.final_consensus_gap == float(met.consensus_gap[-1])
@@ -424,20 +421,10 @@ class TestSummarize:
         assert rep.bound_params["safety"] == _BOUND_SAFETY
         assert rep.bound_params["theta_final"] == pytest.approx(
             theta(art.config.horizon, limits.rho_hat), rel=1e-12)
-        assert set(rep.baselines) == {"clvq_distortion", "lloyd_distortion",
-                                      "lloyd_converged", "ratio_vs_clvq",
-                                      "ratio_vs_lloyd"}
-        assert rep.baselines["ratio_vs_lloyd"] == pytest.approx(
-            float(met.distortion_star[-1]) / lloyd.distortion)
         assert math.isfinite(rep.consensus_slope)
         assert rep.limits_resolved == limits.resolved
         d = rep.to_dict()
         assert d["horizon"] == rep.horizon and "bound_params" in d
-
-    def test_p_hat_override(self, small):
-        art, limits, met = small
-        rep = summarize(art, met, limits, p_hat=2.5)
-        assert rep.p_hat == 2.5
 
     def test_distortion_cauchy_ratio_definition(self, small):
         art, limits, met = small

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dalvq
 from dalvq.errors import ConfigError
-from dalvq.schedule import (CommSchedule, ScheduleSpec, _derive_b2, _derive_b3, _edge_tensor,
-                            generate, read_trace, validate, write_trace)
+from dalvq.schedule import (CommSchedule, ScheduleSpec, _measure, generate, read_trace,
+                            validate, write_trace)
 from oracles import communication_graph
 
 
@@ -506,8 +506,7 @@ class TestEdgeAnalysis:
     def test_matches_naive_tiled_analysis(self, table, use_derived, seed):
         coeff, horizon, period, declared = table
         M = coeff.shape[1]
-        edges = _edge_tensor(coeff, horizon)
-        derived = (_derive_b2(edges, horizon), _derive_b3(edges))
+        derived = _measure(coeff, np.zeros(coeff.shape, dtype=np.int64), horizon)[2:]
         want, _ = naive_edge_analysis(coeff, horizon, period, *declared)
         assert derived == want
         B2, B3 = want if use_derived else declared

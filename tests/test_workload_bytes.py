@@ -1,11 +1,13 @@
-"""``dalvq run`` on the benchmark's three workload configs writes pinned bytes.
+"""``dalvq run`` and ``dalvq phi-table`` on the benchmark's three workload
+configs write pinned bytes.
 
 The configs come from ``perfbench/workloads.py``, loaded read-only, at
 benchmark seed 0 (the identity map, so each is the workload's own config).
-The sha256 of every byte-stable artifact below is pinned here, so a change
-that moves one bit of a run's output fails tier-1 instead of waiting for a
-hand check. The digests inside ``perfbench/workloads.py`` are older and are
-not read.
+The sha256 of every byte-stable artifact below is pinned here: those of
+``dalvq``-mode and ``agreement-only`` runs, and the ``phi-table`` at its
+default t. A change that moves one bit of an output fails tier-1 instead of
+waiting for a hand check. The digests inside ``perfbench/workloads.py`` are
+older and are not read.
 """
 
 import hashlib
@@ -36,21 +38,21 @@ WORKLOADS = _load_workloads()
 PINNED = {
     "sweep-ref5k": {
         "metrics.csv": "d02dd6fee7c3c209b0ba7148bad671f4855a7bc39946ff0a374e55490c92976c",
-        "report.json": "d70d11ee133fe246425a2ad99e00f45e3e0a5e099337077ca7c332d167129a12",
+        "report.json": "0f2aa443e0c4310b9b661f39edca3cde8a91a6cbdfc06d2b40ab97be51957db3",
         "final-quantizers.json":
             "6da1db1ff4574b96927499239b4df9cdcba58eff12eab276895b1c7fbaef8cab",
         "schedule-trace.jsonl":
             "a79e0a95248c2e476bc55f977529bc905b5cd9276f04e29d9825db1c179073f3"},
     "engine-m8-disk": {
         "metrics.csv": "db6ee5894a40b632440fcc3465321841deddf1354d1762af5ef1ca6a5f98eb4e",
-        "report.json": "5d9231b618fdb33b6c3cd5ebe277f950331b929f5f03b31d22585ed24a4959c0",
+        "report.json": "81e79758587cf8e22014aaf272d414edcc63705886ce2e4f41fde65eae2c9d8a",
         "final-quantizers.json":
             "c66441ebf16193e8ad9cb997142e8c0856d8ce8aa7530fd7d5897c2e4d163843",
         "schedule-trace.jsonl":
             "865222b4d8c4f2f0e354dafef6b716719e4094646582202483688e6cfec78f89"},
     "impulse-gossip-m8": {
         "metrics.csv": "a138fb2dd409a7d5c3ad3cbbf0375b6728cd3ca60cf70882f8ce3a1620e9fe09",
-        "report.json": "60c94277180ac5dbb10847e57a62d0f89df1ab6a65e14c8379425cec306b2907",
+        "report.json": "c1b6d161fd9e13267cc5c25fc5ee389bd140c45f23589d91b9751b9cd4d6b003",
         "final-quantizers.json":
             "eb1cad3eb4ce5168503208e544736ae242a6b54044f8f8697cea78956e32921a",
         "schedule-trace.jsonl":
@@ -58,13 +60,68 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_workload_artifacts_are_pinned(name, tmp_path):
+# agreement-only runs: report.json carries rho_fit, decay.csv the merge-only
+# gaps. Each workload starts every processor at one shared quantizer, so its
+# gaps are all 0 and rho_fit takes the fewer-than-three-points branch; with
+# per-processor starts the gaps decay and rho_fit is a real fit.
+AGREEMENT_PINNED = {
+    ("sweep-ref5k", "shared"): {
+        "report.json": "01d9d520d26fe9b6803f671aacd8381195fa872649bd9a11c1775d6ee12810f3",
+        "decay.csv": "7637e72510877b8e41633fc95c4992e5298ec65f56b5b8461e0004f34d4a1bba"},
+    ("engine-m8-disk", "shared"): {
+        "report.json": "37060f8baf9d75473332c5233eea6c31084a0b36a44cef201d52ea63e8431d22",
+        "decay.csv": "b090b520e547ceb1cec2b138477ab8c76600f96963cd71f73c07cff86f9ad508"},
+    ("impulse-gossip-m8", "shared"): {
+        "report.json": "aacd1d7891840e33142f432dce26becb7bc7218a48b58c15837fdecb5da9e7e6",
+        "decay.csv": "fc16e837ffd68b410a0542119ecdb9892b86a45720073da49f518e9a688a107b"},
+    ("sweep-ref5k", "per-processor"): {
+        "report.json": "8fb0bae1c6c01e7b70d1b76322c24c62bf05ad611675609744dc8a5d1b0968d6",
+        "decay.csv": "205e18428222e577a91b7dc037de014d4242dd8a89601abe91d692899005fceb"},
+    ("engine-m8-disk", "per-processor"): {
+        "report.json": "0e16a5cf7752759ffe058841265680848fe37293869ca7a3318c41cf0b4fa617",
+        "decay.csv": "a4f3afb50e25204cc71dd7a184dac878492154e1509e47c80c7be216e8b321c7"},
+    ("impulse-gossip-m8", "per-processor"): {
+        "report.json": "054e87196e693c4d33703ef5811e06f92c9642b9114808b41f979c8b5fd25f34",
+        "decay.csv": "63149a260de80cf16ea0c8fac8bc9d34a60ef88d0a6f2d4806dfcba47fde440e"},
+}
+
+# phi-table at its default t, min(horizon, 64)
+PHI_TABLE_PINNED = {
+    "sweep-ref5k": "d8bab657f56780411ada35ab198a49739e92dbc389f48e8dfb723b76ab746485",
+    "engine-m8-disk": "91a0a2c1d070258224132e3ba684bdb8217baf675b44e432565eb03fb6e12228",
+    "impulse-gossip-m8": "6c6e18c506bcd39678e11bc7089c9655b7bdcad7b1ff98fbcdb82b29f153f830",
+}
+
+
+def _write_config(name, tmp_path, **override):
     cfg, scale = WORKLOADS[name].config_for(0)
     assert scale == 1.0
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg))
-    out = tmp_path / "run"
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in PINNED[name]}
-    assert got == PINNED[name]
+    config.write_text(json.dumps({**cfg, **override}))
+    return str(config)
+
+
+def _run_digests(config, out, files):
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_workload_artifacts_are_pinned(name, tmp_path):
+    config = _write_config(name, tmp_path)
+    assert _run_digests(config, tmp_path / "run", PINNED[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("name,init", sorted(AGREEMENT_PINNED))
+def test_agreement_only_artifacts_are_pinned(name, init, tmp_path):
+    config = _write_config(name, tmp_path, mode="agreement-only", init=init)
+    pinned = AGREEMENT_PINNED[name, init]
+    assert _run_digests(config, tmp_path / "run", pinned) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(PHI_TABLE_PINNED))
+def test_phi_table_is_pinned(name, tmp_path):
+    out = tmp_path / "phi.json"
+    assert cli.main(["phi-table", "--config", _write_config(name, tmp_path),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHI_TABLE_PINNED[name]
