@@ -14,8 +14,7 @@ from .diagnostics import (ConvergenceReport, RunMetrics, compute_metrics,
                           consensus_decay, estimate_lipschitz, summarize, theta_series)
 from .engine import EventLog, RunArtifacts, RunConfig, StepPolicy, dalvq_tick, run
 from .errors import ConfigError, ScheduleValidationError
-from .geometry import (QuantizerVec, SampleBatch, batched_cell_stats,
-                       min_component_separation, nearest_cell)
+from .geometry import SampleBatch, batched_cell_stats, min_component_separation, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, draw_index, init_quantizer,
                        make_batch, sample)
 from .schedule import (CommSchedule, ScheduleSpec, ValidationReport, generate,
@@ -29,7 +28,7 @@ __all__ = [
     "estimate_lipschitz", "summarize", "theta_series",
     "EventLog", "RunArtifacts", "RunConfig", "StepPolicy", "dalvq_tick", "run",
     "ConfigError", "ScheduleValidationError",
-    "QuantizerVec", "SampleBatch", "batched_cell_stats",
+    "SampleBatch", "batched_cell_stats",
     "min_component_separation", "nearest_cell",
     "DistributionSpec", "StreamHandle", "draw_index", "init_quantizer",
     "make_batch", "sample",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunConfig, StepPolicy, run
-from .geometry import QuantizerVec, SampleBatch, batched_cell_stats
+from .geometry import SampleBatch, batched_cell_stats
 from .measures import DistributionSpec, init_quantizer, make_batch
 from .schedule import ScheduleSpec
 
@@ -25,7 +25,7 @@ _LLOYD_MAX_ITERS = 500
 
 @dataclass(frozen=True)
 class BaselineRun:
-    quantizer: QuantizerVec
+    quantizer: np.ndarray    # (kappa, dim)
     distortion: float        # on the reference batch
     iterations: int
     converged: bool = True
@@ -42,7 +42,7 @@ def run_clvq(dist: DistributionSpec, kappa: int, horizon: int, seed: int, c: flo
     art = run(config)
     w = art.final.reshape(kappa, dist.dim)
     d, _, _, _ = batched_cell_stats(w[None], art.batch)
-    return BaselineRun(quantizer=QuantizerVec(w), distortion=float(d[0]), iterations=horizon)
+    return BaselineRun(quantizer=w, distortion=float(d[0]), iterations=horizon)
 
 
 def lloyd_step(w, batch: SampleBatch) -> np.ndarray:
@@ -50,9 +50,9 @@ def lloyd_step(w, batch: SampleBatch) -> np.ndarray:
 
     A component whose cell is empty stays where it is.
     """
-    comps = w.components if isinstance(w, QuantizerVec) else np.asarray(w, dtype=float)
-    _, _, (counts,), (sums,) = batched_cell_stats(comps[None], batch)
-    new = np.array(comps)
+    w = np.asarray(w, dtype=float)
+    _, _, (counts,), (sums,) = batched_cell_stats(w[None], batch)
+    new = np.array(w)
     occupied = counts > 0
     new[occupied] = sums[occupied] / counts[occupied, None]
     return new
@@ -62,7 +62,7 @@ def run_lloyd(dist: DistributionSpec, kappa: int, seed: int, n_ref: int = 2000) 
     """Iterate batch updates on the reference batch until the quantizer moves
     by less than _LLOYD_REL_TOL of its own scale, at most _LLOYD_MAX_ITERS times."""
     batch = make_batch(dist, seed, n_ref)
-    w = np.array(init_quantizer(dist, kappa, seed).components)
+    w = init_quantizer(dist, kappa, seed)
     for it in range(1, _LLOYD_MAX_ITERS + 1):
         new = lloyd_step(w, batch)
         scale = max(float(np.linalg.norm(w)), 1e-300)
@@ -71,5 +71,4 @@ def run_lloyd(dist: DistributionSpec, kappa: int, seed: int, n_ref: int = 2000) 
         if converged:
             break
     dist, _, _, _ = batched_cell_stats(w[None], batch)
-    return BaselineRun(quantizer=QuantizerVec(w), distortion=float(dist[0]),
-                       iterations=it, converged=converged)
+    return BaselineRun(quantizer=w, distortion=float(dist[0]), iterations=it, converged=converged)

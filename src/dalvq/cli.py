@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
             res = run_lloyd(rc.dist, rc.kappa, rc.seed, n_ref=rc.n_ref)
             extra = {"converged": res.converged}
         _write_json(os.path.join(args.out, "final-quantizers.json"),
-                    {"quantizer": _json_safe(res.quantizer.components),
+                    {"quantizer": _json_safe(res.quantizer),
                      "distortion": res.distortion})
         _write_json(os.path.join(args.out, "report.json"),
                     {**head, "distortion": res.distortion, "iterations": res.iterations,

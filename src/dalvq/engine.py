@@ -3,10 +3,11 @@
 Each simulated processor repeats: draw a sample, apply one winner-takes-all
 descent tick scaled by its step policy, and merge delayed versions of its
 peers according to the communication schedule. The schedule alone fixes every
-descent's tick, processor, step and draw counter, so a run plans them all
-before its first draw. Draw k of processor i is addressed as (seed, i, k) in a
-counter-based stream, so a run is a pure function of its config and schedule;
-replaying any processor's draws needs no coordination with the others.
+descent's tick, processor, step and draw counter, and no sample depends on the
+iterates, so a run plans every descent and draws every sample before its first
+tick. Draw k of processor i is addressed as (seed, i, k) in a counter-based
+stream, so a run is a pure function of its config and schedule; replaying any
+processor's draws needs no coordination with the others.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ class EventLog:
     winning component and w_before[k] the flat quantizer the gradient
     observation was evaluated at (its version at t[k], before that tick's
     merge). The descent vector is recoverable as -eps * (w_before[comp] - z)
-    on the winning rows. The plan gives t, proc, draw and eps; the ticks fill
-    in comp, z and w_before.
+    on the winning rows. The plan gives t, proc, draw and eps, run draws z
+    before the first tick, and the ticks fill in comp and w_before.
     """
 
     def __init__(self, t: np.ndarray, proc: np.ndarray, draw: np.ndarray,
@@ -173,26 +174,22 @@ class RunArtifacts:
     K2: float
 
 
-def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, config: RunConfig,
-               batch: SampleBatch, events: EventLog, ks: range) -> None:
+def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLog,
+               ks: range) -> None:
     """Advance the version ring (depth, M, width) from tick t to t + 1: merge
     delayed versions, then add the descent term of each of the tick's planned
-    events ks, evaluated at its processor's pre-merge version."""
-    depth = ring.shape[0]
+    events ks on its sample z[k], at its processor's pre-merge version."""
+    depth, dim = ring.shape[0], events.z.shape[1]
     merged = merged_versions(schedule, ring, t)
     cur = ring[t % depth]
     for k in ks:
         i = int(events.proc[k])
-        draw = StreamHandle(config.seed, i, int(events.draw[k]))
-        if config.replay_from_batch:
-            z = batch.points[draw_index(batch.n, draw)]
-        else:
-            z = sample(config.dist, draw)
-        w_cur = cur[i].reshape(config.kappa, config.dim)
+        z = events.z[k]
+        w_cur = cur[i].reshape(-1, dim)
         comp = nearest_cell(z, w_cur)
-        events.comp[k], events.z[k], events.w_before[k] = comp, z, cur[i]
-        lo = comp * config.dim
-        merged[i, lo:lo + config.dim] += -events.eps[k] * (w_cur[comp] - z)
+        events.comp[k], events.w_before[k] = comp, cur[i]
+        lo = comp * dim
+        merged[i, lo:lo + dim] += -events.eps[k] * (w_cur[comp] - z)
     ring[(t + 1) % depth] = merged
 
 
@@ -200,16 +197,17 @@ def initial_versions(config: RunConfig) -> np.ndarray:
     """(M, width) start versions under the configured init policy."""
     if config.init == "shared":
         q = init_quantizer(config.dist, config.kappa, config.seed)
-        return np.tile(q.components.reshape(-1), (config.M, 1))
+        return np.tile(q.reshape(-1), (config.M, 1))
     rows = [init_quantizer(config.dist, config.kappa, config.seed,
-                           stream=STREAM_INIT_BASE + i).components.reshape(-1)
+                           stream=STREAM_INIT_BASE + i).reshape(-1)
             for i in range(config.M)]
     return np.array(rows)
 
 
 def run(config: RunConfig) -> RunArtifacts:
     """Execute a full run. Byte-deterministic in the config. The schedule plans
-    every descent before the first draw; the ticks fill in their samples."""
+    every descent, each planned draw fills its row of events.z, and then the
+    ticks merge and descend."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
     x0 = initial_versions(config)
@@ -218,6 +216,10 @@ def run(config: RunConfig) -> RunArtifacts:
     eps, K1, K2 = config.step.steps(t_ev, n)
     events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
     starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
+    for k in range(events.n):
+        draw = StreamHandle(config.seed, int(proc[k]), int(events.draw[k]))
+        events.z[k] = batch.points[draw_index(batch.n, draw)] if config.replay_from_batch \
+            else sample(config.dist, draw)
 
     depth = schedule.B1
     ring = np.zeros((depth, config.M, config.width))
@@ -231,7 +233,7 @@ def run(config: RunConfig) -> RunArtifacts:
         k = snap_at.get(t)
         if k is not None:
             snapshots[k] = ring[t % depth]
-        dalvq_tick(t, ring, schedule, config, batch, events, range(starts[t], starts[t + 1]))
+        dalvq_tick(t, ring, schedule, events, range(starts[t], starts[t + 1]))
     snapshots[snap_at[config.horizon]] = ring[config.horizon % depth]
 
     events.finish()

@@ -1,9 +1,9 @@
 """Quantizer geometry: nearest-cell assignment, distortion, and gradient surrogates.
 
-A quantizer is a tuple of kappa components (prototype vectors) in R^d. The cell
-of a component is the set of points closer to it than to any other component,
-with ties and duplicate components resolving to the smallest index, so the cells
-always partition the data even for degenerate quantizers.
+A quantizer is a (kappa, dim) float array, one component (prototype vector) a
+row. The cell of a component is the set of points closer to it than to any
+other component, with ties and duplicate components resolving to the smallest
+index, so the cells always partition the data even for degenerate quantizers.
 
 ``batched_cell_stats`` scores whole stacks of quantizers against a sample
 batch. Stacks that drift slowly, like the per-tick iterates of a run, are
@@ -22,50 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "QuantizerVec",
     "SampleBatch",
     "nearest_cell",
     "batched_cell_stats",
     "min_component_separation",
 ]
-
-
-def _as_components(w) -> np.ndarray:
-    """Coerce a QuantizerVec or array-like to a (kappa, dim) float array."""
-    if isinstance(w, QuantizerVec):
-        return w.components
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {arr.shape}")
-    return arr
-
-
-@dataclass(frozen=True)
-class QuantizerVec:
-    """Immutable stack of kappa prototype vectors, shape (kappa, dim).
-
-    Components are finite floats; the array is copied on construction and
-    frozen so instances behave as values.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.components, dtype=float)  # defensive copy
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"components must have shape (kappa>=1, dim>=1), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("components must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "components", arr)
-
-    @property
-    def kappa(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,12 +82,14 @@ def nearest_cell(z, w) -> int:
     Duplicate components produce bit-identical distances, so the collapse to
     the first duplicate falls out of first-occurrence argmin.
     """
-    comps = _as_components(w)
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {w.shape}")
     z = np.asarray(z, dtype=float)
-    if z.shape != comps.shape[1:]:
-        raise ValueError(f"point has shape {z.shape}, expected {comps.shape[1:]}")
-    kappa = len(comps)
-    return int(np.argmin(_sq_dist(z, comps.T, np.empty(kappa), np.empty(kappa))))
+    if z.shape != w.shape[1:]:
+        raise ValueError(f"point has shape {z.shape}, expected {w.shape[1:]}")
+    kappa = len(w)
+    return int(np.argmin(_sq_dist(z, w.T, np.empty(kappa), np.empty(kappa))))
 
 
 _STACK_CHUNK = 256
@@ -336,11 +299,13 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
 
 def min_component_separation(w) -> float:
     """Smallest pairwise distance between components; +inf when kappa == 1."""
-    comps = _as_components(w)
-    kappa = comps.shape[0]
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {w.shape}")
+    kappa = w.shape[0]
     if kappa == 1:
         return math.inf
-    diff = comps[:, None, :] - comps[None, :, :]
+    diff = w[:, None, :] - w[None, :, :]
     sq = np.einsum("ijd,ijd->ij", diff, diff)
     iu = np.triu_indices(kappa, k=1)
     return float(np.sqrt(np.min(sq[iu])))

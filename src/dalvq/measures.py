@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, is_numeric, strict_object
-from .geometry import QuantizerVec, SampleBatch, min_component_separation
+from .geometry import SampleBatch, min_component_separation
 
 __all__ = [
     "DistributionSpec",
@@ -292,11 +292,11 @@ def make_batch(spec: DistributionSpec, seed: int, n: int) -> SampleBatch:
 
 
 def init_quantizer(spec: DistributionSpec, kappa: int, seed: int,
-                   stream: int = STREAM_INIT_BASE) -> QuantizerVec:
-    """kappa points drawn from the distribution, resampled as a group until
-    they are pairwise separated by at least 1e-6 of the support diameter and
-    strictly interior to the support. Round r takes counters r * kappa ..
-    (r + 1) * kappa - 1 of the stream."""
+                   stream: int = STREAM_INIT_BASE) -> np.ndarray:
+    """A read-only (kappa, dim) quantizer of points drawn from the
+    distribution, resampled as a group until they are pairwise separated by at
+    least 1e-6 of the support diameter and strictly interior to the support.
+    Round r takes counters r * kappa .. (r + 1) * kappa - 1 of the stream."""
     if kappa < 1:
         raise ConfigError("kappa must be >= 1")
     min_sep = 1e-6 * spec.diameter
@@ -307,7 +307,8 @@ def init_quantizer(spec: DistributionSpec, kappa: int, seed: int,
         if not all(spec._strictly_interior(p) for p in pts):
             continue
         if kappa == 1 or min_component_separation(pts) >= min_sep:
-            return QuantizerVec(pts)
+            pts.flags.writeable = False
+            return pts
     raise RuntimeError(
         f"could not draw {kappa} separated interior points in {_MAX_INIT_ROUNDS} rounds; "
         "the distribution is too degenerate for this kappa")

@@ -568,10 +568,11 @@ def read_trace(path: str) -> CommSchedule:
     """Read a dense schedule from JSONL; constants come from the meta record
     when present and are measured from the trace otherwise. A meta B1 below
     the trace's largest delay + 1 is rejected: a ring sized from it would
-    read overwritten versions. So is a meta record that is not an object or
-    lacks a finite number for any of alpha, B1, B2 and B3, and a line that is
-    not an object. Each tick needs an M x M array of numbers for coeff, one
-    of integers for delay, and a list of distinct processor indices for active."""
+    read overwritten versions. So is a meta record that is not an object, or
+    lacks a finite number for alpha or a config integer (require_int) for any
+    of B1, B2 and B3, and a line that is not an object. Each tick needs an
+    M x M array of numbers for coeff, one of integers for delay, and a list of
+    distinct processor indices for active."""
     records = []
     meta = None
     try:
@@ -634,13 +635,13 @@ def read_trace(path: str) -> CommSchedule:
     if meta is None:
         alpha, B1, B2, B3 = _measure(coeff, delay, T)
     else:
-        keys = ("alpha", "B1", "B2", "B3")
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   or isinstance(v, float) and math.isfinite(v)
-                   for v in map(meta.get, keys)):
-            raise ConfigError(f"{path}: meta record needs finite numbers {', '.join(keys)}")
-        alpha, B1 = float(meta["alpha"]), int(meta["B1"])
-        B2, B3 = int(meta["B2"]), int(meta["B3"])
+        alpha = meta.get("alpha")     # an int of any size compares exactly; NaN fails
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) \
+                or not abs(alpha) <= float(np.finfo(float).max):
+            raise ConfigError(f"{path}: meta alpha must be a finite number, got {alpha!r}")
+        for name in ("B1", "B2", "B3"):
+            require_int(f"{path}: meta {name}", meta.get(name))
+        alpha, B1, B2, B3 = float(alpha), meta["B1"], meta["B2"], meta["B3"]
         if B1 < int(np.max(delay)) + 1:
             raise ConfigError(f"{path}: meta B1={B1} is below the largest delay + 1 "
                               f"= {int(np.max(delay)) + 1}")

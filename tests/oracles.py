@@ -79,7 +79,7 @@ def sequential_clvq(dist, kappa: int, horizon: int, seed: int, c: float,
     of stream 0 (or the batch point it indexes) moves the winner with step
     c / (t or 1), t = 0 .. horizon-1. Returns the final (kappa, dim) quantizer."""
     batch = make_batch(dist, seed, n_ref)
-    w = np.array(init_quantizer(dist, kappa, seed).components)
+    w = np.array(init_quantizer(dist, kappa, seed))
     for t in range(horizon):
         draw = StreamHandle(seed, 0, t)
         z = batch.points[draw_index(batch.n, draw)] if replay_from_batch else sample(dist, draw)

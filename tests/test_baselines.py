@@ -37,7 +37,7 @@ class TestRunClvq:
     def test_deterministic(self):
         a = run_clvq(BOX, 4, 500, seed=3, c=0.4)
         b = run_clvq(BOX, 4, 500, seed=3, c=0.4)
-        assert np.array_equal(a.quantizer.components, b.quantizer.components)
+        assert np.array_equal(a.quantizer, b.quantizer)
         assert a.distortion == b.distortion
 
     def test_validation(self):
@@ -50,7 +50,7 @@ class TestRunClvq:
         got = run_clvq(box3, 5, 2000, seed=4, c=0.4, replay_from_batch=replay, n_ref=300)
         want = sequential_clvq(box3, 5, 2000, seed=4, c=0.4, replay_from_batch=replay,
                                n_ref=300)
-        assert np.array_equal(got.quantizer.components, want)
+        assert np.array_equal(got.quantizer, want)
         assert got.iterations == 2000
 
     def test_improves_on_long_horizon(self):
@@ -97,10 +97,10 @@ class TestRunLloyd:
         # one more step moves essentially nothing
         batch = make_batch(BOX, 9, 400)
         again = lloyd_step(res.quantizer, batch)
-        assert np.linalg.norm(again - res.quantizer.components) <= \
-            1e-9 * np.linalg.norm(res.quantizer.components)
+        assert np.linalg.norm(again - res.quantizer) <= \
+            1e-9 * np.linalg.norm(res.quantizer)
 
     def test_deterministic(self):
         a = run_lloyd(BOX, 3, seed=1, n_ref=200)
         b = run_lloyd(BOX, 3, seed=1, n_ref=200)
-        assert np.array_equal(a.quantizer.components, b.quantizer.components)
+        assert np.array_equal(a.quantizer, b.quantizer)

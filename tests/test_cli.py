@@ -408,7 +408,7 @@ class TestExitCodes:
         lines = path.read_text().splitlines()
         meta = json.loads(lines[0])["meta"]
         for bad in ("meta", {k: v for k, v in meta.items() if k != "alpha"},
-                    {**meta, "alpha": "x"}, {**meta, "B1": None}):
+                    {**meta, "alpha": "x"}, {**meta, "B1": None}, {**meta, "B1": 1e20}):
             path.write_text("\n".join([json.dumps({"meta": bad})] + lines[1:]) + "\n")
             code, err = self.run_on_trace(tmp_path, capsys, path)
             assert code == EXIT_CONFIG, bad

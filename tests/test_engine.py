@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
 from dalvq.errors import ConfigError
 from dalvq.geometry import nearest_cell
-from dalvq.measures import DistributionSpec, StreamHandle, draw_index, make_batch, sample
+from dalvq.measures import DistributionSpec, StreamHandle, draw_index, sample
 from dalvq.schedule import ScheduleSpec, generate, write_trace
 from oracles import descent_term, gradient_observation
 
@@ -272,12 +272,15 @@ class TestDalvqTick:
         t_ev, proc, n = sch.descents()
         eps, _, _ = cfg.step.steps(t_ev, n)
         log = EventLog(t_ev, proc, n - 1, eps, cfg.dim, cfg.width)
+        for k in range(log.n):
+            log.z[k] = sample(cfg.dist, StreamHandle(cfg.seed, int(proc[k]), int(log.draw[k])))
         depth = sch.B1
         ring = np.zeros((depth, 3, 4))
         ring[0] = initial_versions(cfg)
-        batch = make_batch(cfg.dist, cfg.seed, cfg.n_ref)
         for t in range(6):
-            dalvq_tick(t, ring, sch, cfg, batch, log, np.flatnonzero(t_ev == t))
+            dalvq_tick(t, ring, sch, log, np.flatnonzero(t_ev == t))
         art = run(cfg)
         assert np.array_equal(ring[6 % depth], art.final)
         assert np.array_equal(log.z, art.events.z)
+        assert np.array_equal(log.comp, art.events.comp)
+        assert np.array_equal(log.w_before, art.events.w_before)

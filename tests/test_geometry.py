@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dalvq import diagnostics
 from dalvq.agreement import phi_limit_series
 from dalvq.engine import run
-from dalvq.geometry import (_STACK_CHUNK, QuantizerVec, SampleBatch, _cell_moves,
+from dalvq.geometry import (_STACK_CHUNK, SampleBatch, _cell_moves,
                             batched_cell_stats, min_component_separation, nearest_cell)
 from dalvq.measures import DistributionSpec
 from dalvq.measures import make_batch as draw_batch
@@ -36,28 +36,6 @@ def stats(comps, batch):
 
 
 # ---- containers ----
-
-
-class TestQuantizerVec:
-    def test_copies_and_freezes(self):
-        raw = np.array([[0.0, 0.0], [1.0, 1.0]])
-        q = QuantizerVec(raw)
-        raw[0, 0] = 99.0
-        assert q.components[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            q.components[0, 0] = 5.0
-
-    def test_shape_and_finite_checks(self):
-        with pytest.raises(ValueError):
-            QuantizerVec(np.zeros(3))
-        with pytest.raises(ValueError):
-            QuantizerVec([[0.0, np.inf]])
-
-    def test_kappa_dim_parted(self):
-        q = QuantizerVec([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert q.kappa == 3 and q.dim == 2
-        assert is_parted(q, 0.5)
-        assert not is_parted(q, 1.5)
 
 
 class TestSampleBatch:
@@ -91,9 +69,8 @@ class TestNearestCell:
         w = np.array([[3.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
         assert nearest_cell(np.array([0.4, 0.6]), w) == 1
 
-    def test_accepts_quantizer(self):
-        q = QuantizerVec([[0.0], [1.0]])
-        assert nearest_cell(np.array([0.9]), q) == 1
+    def test_dim_one(self):
+        assert nearest_cell(np.array([0.9]), [[0.0], [1.0]]) == 1
 
     def test_reflected_near_ties_score_as_the_kernel(self):
         # two components mirrored through z are equidistant from it in exact
@@ -364,3 +341,16 @@ class TestMinSeparation:
 
     def test_single_component_is_inf(self):
         assert min_component_separation(np.array([[1.0, 2.0]])) == math.inf
+
+    def test_parted(self):
+        w = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert is_parted(w, 0.5)
+        assert not is_parted(w, 1.5)
+
+
+@pytest.mark.parametrize("w", [np.zeros(3), np.zeros((2, 3, 2))])
+def test_quantizer_must_be_2d(w):
+    with pytest.raises(ValueError):
+        nearest_cell(np.zeros(3), w)
+    with pytest.raises(ValueError):
+        min_component_separation(w)

@@ -238,12 +238,20 @@ class TestInitQuantizer:
     def test_separated_interior_deterministic(self):
         q1 = init_quantizer(BOX, 6, 21)
         q2 = init_quantizer(BOX, 6, 21)
-        assert np.array_equal(q1.components, q2.components)
+        assert np.array_equal(q1, q2)
         assert is_parted(q1, 1e-6 * BOX.diameter)
         lo, hi = BOX.bbox
-        assert np.all(q1.components > lo) and np.all(q1.components < hi)
+        assert np.all(q1 > lo) and np.all(q1 < hi)
+
+    def test_read_only_float_array(self):
+        q = init_quantizer(BOX, 5, 21)
+        assert isinstance(q, np.ndarray)
+        assert q.shape == (5, 2) and q.dtype == np.float64
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 5.0
 
     def test_distinct_streams_per_processor(self):
         a = init_quantizer(BOX, 4, 21)
         b = init_quantizer(BOX, 4, 21, stream=init_quantizer.__defaults__[0] + 1)
-        assert not np.array_equal(a.components, b.components)
+        assert not np.array_equal(a, b)

@@ -317,7 +317,11 @@ class TestTraceRoundtrip:
         {"alpha": 0.5, "B1": None, "B2": 4, "B3": 1},
         {"alpha": 0.5, "B1": 3, "B2": True, "B3": 1},
         {"alpha": 0.5, "B1": 3, "B2": 4, "B3": [1]},
-        {"alpha": 0.5, "B1": 3, "B2": 4, "B3": float("nan")}])
+        {"alpha": 0.5, "B1": 3, "B2": 4, "B3": float("nan")},
+        {"alpha": 0.5, "B1": 3.9, "B2": 4, "B3": 1},          # B1, B2, B3 must be integers
+        {"alpha": 0.5, "B1": 3, "B2": 2.5, "B3": 1},
+        {"alpha": 0.5, "B1": 3, "B2": 4, "B3": 1e20},
+        {"alpha": 10**400, "B1": 3, "B2": 4, "B3": 1}])       # no finite float
     def test_malformed_meta_rejected(self, tmp_path, meta):
         sch = generate(ring_spec(delay_value=2), 3, 24, seed=1)
         path = tmp_path / "trace.jsonl"

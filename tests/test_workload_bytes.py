@@ -4,10 +4,10 @@ configs write pinned bytes.
 The configs come from ``perfbench/workloads.py``, loaded read-only, at
 benchmark seed 0 (the identity map, so each is the workload's own config).
 The sha256 of every byte-stable artifact below is pinned here: those of
-``dalvq``-mode and ``agreement-only`` runs, and the ``phi-table`` at its
-default t. A change that moves one bit of an output fails tier-1 instead of
-waiting for a hand check. The digests inside ``perfbench/workloads.py`` are
-older and are not read.
+``dalvq``-mode, ``agreement-only``, ``clvq-baseline`` and ``lloyd-baseline``
+runs, and the ``phi-table`` at its default t. A change that moves one bit
+of an output fails tier-1 instead of waiting for a hand check. The digests
+inside ``perfbench/workloads.py`` are older and are not read.
 """
 
 import hashlib
@@ -85,6 +85,36 @@ AGREEMENT_PINNED = {
         "decay.csv": "63149a260de80cf16ea0c8fac8bc9d34a60ef88d0a6f2d4806dfcba47fde440e"},
 }
 
+# clvq-baseline runs, on the global clock that mode requires, and
+# lloyd-baseline runs: final-quantizers.json holds the baseline's quantizer
+# and its distortion on the reference batch
+BASELINE_PINNED = {
+    ("engine-m8-disk", "clvq-baseline"): {
+        "final-quantizers.json":
+            "47cd62affd4f2462524bc161394f9403ace9b7e9b6ca4769755bc6544137548f",
+        "report.json": "87cbe88771c85c4610e3c3110f72606d310b4050bc8dbd1fd057db02e4af4f43"},
+    ("engine-m8-disk", "lloyd-baseline"): {
+        "final-quantizers.json":
+            "89c07ad20be1fd838de680aa694eabb8fe3858ad8c93a2915343be92df533631",
+        "report.json": "3c8a3ed85df42b32c6233faa1f521bc2f561e8c4ff733e791de1eb6704d7ab98"},
+    ("impulse-gossip-m8", "clvq-baseline"): {
+        "final-quantizers.json":
+            "453cdf7540845264d3fd59ea158c8f0041de217b7605285c4f5975749052988a",
+        "report.json": "2f8e90b6b443c720b22ed5ab38dc05765c41c5ba1e47f0039ae6347bddca3e3b"},
+    ("impulse-gossip-m8", "lloyd-baseline"): {
+        "final-quantizers.json":
+            "752cd0d66950fd768624f032c01d1ed193f0b4e1e6fad22b3e2412914d8af082",
+        "report.json": "a72b109879c38dc777f65872e910ed520d611f80148d4a0f45a90dde22cfc60b"},
+    ("sweep-ref5k", "clvq-baseline"): {
+        "final-quantizers.json":
+            "483a125b1a7583885b02381bf8ddc386e5b60d9f17a1bf61744e9b8aeab00bf4",
+        "report.json": "0a25336b41be43e092d36dfcb1c2ceb8c6138710569b21a61e35a4e0444aec52"},
+    ("sweep-ref5k", "lloyd-baseline"): {
+        "final-quantizers.json":
+            "44a598a4ac0e7c2e8bdbdeef448d41712bde1891e5fd0879a7432150a327cbb1",
+        "report.json": "557e7458f124ba56cf4b72b2010be1c5081645427fb4881e2490fce3f4d7def3"},
+}
+
 # phi-table at its default t, min(horizon, 64)
 PHI_TABLE_PINNED = {
     "sweep-ref5k": "d8bab657f56780411ada35ab198a49739e92dbc389f48e8dfb723b76ab746485",
@@ -116,6 +146,16 @@ def test_workload_artifacts_are_pinned(name, tmp_path):
 def test_agreement_only_artifacts_are_pinned(name, init, tmp_path):
     config = _write_config(name, tmp_path, mode="agreement-only", init=init)
     pinned = AGREEMENT_PINNED[name, init]
+    assert _run_digests(config, tmp_path / "run", pinned) == pinned
+
+
+@pytest.mark.parametrize("name,mode", sorted(BASELINE_PINNED))
+def test_baseline_artifacts_are_pinned(name, mode, tmp_path):
+    override = {"mode": mode}
+    if mode == "clvq-baseline":
+        override["step"] = {**WORKLOADS[name].config["step"], "kind": "global-clock"}
+    config = _write_config(name, tmp_path, **override)
+    pinned = BASELINE_PINNED[name, mode]
     assert _run_digests(config, tmp_path / "run", pinned) == pinned
 
 
