@@ -5,9 +5,12 @@ descent tick scaled by its step policy, and merge delayed versions of its
 peers according to the communication schedule. The schedule alone fixes every
 descent's tick, processor, step and draw counter, and no sample depends on the
 iterates, so a run plans every descent and draws every sample before its first
-tick. Draw k of processor i is addressed as (seed, i, k) in a counter-based
-stream, so a run is a pure function of its config and schedule; replaying any
-processor's draws needs no coordination with the others.
+tick, in one call over the array of draw addresses. Draw k of processor i is
+addressed as (seed, i, k) in a counter-based stream, so a run is a pure
+function of its config and schedule; replaying any processor's draws needs no
+coordination with the others. The events of one tick belong to distinct
+processors and each reads only its own processor's pre-merge version, so a
+tick with several events scores and steps them together.
 """
 
 from __future__ import annotations
@@ -178,11 +181,18 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
                ks: range) -> None:
     """Advance the version ring (depth, M, width) from tick t to t + 1: merge
     delayed versions, then add the descent term of each of the tick's planned
-    events ks on its sample z[k], at its processor's pre-merge version."""
+    events ks on its sample z[k], at its processor's pre-merge version.
+
+    A tick's events belong to distinct processors, and each reads only its
+    own processor's pre-merge version, so several events are scored in one
+    stacked nearest_cell call and stepped in one scatter; a lone event takes
+    the scalar step, which costs less than a stack of one.
+    """
     depth, dim = ring.shape[0], events.z.shape[1]
     merged = merged_versions(schedule, ring, t)
     cur = ring[t % depth]
-    for k in ks:
+    if len(ks) == 1:
+        k = ks[0]
         i = int(events.proc[k])
         z = events.z[k]
         w_cur = cur[i].reshape(-1, dim)
@@ -190,6 +200,16 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
         events.comp[k], events.w_before[k] = comp, cur[i]
         lo = comp * dim
         merged[i, lo:lo + dim] += -events.eps[k] * (w_cur[comp] - z)
+    elif len(ks) > 1:
+        ks = slice(ks.start, ks.stop)
+        i = events.proc[ks]
+        z = events.z[ks]
+        w_before = cur[i]
+        w_cur = w_before.reshape(len(i), -1, dim)
+        comp = nearest_cell(z, w_cur)
+        events.comp[ks], events.w_before[ks] = comp, w_before
+        step = -events.eps[ks, None] * (w_cur[np.arange(len(i)), comp] - z)
+        merged[i[:, None], comp[:, None] * dim + np.arange(dim)] += step
     ring[(t + 1) % depth] = merged
 
 
@@ -216,10 +236,9 @@ def run(config: RunConfig) -> RunArtifacts:
     eps, K1, K2 = config.step.steps(t_ev, n)
     events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
     starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
-    for k in range(events.n):
-        draw = StreamHandle(config.seed, int(proc[k]), int(events.draw[k]))
-        events.z[k] = batch.points[draw_index(batch.n, draw)] if config.replay_from_batch \
-            else sample(config.dist, draw)
+    draws = StreamHandle(config.seed, proc, events.draw)
+    events.z[:] = batch.points[draw_index(batch.n, draws)] if config.replay_from_batch \
+        else sample(config.dist, draws)
 
     depth = schedule.B1
     ring = np.zeros((depth, config.M, config.width))

@@ -75,21 +75,30 @@ class SampleBatch:
         return self.points.shape[1]
 
 
-def nearest_cell(z, w) -> int:
+def nearest_cell(z, w) -> int | np.ndarray:
     """Index of the component closest to z, smallest index on ties, scored
     by the kernel's rule (_sq_dist): the cell a scan of a batch gives z.
+    Stacked form: for points z (E, dim) and quantizers w (E, kappa, dim),
+    the cell of each z[e] in w[e], as an (E,) array, scored by the same rule
+    and so bit for bit the cell each pair gets alone.
 
     Duplicate components produce bit-identical distances, so the collapse to
     the first duplicate falls out of first-occurrence argmin.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {w.shape}")
+    if w.ndim not in (2, 3):
+        raise ValueError(f"quantizer must be 2-d (kappa, dim) or a stack (E, kappa, dim), "
+                         f"got shape {w.shape}")
     z = np.asarray(z, dtype=float)
-    if z.shape != w.shape[1:]:
-        raise ValueError(f"point has shape {z.shape}, expected {w.shape[1:]}")
-    kappa = len(w)
-    return int(np.argmin(_sq_dist(z, w.T, np.empty(kappa), np.empty(kappa))))
+    expect = w.shape[:-2] + w.shape[-1:]
+    if z.shape != expect:
+        raise ValueError(f"point has shape {z.shape}, expected {expect}")
+    if w.ndim == 2:
+        kappa = len(w)
+        return int(np.argmin(_sq_dist(z, w.T, np.empty(kappa), np.empty(kappa))))
+    d2 = _sq_dist(z.T[:, :, None], w.transpose(2, 0, 1), np.empty(w.shape[:2]),
+                  np.empty(w.shape[:2]))
+    return np.argmin(d2, axis=1)
 
 
 _STACK_CHUNK = 256

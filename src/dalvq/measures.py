@@ -6,6 +6,10 @@ regenerated bit-exactly without replaying the stream prefix, and distinct
 streams are independent by construction. Stream ids 0..M-1 belong to the
 processors' data streams; the high reserved ids below keep utility draws out
 of their keyspace.
+
+The bit generator is Philox4x64-10, a function of (key, counter) alone, so the
+uniforms of any list of addresses come from one vectorized pass (`_uniforms`)
+with the same bits a per-address generator gives.
 """
 
 from __future__ import annotations
@@ -48,25 +52,98 @@ _FIELDS = {_UNIFORM_BOX: ("kind", "low", "high"),
 
 @dataclass(frozen=True)
 class StreamHandle:
-    """Address of one draw: counter number `counter` of stream `stream`."""
+    """Address of one draw: counter number `counter` of stream `stream`.
+
+    `stream` and `counter` may also be 1-d integer arrays, which broadcast
+    together into a list of addresses; `sample` and `draw_index` then return
+    one draw per address.
+    """
 
     seed: int
-    stream: int
-    counter: int = 0
+    stream: int | np.ndarray
+    counter: int | np.ndarray = 0
 
     def __post_init__(self):
         for name in ("seed", "stream", "counter"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if isinstance(v, np.ndarray) and name != "seed":
+                ok = v.ndim == 1 and v.dtype.kind in "iu" and not np.any(v < 0)
+            else:
+                ok = isinstance(v, (int, np.integer)) and v >= 0
+            if not ok:
                 raise ConfigError(f"stream handle field {name} must be a nonnegative integer")
-        if self.seed >= 2**64 or self.stream >= 2**64:
+        if self.seed >= 2**64 or np.ndim(self.stream) == 0 and self.stream >= 2**64:
             raise ConfigError("seed and stream id must fit in 64 bits")
 
     def generator(self) -> np.random.Generator:
-        """Generator owning this counter's private block of the keyed Philox space."""
+        """Generator owning this counter's private block of the keyed Philox
+        space; one address only."""
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         ctr = np.array([0, self.counter, 0, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key, counter=ctr))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11), the bit generator behind StreamHandle.generator
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+# addresses per pass: keeps the (2, n) round state a few hundred KB
+_TABLE_CHUNK = 8192
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of _PHILOX_M * x, row by row, the 128-bit
+    product assembled from 32-bit limbs."""
+    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _HALF
+    x_lo, x_hi = x & _LO32, x >> _HALF
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (lo_lo >> _HALF) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    hi = m_hi * x_hi + (lo_hi >> _HALF) + (hi_lo >> _HALF) + (mid >> _HALF)
+    return hi, _PHILOX_M * x
+
+
+def _philox_block(block: int, seed: int, stream: np.ndarray,
+                  counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counter (block, counter, 0, 0) under key (seed,
+    stream), per address: a (4, n) array of the block's words in order."""
+    even = np.zeros((2, len(counter)), dtype=np.uint64)    # words 0 and 2
+    even[0] = block
+    odd = np.zeros_like(even)                               # words 1 and 3
+    odd[0] = counter
+    key = np.empty_like(even)
+    key[0], key[1] = seed, stream
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]])
+
+
+def _addresses(draw: StreamHandle) -> tuple[np.ndarray, np.ndarray]:
+    """The draw's streams and counters as two 1-d uint64 arrays of equal length."""
+    stream, counter = np.broadcast_arrays(draw.stream, draw.counter)
+    return np.ravel(stream).astype(np.uint64), np.ravel(counter).astype(np.uint64)
+
+
+def _uniforms(draw: StreamHandle, n: int) -> np.ndarray:
+    """(N, n) array: the first n `random()` values of the generator at each of
+    the draw's N addresses, computed for all addresses at once.
+
+    The generator at counter c starts at counter block (0, c, 0, 0) and steps
+    before its first block, so value w is word w % 4 of block
+    (1 + w // 4, c, 0, 0), and `random()` is (word >> 11) * 2**-53.
+    """
+    stream, counter = _addresses(draw)
+    out = np.empty((len(counter), n))
+    for a in range(0, len(counter), _TABLE_CHUNK):
+        b = min(a + _TABLE_CHUNK, len(counter))
+        for w in range(0, n, 4):
+            words = _philox_block(1 + w // 4, draw.seed, stream[a:b], counter[a:b])
+            out[a:b, w:w + 4] = (words[:n - w] >> np.uint64(11)).T * 2.0**-53
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,50 +320,63 @@ def _categorical(p: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _is_scalar(draw: StreamHandle) -> bool:
+    return np.ndim(draw.stream) == 0 and np.ndim(draw.counter) == 0
+
+
 def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
-    """The point drawn from the distribution at one stream address.
+    """The point drawn from the distribution at one stream address, or an
+    (N, dim) array of the points at the N addresses of an array draw.
 
     The point depends only on (spec, seed, stream, counter), never on earlier
-    draws, so replaying any counter reproduces its sample bit-exactly.
+    draws, so replaying any counter reproduces its sample bit-exactly. Box
+    and disk draws read the address's first uniforms (`_uniforms`); a
+    mixture draw runs its generator, whose normals take a variable number
+    of words.
     """
-    g = draw.generator()
-    if spec.kind == _UNIFORM_BOX:
-        u = g.random(spec.dim)
-        z = spec.low + u * (spec.high - spec.low)
-    elif spec.kind == _GAUSS_MIX:
-        comp = int(np.searchsorted(spec._cdf, g.random(), side="right"))
-        mean = spec.means[comp]
-        chol = spec._chols[comp]
-        for _ in range(_MAX_REJECTION_ATTEMPTS):
-            z = mean + chol @ g.standard_normal(spec.dim)
-            if np.all(z >= spec.low) and np.all(z <= spec.high):
-                break
-        else:
-            raise ConfigError(
-                "truncation box rejects virtually all mass of component "
-                f"{comp}; loosen the box or move the component")
+    if spec.kind == _GAUSS_MIX:
+        stream, counter = _addresses(draw)
+        z = np.empty((len(counter), spec.dim))
+        for k, (s, c) in enumerate(zip(stream.tolist(), counter.tolist())):
+            z[k] = _mixture_point(spec, StreamHandle(draw.seed, s, c).generator())
+    elif spec.kind == _UNIFORM_BOX:
+        z = spec.low + _uniforms(draw, spec.dim) * (spec.high - spec.low)
     else:  # disk union, area-weighted disk choice
-        disk = int(np.searchsorted(spec._cdf, g.random(), side="right"))
-        r = spec.radii[disk] * np.sqrt(g.random())
-        ang = 2.0 * np.pi * g.random()
-        z = spec.centers[disk] + r * np.array([np.cos(ang), np.sin(ang)])
-    return z
+        u = _uniforms(draw, 3)
+        disk = np.searchsorted(spec._cdf, u[:, 0], side="right")
+        r = spec.radii[disk] * np.sqrt(u[:, 1])
+        ang = 2.0 * np.pi * u[:, 2]
+        z = spec.centers[disk] + r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return z[0] if _is_scalar(draw) else z
 
 
-def draw_index(n: int, draw: StreamHandle) -> int:
-    """Uniform index in [0, n), replayable like sample(); used by batch replay."""
+def _mixture_point(spec: DistributionSpec, g: np.random.Generator) -> np.ndarray:
+    comp = int(np.searchsorted(spec._cdf, g.random(), side="right"))
+    mean = spec.means[comp]
+    chol = spec._chols[comp]
+    for _ in range(_MAX_REJECTION_ATTEMPTS):
+        z = mean + chol @ g.standard_normal(spec.dim)
+        if np.all(z >= spec.low) and np.all(z <= spec.high):
+            return z
+    raise ConfigError(
+        "truncation box rejects virtually all mass of component "
+        f"{comp}; loosen the box or move the component")
+
+
+def draw_index(n: int, draw: StreamHandle) -> int | np.ndarray:
+    """Uniform index in [0, n), replayable like sample(), or an int64 array
+    of one index per address; used by batch replay."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return int(draw.generator().random() * n)
+    idx = (_uniforms(draw, 1)[:, 0] * n).astype(np.int64)
+    return int(idx[0]) if _is_scalar(draw) else idx
 
 
 def make_batch(spec: DistributionSpec, seed: int, n: int) -> SampleBatch:
     """n deterministic draws packaged with the declared support geometry."""
     if n < 1:
         raise ConfigError("batch size must be >= 1")
-    pts = np.empty((n, spec.dim))
-    for k in range(n):
-        pts[k] = sample(spec, StreamHandle(seed, STREAM_REF_BATCH, k))
+    pts = sample(spec, StreamHandle(seed, STREAM_REF_BATCH, np.arange(n)))
     lo, hi = spec.bbox
     return SampleBatch(points=pts, bbox_low=lo, bbox_high=hi, diameter=spec.diameter)
 
@@ -301,9 +391,7 @@ def init_quantizer(spec: DistributionSpec, kappa: int, seed: int,
         raise ConfigError("kappa must be >= 1")
     min_sep = 1e-6 * spec.diameter
     for r in range(_MAX_INIT_ROUNDS):
-        pts = np.empty((kappa, spec.dim))
-        for k in range(kappa):
-            pts[k] = sample(spec, StreamHandle(seed, stream, r * kappa + k))
+        pts = sample(spec, StreamHandle(seed, stream, r * kappa + np.arange(kappa)))
         if not all(spec._strictly_interior(p) for p in pts):
             continue
         if kappa == 1 or min_component_separation(pts) >= min_sep:

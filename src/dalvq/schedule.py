@@ -556,12 +556,22 @@ def write_trace(schedule: CommSchedule, path: str) -> None:
     meta = {"meta": {"M": schedule.M, "horizon": schedule.horizon,
                      "alpha": schedule.alpha, "B1": schedule.B1,
                      "B2": schedule.B2, "B3": schedule.B3}}
+    # From tick `free` on no delay is clamped, so a tick's record is its table
+    # row's apart from "t": the text after "t" is kept for rows that recur.
+    free = int(np.max(schedule.delay_table, initial=0))
+    tails = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta) + "\n")
         for t in range(schedule.horizon):
-            rec = {"t": t, "coeff": schedule.coeff(t).tolist(),
-                   "delay": schedule.delay(t).tolist(), "active": list(schedule.active(t))}
-            fh.write(json.dumps(rec) + "\n")
+            row = t % schedule.cycle
+            tail = tails.get(row) if t >= free else None
+            if tail is None:
+                tail = json.dumps({"coeff": schedule.coeff(t).tolist(),
+                                   "delay": schedule.delay(t).tolist(),
+                                   "active": list(schedule.active(t))})[1:]
+                if t >= free and t + schedule.cycle < schedule.horizon:
+                    tails[row] = tail
+            fh.write('{"t": ' + str(t) + ", " + tail + "\n")
 
 
 def read_trace(path: str) -> CommSchedule:

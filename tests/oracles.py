@@ -5,13 +5,35 @@ fast paths compute, in the plainest form, or records what the library only
 streams (``phi_family``).
 """
 
+import json
 from typing import Optional
 
 import numpy as np
 
-from dalvq.agreement import _impulse_blocks
+from dalvq.agreement import _impulse_blocks, merged_versions
 from dalvq.geometry import min_component_separation, nearest_cell
-from dalvq.measures import StreamHandle, draw_index, init_quantizer, make_batch, sample
+from dalvq.measures import StreamHandle, init_quantizer, make_batch, sample
+
+
+def generator_sample(spec, draw: StreamHandle) -> np.ndarray:
+    """The point at one stream address, read from the address's own
+    generator (`StreamHandle.generator`) one value at a time: the per-draw
+    rule the library's draw tables compute for all addresses at once."""
+    if spec.kind == "truncated-gaussian-mixture":   # the library draws these per address too
+        return sample(spec, draw)
+    g = draw.generator()
+    if spec.kind == "uniform-box":
+        u = g.random(spec.dim)
+        return spec.low + u * (spec.high - spec.low)
+    disk = int(np.searchsorted(spec._cdf, g.random(), side="right"))
+    r = spec.radii[disk] * np.sqrt(g.random())
+    ang = 2.0 * np.pi * g.random()
+    return spec.centers[disk] + r * np.array([np.cos(ang), np.sin(ang)])
+
+
+def generator_index(n: int, draw: StreamHandle) -> int:
+    """Uniform index in [0, n) from the address's own generator."""
+    return int(draw.generator().random() * n)
 
 
 def cell_stats(comps, points) -> tuple:
@@ -82,9 +104,43 @@ def sequential_clvq(dist, kappa: int, horizon: int, seed: int, c: float,
     w = np.array(init_quantizer(dist, kappa, seed))
     for t in range(horizon):
         draw = StreamHandle(seed, 0, t)
-        z = batch.points[draw_index(batch.n, draw)] if replay_from_batch else sample(dist, draw)
+        z = batch.points[generator_index(batch.n, draw)] if replay_from_batch \
+            else generator_sample(dist, draw)
         w = clvq_step(w, z, c / max(t, 1))
     return w
+
+
+def per_event_tick(t: int, ring: np.ndarray, schedule, events, ks) -> None:
+    """`engine.dalvq_tick` one event at a time: merge, then for each event k
+    in ks the scalar nearest cell of z[k] in its processor's pre-merge
+    version, recorded in comp and w_before, and that cell's step into the
+    merged row."""
+    depth, dim = ring.shape[0], events.z.shape[1]
+    merged = merged_versions(schedule, ring, t)
+    cur = ring[t % depth]
+    for k in ks:
+        i = int(events.proc[k])
+        z = events.z[k]
+        w_cur = cur[i].reshape(-1, dim)
+        comp = nearest_cell(z, w_cur)
+        events.comp[k], events.w_before[k] = comp, cur[i]
+        lo = comp * dim
+        merged[i, lo:lo + dim] += -events.eps[k] * (w_cur[comp] - z)
+    ring[(t + 1) % depth] = merged
+
+
+def trace_text(schedule) -> str:
+    """`schedule.write_trace`'s file as text, one json.dumps per tick of the
+    accessors' values."""
+    meta = {"meta": {"M": schedule.M, "horizon": schedule.horizon,
+                     "alpha": schedule.alpha, "B1": schedule.B1,
+                     "B2": schedule.B2, "B3": schedule.B3}}
+    lines = [json.dumps(meta)]
+    for t in range(schedule.horizon):
+        lines.append(json.dumps({"t": t, "coeff": schedule.coeff(t).tolist(),
+                                 "delay": schedule.delay(t).tolist(),
+                                 "active": list(schedule.active(t))}))
+    return "".join(line + "\n" for line in lines)
 
 
 def is_parted(q, delta: float) -> bool:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
 from dalvq.errors import ConfigError
 from dalvq.geometry import nearest_cell
-from dalvq.measures import DistributionSpec, StreamHandle, draw_index, sample
+from dalvq.measures import DistributionSpec, StreamHandle, sample
 from dalvq.schedule import ScheduleSpec, generate, write_trace
-from oracles import descent_term, gradient_observation
+from oracles import (descent_term, generator_index, generator_sample, gradient_observation,
+                     per_event_tick)
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -185,9 +186,9 @@ class TestRunDynamics:
                 handle = StreamHandle(cfg.seed, i, draws[i])
                 draws[i] += 1
                 if cfg.replay_from_batch:
-                    z = art.batch.points[draw_index(art.batch.n, handle)]
+                    z = art.batch.points[generator_index(art.batch.n, handle)]
                 else:
-                    z = sample(cfg.dist, handle)
+                    z = generator_sample(cfg.dist, handle)
                 eps = c / max(t if cfg.step.kind == "global-clock" else draws[i], 1)
                 w_cur = hist[t][i].reshape(cfg.kappa, cfg.dim)
                 comp = nearest_cell(z, w_cur)
@@ -284,3 +285,39 @@ class TestDalvqTick:
         assert np.array_equal(log.z, art.events.z)
         assert np.array_equal(log.comp, art.events.comp)
         assert np.array_equal(log.w_before, art.events.w_before)
+
+
+class TestBatchedTick:
+    """A tick of several events is the per-event rule, bit for bit."""
+
+    @pytest.mark.parametrize("kappa, dim", [(1, 1), (1, 3), (3, 1), (3, 3), (4, 2)])
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_event_rule(self, kappa, dim, M, seed):
+        sch = generate(ScheduleSpec(topology="ring", merge_period=2, delay_law="uniform",
+                                    delay_value=3, activity="random-subset", base_window=8),
+                       M, 2 * M, seed)
+        rng = np.random.default_rng(seed)
+        # few distinct values: duplicate components, ties and -0.0 everywhere
+        values = np.array([0.0, -0.0, 0.25, -0.5, 1.0])
+        # tick t has t % M + 1 events on distinct processors: 1 to M a tick
+        procs = [np.sort(rng.choice(M, t % M + 1, replace=False)) for t in range(sch.horizon)]
+        t_ev = np.repeat(np.arange(sch.horizon), [len(p) for p in procs])
+        proc = np.concatenate(procs)
+        eps = rng.choice([0.5, 0.25, 1.0 / 3.0], len(t_ev))
+        logs = [EventLog(t_ev, proc, np.zeros_like(proc), eps, dim, kappa * dim)
+                for _ in range(2)]
+        z = rng.choice(values, (len(t_ev), dim))
+        ring0 = np.zeros((sch.B1, M, kappa * dim))
+        ring0[0] = rng.choice(values, (M, kappa * dim))
+        rings = [ring0.copy(), ring0.copy()]
+        for log in logs:
+            log.z[:] = z
+        starts = np.searchsorted(t_ev, np.arange(sch.horizon + 1))
+        for t in range(sch.horizon):
+            ks = range(starts[t], starts[t + 1])
+            dalvq_tick(t, rings[0], sch, logs[0], ks)
+            per_event_tick(t, rings[1], sch, logs[1], ks)
+            for a, b in [rings, (logs[0].comp, logs[1].comp),
+                         (logs[0].w_before, logs[1].w_before)]:
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

@@ -72,6 +72,27 @@ class TestNearestCell:
     def test_dim_one(self):
         assert nearest_cell(np.array([0.9]), [[0.0], [1.0]]) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.integers(1, 9), kappa=st.integers(1, 5), dim=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_form_is_the_scalar_form(self, E, kappa, dim, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values (duplicates, ties, -0.0), or generic near ties
+        if seed % 2:
+            W = rng.choice([0.0, -0.0, 0.5, -1.0, 2.0], (E, kappa, dim))
+            z = rng.choice([0.0, -0.0, 0.25, 0.5, -1.0], (E, dim))
+        else:
+            z = rng.random((E, dim))
+            u = rng.normal(size=(E, 1, dim))
+            W = z[:, None, :] + u * rng.choice([-1.0, 1.0, 1.0 + 1e-15], (E, kappa, 1))
+        cells = nearest_cell(z, W)
+        assert cells.shape == (E,)
+        assert cells.tolist() == [nearest_cell(z[e], W[e]) for e in range(E)]
+
+    def test_stacked_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            nearest_cell(np.zeros((3, 2)), np.zeros((4, 2, 2)))
+
     def test_reflected_near_ties_score_as_the_kernel(self):
         # two components mirrored through z are equidistant from it in exact
         # arithmetic, so which one wins turns on rounding: the scorer must

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dalvq.errors import ConfigError
-from dalvq.measures import (DistributionSpec, StreamHandle, draw_index,
-                            init_quantizer, make_batch, sample)
-from oracles import is_parted
+from dalvq.measures import (STREAM_INIT_BASE, STREAM_REF_BATCH, STREAM_SCHEDULE,
+                            DistributionSpec, StreamHandle, draw_index, init_quantizer,
+                            make_batch, sample)
+from oracles import generator_index, generator_sample, is_parted
 
 
 BOX = DistributionSpec.uniform_box([0.0, -1.0], [2.0, 1.0])
@@ -19,10 +22,7 @@ DISKS = DistributionSpec.disk_union(centers=[[0.0, 0.0], [5.0, 0.0]], radii=[1.0
 
 
 def draw_many(spec, seed, n, stream_id=0):
-    out = np.empty((n, spec.dim))
-    for k in range(n):
-        out[k] = sample(spec, StreamHandle(seed, stream_id, k))
-    return out
+    return sample(spec, StreamHandle(seed, stream_id, np.arange(n)))
 
 
 # ---- streams ----
@@ -50,6 +50,79 @@ class TestStreamHandle:
             StreamHandle(2**64, 0)
         with pytest.raises(ValueError):
             StreamHandle(0, 0, counter=-2)
+
+    @pytest.mark.parametrize("field, bad", [("stream", np.zeros((2, 2), dtype=int)),
+                                            ("counter", np.array([0.0, 1.0])),
+                                            ("counter", np.array([3, -1])),
+                                            ("stream", np.array([True]))])
+    def test_array_validation(self, field, bad):
+        with pytest.raises(ConfigError):
+            StreamHandle(0, **{"stream": 0, field: bad})
+
+    def test_array_addresses_give_one_draw_each(self):
+        stream, counter = np.array([0, 3, 3]), np.array([17, 17, 2])
+        z = sample(BOX, StreamHandle(42, stream, counter))
+        idx = draw_index(10, StreamHandle(42, stream, counter))
+        assert z.shape == (3, 2) and idx.shape == (3,) and idx.dtype == np.int64
+        for k in range(3):
+            one = StreamHandle(42, int(stream[k]), int(counter[k]))
+            assert np.array_equal(z[k], sample(BOX, one))
+            assert idx[k] == draw_index(10, one) and type(draw_index(10, one)) is int
+        assert sample(DISKS, StreamHandle(1, np.arange(0), 0)).shape == (0, 2)
+        assert sample(MIX, StreamHandle(1, 0, np.arange(0))).shape == (0, 2)
+
+
+# the processors' streams, the reserved ones and any 64-bit id
+STREAMS = st.one_of(st.integers(0, 63),
+                    st.sampled_from([STREAM_REF_BATCH, STREAM_SCHEDULE]),
+                    st.integers(0, 63).map(lambda i: STREAM_INIT_BASE + i),
+                    st.integers(0, 2**64 - 1))
+COUNTERS = st.one_of(st.integers(0, 10**6), st.integers(0, 2**64 - 1))
+ADDRESSES = st.lists(st.tuples(STREAMS, COUNTERS), min_size=1, max_size=6)
+BOUNDS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def table_specs(draw):
+    """A uniform box of dim 1-9 (one to three Philox blocks a draw) or a
+    union of one to three disks."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 9))
+        low = draw(st.lists(BOUNDS, min_size=dim, max_size=dim))
+        width = draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+        return DistributionSpec.uniform_box(low, np.add(low, width))
+    m = draw(st.integers(1, 3))
+    centers = draw(st.lists(st.tuples(BOUNDS, BOUNDS), min_size=m, max_size=m))
+    radii = draw(st.lists(st.floats(1e-3, 1e2), min_size=m, max_size=m))
+    return DistributionSpec.disk_union(centers, radii)
+
+
+def _arrays(addrs):
+    return (np.array([a[0] for a in addrs], dtype=np.uint64),
+            np.array([a[1] for a in addrs], dtype=np.uint64))
+
+
+class TestDrawTables:
+    """The table draws are the per-address generator's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), addrs=ADDRESSES, spec=table_specs())
+    def test_samples_are_the_generator_samples(self, seed, addrs, spec):
+        z = sample(spec, StreamHandle(seed, *_arrays(addrs)))
+        for k, (s, c) in enumerate(addrs):
+            ref = generator_sample(spec, StreamHandle(seed, s, c))
+            one = sample(spec, StreamHandle(seed, s, c))
+            for got in (z[k], one):
+                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                                   np.signbit(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), addrs=ADDRESSES, n=st.integers(1, 2**31))
+    def test_indices_are_the_generator_indices(self, seed, addrs, n):
+        idx = draw_index(n, StreamHandle(seed, *_arrays(addrs)))
+        want = [generator_index(n, StreamHandle(seed, s, c)) for s, c in addrs]
+        assert idx.tolist() == want
+        assert [draw_index(n, StreamHandle(seed, s, c)) for s, c in addrs] == want
 
 
 # ---- distributions ----

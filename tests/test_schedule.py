@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import dalvq
 from dalvq.errors import ConfigError
 from dalvq.schedule import (CommSchedule, ScheduleSpec, _measure, generate, read_trace,
                             validate, write_trace)
-from oracles import communication_graph
+from oracles import communication_graph, trace_text
 
 
 def ring_spec(**kw):
@@ -270,6 +271,25 @@ class TestTraceRoundtrip:
         assert np.array_equal(back.active_table, active)
         for name in ("alpha", "B1", "B2", "B3"):
             assert getattr(back, name) == getattr(sch, name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(2, 4), horizon=st.integers(0, 40), law=st.sampled_from(["fixed", "uniform"]),
+           value=st.integers(1, 5), period=st.integers(1, 3), window=st.integers(1, 9),
+           seed=st.integers(0, 2**20))
+    def test_bytes_are_the_per_tick_writer(self, tmp_path_factory, M, horizon, law, value,
+                                           period, window, seed):
+        # records repeat with the table row once no delay is clamped
+        sch = generate(ring_spec(merge_period=period, delay_law=law, delay_value=value,
+                                 activity="random-subset", base_window=window), M, horizon, seed)
+        path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+        write_trace(sch, str(path))
+        assert path.read_text() == trace_text(sch)
+        schedules = [replace(sch, B1=1)]  # a B1 under the delays clamps no less
+        if horizon:
+            schedules.append(read_trace(str(path)))  # a dense trace: every row once
+        for s in schedules:
+            write_trace(s, str(path))
+            assert path.read_text() == trace_text(s)
 
     def test_custom_trace_spec_reads_file(self, tmp_path):
         sch = generate(ring_spec(), 3, 24, seed=1)
