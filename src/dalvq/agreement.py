@@ -64,23 +64,26 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
     them injected at t or earlier; live marks those still running at t, and
     resid is each one's largest current-version residual (None without
     limits). Stopped blocks between running ones ride along unrecorded.
+    hist[u % depth] keeps ring slot u % depth's residuals, so a tick measures one
+    slot; a block's slots hold 0 until it enters, residual max |limits[k]|.
     """
     M, depth = schedule.M, schedule.B1
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
     ring[0, :, :M] = eye
+    hist = None if limits is None else np.tile(np.abs(limits).max(axis=1), (depth, 1))
     live = np.ones(n, dtype=bool)
     lo, hi, t = 0, 1, 0
     while True:
-        window = ring[:, :, lo * M:hi * M]
+        cur = ring[t % depth, :, lo * M:hi * M]
         if limits is None:
             resid, done = None, np.full(hi - lo, t >= t_end)
         else:
-            dev = np.abs(window.reshape(depth, M, hi - lo, M) - limits[lo:hi]).max(axis=(1, 3))
-            resid = dev[t % depth]
-            done = dev.max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
-        yield t, lo, window[t % depth], live[lo:hi].copy(), resid
+            resid = np.abs(cur - limits[lo:hi].ravel()).max(axis=0).reshape(-1, M).max(axis=1)
+            hist[t % depth, lo:hi] = resid
+            done = hist[:, lo:hi].max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
+        yield t, lo, cur, live[lo:hi].copy(), resid
         live[lo:hi] &= ~done
         if not live.any():
             return

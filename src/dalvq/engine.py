@@ -237,8 +237,10 @@ def run(config: RunConfig) -> RunArtifacts:
     events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
     starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
     draws = StreamHandle(config.seed, proc, events.draw)
-    events.z[:] = batch.points[draw_index(batch.n, draws)] if config.replay_from_batch \
-        else sample(config.dist, draws)
+    if config.replay_from_batch:
+        np.take(batch.points, draw_index(batch.n, draws), axis=0, out=events.z)
+    else:
+        events.z[:] = sample(config.dist, draws)
 
     depth = schedule.B1
     ring = np.zeros((depth, config.M, config.width))

@@ -7,9 +7,9 @@ streams are independent by construction. Stream ids 0..M-1 belong to the
 processors' data streams; the high reserved ids below keep utility draws out
 of their keyspace.
 
-The bit generator is Philox4x64-10, a function of (key, counter) alone, so the
-uniforms of any list of addresses come from one vectorized pass (`_uniforms`)
-with the same bits a per-address generator gives.
+The bit generator is Philox4x64-10, a function of (key, counter) alone: one
+pass gives the uniforms of many addresses (`_uniforms`), one generator re-keyed
+per address their mixture normals (`_mixture_points`), with per-address bits.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ STREAM_SCHEDULE = 2**49
 # Attempt caps: exceeding either means the configuration is degenerate, not bad luck.
 _MAX_REJECTION_ATTEMPTS = 10_000
 _MAX_INIT_ROUNDS = 1000
+_MIX_ROWS = 2   # a mixture draw's candidate rows per address before any redraw
 
 _UNIFORM_BOX = "uniform-box"
 _GAUSS_MIX = "truncated-gaussian-mixture"
@@ -330,15 +331,12 @@ def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
 
     The point depends only on (spec, seed, stream, counter), never on earlier
     draws, so replaying any counter reproduces its sample bit-exactly. Box
-    and disk draws read the address's first uniforms (`_uniforms`); a
-    mixture draw runs its generator, whose normals take a variable number
-    of words.
+    and disk draws read the address's first uniforms (`_uniforms`); mixture
+    draws take the first in-box candidate of the address's generator
+    (`_mixture_points`).
     """
     if spec.kind == _GAUSS_MIX:
-        stream, counter = _addresses(draw)
-        z = np.empty((len(counter), spec.dim))
-        for k, (s, c) in enumerate(zip(stream.tolist(), counter.tolist())):
-            z[k] = _mixture_point(spec, StreamHandle(draw.seed, s, c).generator())
+        z = _mixture_points(spec, draw)
     elif spec.kind == _UNIFORM_BOX:
         z = spec.low + _uniforms(draw, spec.dim) * (spec.high - spec.low)
     else:  # disk union, area-weighted disk choice
@@ -350,17 +348,34 @@ def sample(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
     return z[0] if _is_scalar(draw) else z
 
 
-def _mixture_point(spec: DistributionSpec, g: np.random.Generator) -> np.ndarray:
-    comp = int(np.searchsorted(spec._cdf, g.random(), side="right"))
-    mean = spec.means[comp]
-    chol = spec._chols[comp]
-    for _ in range(_MAX_REJECTION_ATTEMPTS):
-        z = mean + chol @ g.standard_normal(spec.dim)
-        if np.all(z >= spec.low) and np.all(z <= spec.high):
-            return z
-    raise ConfigError(
-        "truncation box rejects virtually all mass of component "
-        f"{comp}; loosen the box or move the component")
+def _mixture_points(spec: DistributionSpec, draw: StreamHandle) -> np.ndarray:
+    """(N, dim) points: per address, its generator's first in-box mean + chol @ v,
+    v a row of normals after the component's uniform. A re-keyed Philox draws
+    _MIX_ROWS rows an address; those with none in the box redraw 16 times as many."""
+    stream, counter = _addresses(draw)
+    bitgen = np.random.Philox()
+    gen, state = np.random.Generator(bitgen), bitgen.state   # fresh: buffer empty
+    z, todo, rows = np.empty((len(counter), spec.dim)), np.arange(len(counter)), _MIX_ROWS
+    while len(todo):
+        step, miss = max(1, _TABLE_CHUNK // rows), []
+        for part in (todo[a:a + step] for a in range(0, len(todo), step)):
+            u, nrm = np.empty(len(part)), np.empty((len(part), rows, spec.dim))
+            for k, (s, c) in enumerate(zip(stream[part].tolist(), counter[part].tolist())):
+                bitgen.state = {**state, "state": {"counter": [0, c, 0, 0], "key": [draw.seed, s]}}
+                u[k] = gen.random()
+                gen.standard_normal(out=nrm[k])
+            comp = np.searchsorted(spec._cdf, u, side="right")
+            # stacked (dim, dim) @ (dim, 1) products keep the bits of chol @ v
+            cand = spec.means[comp, None] + (spec._chols[comp, None] @ nrm[..., None])[..., 0]
+            inbox = np.all((cand >= spec.low) & (cand <= spec.high), axis=-1)
+            hit = inbox.any(axis=1)
+            if rows == _MAX_REJECTION_ATTEMPTS and not hit.all():
+                raise ConfigError("truncation box rejects virtually all mass of component "
+                                  f"{comp[~hit][0]}; loosen the box or move the component")
+            z[part[hit]] = cand[hit, inbox.argmax(axis=1)[hit]]
+            miss.append(part[~hit])
+        todo, rows = np.concatenate(miss), min(16 * rows, _MAX_REJECTION_ATTEMPTS)
+    return z
 
 
 def draw_index(n: int, draw: StreamHandle) -> int | np.ndarray:

@@ -11,17 +11,25 @@ from typing import Optional
 import numpy as np
 
 from dalvq.agreement import _impulse_blocks, merged_versions
+from dalvq.errors import ConfigError
 from dalvq.geometry import min_component_separation, nearest_cell
-from dalvq.measures import StreamHandle, init_quantizer, make_batch, sample
+from dalvq.measures import StreamHandle, init_quantizer, make_batch
 
 
 def generator_sample(spec, draw: StreamHandle) -> np.ndarray:
     """The point at one stream address, read from the address's own
     generator (`StreamHandle.generator`) one value at a time: the per-draw
-    rule the library's draw tables compute for all addresses at once."""
-    if spec.kind == "truncated-gaussian-mixture":   # the library draws these per address too
-        return sample(spec, draw)
+    rule the library's draw tables compute for all addresses at once. A
+    mixture point takes the component, then candidates until one lies in the
+    box."""
     g = draw.generator()
+    if spec.kind == "truncated-gaussian-mixture":
+        comp = int(np.searchsorted(spec._cdf, g.random(), side="right"))
+        for _ in range(10_000):
+            z = spec.means[comp] + spec._chols[comp] @ g.standard_normal(spec.dim)
+            if np.all(z >= spec.low) and np.all(z <= spec.high):
+                return z
+        raise ConfigError(f"no in-box point of component {comp} in 10,000 attempts")
     if spec.kind == "uniform-box":
         u = g.random(spec.dim)
         return spec.low + u * (spec.high - spec.low)
@@ -254,3 +262,31 @@ def phi_family(schedule, t_end: int) -> np.ndarray:
     for t, lo, x, _, _ in _impulse_blocks(schedule, n, t_end=t_end):
         out[t, :, lo * M:lo * M + x.shape[1]] = x
     return out.reshape(n, M, n, M).transpose(0, 2, 1, 3).copy()
+
+
+def envelope_blocks(schedule, limits: np.ndarray):
+    """The envelope pass of ``_impulse_blocks(schedule, len(limits),
+    limits=limits)`` with every residual taken afresh: each tick measures
+    every ring slot of every block in the window against its limit. Yields
+    (t, lo, live, resid) as the library yields (t, lo, x, live, resid)."""
+    M, depth, n = schedule.M, schedule.B1, len(limits)
+    delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
+    eye = np.eye(M)
+    ring = np.zeros((depth, M, n * M))
+    ring[0, :, :M] = eye
+    live = np.ones(n, dtype=bool)
+    lo, hi, t = 0, 1, 0
+    while True:
+        window = ring[:, :, lo * M:hi * M]
+        dev = np.abs(window.reshape(depth, M, hi - lo, M) - limits[lo:hi]).max(axis=(1, 3))
+        yield t, lo, live[lo:hi].copy(), dev[t % depth]
+        live[lo:hi] &= ~(dev.max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi)))
+        if not live.any():
+            return
+        lo, hi = int(np.argmax(live)), min(t + 2, n)
+        cols = slice(lo * M, hi * M)
+        x = merged_versions(schedule, ring[:, :, cols], t)
+        if t + 1 < n:
+            x[:, (t + 1 - lo) * M:] = eye
+        ring[(t + 1) % depth, :, cols] = x
+        t += 1

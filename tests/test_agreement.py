@@ -1,16 +1,21 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dalvq.agreement
 from dalvq.agreement import (_impulse_blocks, _step_matrix, compute_phi, merged_versions,
                              phi_limit_series)
 from dalvq.engine import RunConfig, StepPolicy, run
+from dalvq.errors import ConfigError
 from dalvq.measures import DistributionSpec
 from dalvq.schedule import CommSchedule, ScheduleSpec, generate, read_trace, write_trace
-from oracles import agreement_vector, dense_descent, phi_family
+from oracles import agreement_vector, dense_descent, envelope_blocks, phi_family
+from test_workload_bytes import WORKLOADS
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -287,6 +292,59 @@ class TestImpulseOracle:
         np.testing.assert_allclose(series.phi_init, star[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(series.phi, star[1:], rtol=0, atol=1e-12)
         assert series.eta_hat == min(np.min(series.phi_init), np.min(series.phi))
+
+
+class TestEnvelopePass:
+    """The envelope pass, which measures only the current ring slot each
+    tick, against the oracle that measures every slot afresh: the same
+    (t, lo, live, resid) at every tick, and the same last tick."""
+
+    @staticmethod
+    def assert_same_pass(sch, max_ticks=20_000):
+        series = phi_limit_series(sch)
+        limits = np.vstack([series.phi_init, series.phi[:len(base_taus(sch)) - 1]])
+        got = itertools.islice(_impulse_blocks(sch, len(limits), limits=limits), max_ticks)
+        want = itertools.islice(envelope_blocks(sch, limits), max_ticks)
+        ticks = 0
+        for a, b in itertools.zip_longest(got, want):
+            assert a is not None and b is not None, "the passes stop on different ticks"
+            (t, lo, _, live, resid), (t_want, lo_want, live_want, resid_want) = a, b
+            assert (t, lo) == (t_want, lo_want) == (ticks, lo)
+            assert np.array_equal(live, live_want) and np.array_equal(resid, resid_want)
+            ticks += 1
+        return ticks
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_schedules(self, name):
+        cfg = WORKLOADS[name].config
+        sch = generate(ScheduleSpec.from_dict(cfg["sched"]), cfg["M"], cfg["horizon"],
+                       cfg["seed"])
+        assert sch.B1 >= 2
+        assert self.assert_same_pass(sch) < 20_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 4), horizon=st.integers(2, 40),
+           topology=st.sampled_from(["ring", "complete", "random-symmetric-gossip"]),
+           activity=st.sampled_from(["all-active", "round-robin", "random-subset"]),
+           law=st.sampled_from(["fixed", "uniform"]), value=st.integers(1, 4),
+           period=st.integers(1, 3), window=st.integers(4, 9), seed=st.integers(0, 2**20),
+           deeper=st.integers(0, 2))
+    @example(M=1, horizon=2, topology="ring", activity="all-active", law="fixed", value=1,
+             period=1, window=4, seed=0, deeper=1)
+    def test_generated_schedules(self, M, horizon, topology, activity, law, value, period,
+                                 window, seed, deeper):
+        # a ring deeper than the delays need (B1 raised by `deeper`) is valid;
+        # with M = 1 it is what keeps slots from before a block's entry in view
+        # once the block has reached its limit
+        spec = ScheduleSpec(topology=topology, merge_period=period, delay_law=law,
+                            delay_value=value, activity=activity, base_window=window)
+        try:
+            sch = generate(spec, M, horizon, seed)
+        except ConfigError:   # too few mergeable processors for gossip
+            assume(False)
+        sch = dataclasses.replace(sch, B1=sch.B1 + deeper)
+        assume(sch.B1 >= 2)
+        self.assert_same_pass(sch, max_ticks=3000)
 
 
 class TestPhiLimits:

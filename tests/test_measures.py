@@ -84,17 +84,39 @@ BOUNDS = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 @st.composite
 def table_specs(draw):
-    """A uniform box of dim 1-9 (one to three Philox blocks a draw) or a
-    union of one to three disks."""
-    if draw(st.booleans()):
+    """A uniform box of dim 1-9 (one to three Philox blocks a draw), a
+    Gaussian mixture of dim 1-9 truncated to a box, or a union of one to
+    three disks."""
+    kind = draw(st.sampled_from(["box", "mixture", "disks"]))
+    if kind != "disks":
         dim = draw(st.integers(1, 9))
         low = draw(st.lists(BOUNDS, min_size=dim, max_size=dim))
-        width = draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
-        return DistributionSpec.uniform_box(low, np.add(low, width))
+        width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)))
+        if kind == "box":
+            return DistributionSpec.uniform_box(low, low + width)
+        return mixture_in_box(draw, np.array(low), width)
     m = draw(st.integers(1, 3))
     centers = draw(st.lists(st.tuples(BOUNDS, BOUNDS), min_size=m, max_size=m))
     radii = draw(st.lists(st.floats(1e-3, 1e2), min_size=m, max_size=m))
     return DistributionSpec.disk_union(centers, radii)
+
+
+def mixture_in_box(draw, low, width):
+    """One to three components with means in the box and SPD covariances
+    whose standard deviations reach half the box width: in high dims the
+    tightest boxes keep well under 1% of a component's mass, so some
+    addresses need the redraw rounds."""
+    m, dim = draw(st.integers(1, 3)), len(low)
+    unit = st.floats(0.0, 1.0)
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    means = low + width * np.array(draw(st.lists(
+        st.lists(unit, min_size=dim, max_size=dim), min_size=m, max_size=m)))
+    mix = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * dim * dim,
+                                 max_size=m * dim * dim))).reshape(m, dim, dim)
+    corr = (mix @ mix.transpose(0, 2, 1) / dim + np.eye(dim)) / 2   # SPD, diagonal in [0.5, 1]
+    sd = width * draw(st.floats(0.01, 0.5))
+    return DistributionSpec.gaussian_mixture(weights / weights.sum(), means,
+                                             sd[:, None] * corr * sd, low, low + width)
 
 
 def _arrays(addrs):
@@ -108,13 +130,29 @@ class TestDrawTables:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), addrs=ADDRESSES, spec=table_specs())
     def test_samples_are_the_generator_samples(self, seed, addrs, spec):
+        try:
+            refs = [generator_sample(spec, StreamHandle(seed, s, c)) for s, c in addrs]
+        except ConfigError:   # an address with no in-box candidate fails both ways
+            with pytest.raises(ConfigError):
+                sample(spec, StreamHandle(seed, *_arrays(addrs)))
+            return
         z = sample(spec, StreamHandle(seed, *_arrays(addrs)))
-        for k, (s, c) in enumerate(addrs):
-            ref = generator_sample(spec, StreamHandle(seed, s, c))
+        for k, ((s, c), ref) in enumerate(zip(addrs, refs)):
             one = sample(spec, StreamHandle(seed, s, c))
             for got in (z[k], one):
                 assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
                                                                    np.signbit(ref))
+
+    def test_mixture_redraw_rounds_are_the_generator_samples(self):
+        # the box keeps about 1% of component 0's mass and 0.09% of component
+        # 1's, so nearly every address redraws and many reach the later rounds
+        spec = DistributionSpec.gaussian_mixture(weights=[0.4, 0.6], means=[[0.0], [-0.5]],
+                                                 covs=[[[1.0]], [[0.8]]], low=[2.3], high=[5.0])
+        draw = StreamHandle(7, np.arange(300) % 3, np.arange(300))
+        z = sample(spec, draw)
+        for k in range(300):
+            ref = generator_sample(spec, StreamHandle(7, k % 3, k))
+            assert np.array_equal(z[k], ref)
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), addrs=ADDRESSES, n=st.integers(1, 2**31))
