@@ -27,20 +27,71 @@ __all__ = [
 ]
 
 
-def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _MergePlan:
+    """A schedule's merge, row by row of its tables (see _merge_plan)."""
+
+    coeff: np.ndarray      # (P, M, K) each receiver's terms in sender order, 0.0-padded
+    offset: np.ndarray     # (P, M, K) flat ring row of each term's version: j - d * M
+    identity: np.ndarray   # (P,) the row is the identity with zero delay
+    max_delay: int         # the largest stored delay
+
+
+def _merge_plan(schedule: CommSchedule, compact: bool = True) -> _MergePlan:
+    """The schedule's merge plan, built once and kept on the schedule.
+
+    In the compact plan a receiver keeps only its nonzero coefficients, in
+    sender order, padded with zeros to K, the most any row has; in the full
+    plan it keeps all M. einsum builds each output from +0.0 and adds the
+    terms in order, so a zero term never changes a partial sum (a + 0.0 = a,
+    and +0.0 + -0.0 = +0.0), and both plans give the dense merge's bits.
+    Width 1 is the exception: einsum then sums over the senders in SIMD
+    lanes, where a term's position matters, so it takes the full plan.
+    """
+    plan = schedule._plans.get(compact)
+    if plan is None:
+        c, d, M = schedule.coeff_table, schedule.delay_table, schedule.M
+        keep = c != 0.0 if compact else np.ones(c.shape, dtype=bool)
+        K = int(keep.sum(axis=-1).max(initial=0))
+        cols = np.argsort(~keep, axis=-1, kind="stable")[..., :K]   # kept first, in order
+        coeff = np.where(np.take_along_axis(keep, cols, -1), np.take_along_axis(c, cols, -1), 0.0)
+        offset = cols - np.take_along_axis(d, cols, -1) * M
+        identity = np.all(c == np.eye(M), axis=(1, 2)) \
+            & ~np.any(np.diagonal(d, axis1=1, axis2=2), axis=1)
+        plan = schedule._plans[compact] = _MergePlan(coeff, offset, identity,
+                                                     int(np.max(d, initial=0)))
+    return plan
+
+
+def _check_depth(plan: _MergePlan, depth: int) -> None:
+    """A delay at or past the ring depth would read an overwritten version."""
+    if plan.max_delay >= depth:
+        raise ValueError(f"delay {plan.max_delay} is at or past the ring depth {depth}")
+
+
+def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """The merge at tick t: out[i] = sum_j a_ij(t) * version of j at t - tau_ij(t).
 
-    ring (depth, M, ...) holds the last depth versions, slot u % depth for time
-    u, with depth at least the delay bound B1. The schedule's accessors clamp
-    the delays to t and repeat past the horizon, so every read lands on a
-    written slot.
+    ring (depth, M, D) holds the last depth versions, slot u % depth for time
+    u, with every stored delay below depth. Delays are clamped to t and the
+    tables repeat past the horizon, as the schedule's accessors do. A tick
+    gathers each receiver's terms from the ring in one take and sums them in
+    one einsum; an identity tick is the current versions plus 0.0, which is
+    what the sum gives. The result goes to out when given, which may be any
+    slot of the ring, the current one included.
     """
-    B = ring.shape[0]
-    if B < schedule.B1:
-        raise ValueError(f"ring depth {B} below delay bound {schedule.B1}")
-    slots = (t - schedule.delay(t)) % B
-    gathered = ring[slots, np.arange(ring.shape[1])]   # [i, j] = delayed version of j
-    return np.einsum("ij,ijd->id", schedule.coeff(t), gathered)
+    B, M = ring.shape[:2]
+    plan = _merge_plan(schedule, compact=ring.shape[2] > 1)
+    _check_depth(plan, B)
+    r = schedule._idx(t)
+    if plan.identity[r]:
+        return np.add(ring[t % B], 0.0, out=out)
+    off = plan.offset[r]
+    # flat row ((t - d) % B) * M + j, and j where the delay is clamped to t
+    rows = off + (t % B) * M if t >= plan.max_delay else np.maximum(off + t * M, off % M)
+    gathered = ring.reshape(B * M, -1).take(rows, 0, mode="wrap")
+    return np.einsum("ik,ikd->id", plan.coeff[r], gathered, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +192,7 @@ def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
     versions at time t - k: slot 0 takes the merge, the others shift back by
     one."""
     M, B = schedule.M, schedule.B1
+    _check_depth(_merge_plan(schedule), B)
     i, j = np.indices((M, M))
     k, m = np.arange(1, B)[:, None], np.arange(M)
     a = np.zeros((B, M, B, M))

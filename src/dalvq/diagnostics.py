@@ -289,7 +289,7 @@ def consensus_decay(schedule: CommSchedule, x0: np.ndarray) -> tuple[np.ndarray,
     gaps = np.empty(T + 1)
     gaps[0] = _spread(ring[0])
     for t in range(T):
-        ring[(t + 1) % depth] = merged_versions(schedule, ring, t)
+        merged_versions(schedule, ring, t, out=ring[(t + 1) % depth])
         gaps[t + 1] = _spread(ring[(t + 1) % depth])
     slope = _log_slope(np.arange(T + 1), gaps, 1e-14)
     return gaps, 0.0 if slope is None else float(np.exp(slope))

@@ -179,9 +179,12 @@ class RunArtifacts:
 
 def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLog,
                ks: range) -> None:
-    """Advance the version ring (depth, M, width) from tick t to t + 1: merge
-    delayed versions, then add the descent term of each of the tick's planned
-    events ks on its sample z[k], at its processor's pre-merge version.
+    """Advance the version ring (depth, M, width) from tick t to t + 1: score
+    each of the tick's planned events ks on its sample z[k] at its
+    processor's pre-merge version, merge delayed versions into the next
+    slot, and add the descent terms there. Every read of the current
+    versions comes before the merge writes, so a ring of depth 1, whose next
+    slot is the current one, advances too.
 
     A tick's events belong to distinct processors, and each reads only its
     own processor's pre-merge version, so several events are scored in one
@@ -189,8 +192,7 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
     the scalar step, which costs less than a stack of one.
     """
     depth, dim = ring.shape[0], events.z.shape[1]
-    merged = merged_versions(schedule, ring, t)
-    cur = ring[t % depth]
+    cur, nxt = ring[t % depth], ring[(t + 1) % depth]
     if len(ks) == 1:
         k = ks[0]
         i = int(events.proc[k])
@@ -198,8 +200,10 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
         w_cur = cur[i].reshape(-1, dim)
         comp = nearest_cell(z, w_cur)
         events.comp[k], events.w_before[k] = comp, cur[i]
+        step = -events.eps[k] * (w_cur[comp] - z)
+        merged_versions(schedule, ring, t, out=nxt)
         lo = comp * dim
-        merged[i, lo:lo + dim] += -events.eps[k] * (w_cur[comp] - z)
+        nxt[i, lo:lo + dim] += step
     elif len(ks) > 1:
         ks = slice(ks.start, ks.stop)
         i = events.proc[ks]
@@ -209,8 +213,10 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
         comp = nearest_cell(z, w_cur)
         events.comp[ks], events.w_before[ks] = comp, w_before
         step = -events.eps[ks, None] * (w_cur[np.arange(len(i)), comp] - z)
-        merged[i[:, None], comp[:, None] * dim + np.arange(dim)] += step
-    ring[(t + 1) % depth] = merged
+        merged_versions(schedule, ring, t, out=nxt)
+        nxt[i[:, None], comp[:, None] * dim + np.arange(dim)] += step
+    else:
+        merged_versions(schedule, ring, t, out=nxt)
 
 
 def initial_versions(config: RunConfig) -> np.ndarray:

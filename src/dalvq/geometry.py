@@ -44,6 +44,9 @@ class SampleBatch:
     diameter: float
     # batched_cell_stats' work arrays, kept across calls (see _work_array)
     _work: dict = field(init=False, repr=False, compare=False)
+    # the norm of the points' coordinate-wise largest |z_d|: their term of
+    # _cell_moves' radius R
+    _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -65,6 +68,7 @@ class SampleBatch:
         object.__setattr__(self, "bbox_low", lo)
         object.__setattr__(self, "bbox_high", hi)
         object.__setattr__(self, "_work", {})
+        object.__setattr__(self, "_radius", float(np.linalg.norm(np.abs(pts).max(axis=0))))
 
     @property
     def n(self) -> int:
@@ -95,7 +99,7 @@ def nearest_cell(z, w) -> int | np.ndarray:
         raise ValueError(f"point has shape {z.shape}, expected {expect}")
     if w.ndim == 2:
         kappa = len(w)
-        return int(np.argmin(_sq_dist(z, w.T, np.empty(kappa), np.empty(kappa))))
+        return int(_sq_dist(z, w.T, np.empty(kappa), np.empty(kappa)).argmin())
     d2 = _sq_dist(z.T[:, :, None], w.transpose(2, 0, 1), np.empty(w.shape[:2]),
                   np.empty(w.shape[:2]))
     return np.argmin(d2, axis=1)
@@ -174,16 +178,22 @@ def _sq_dist(z: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
 
 
 def _scan(w: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
-    """Every point's squared distances to the components of w, (n, kappa),
-    its nearest component, the smallest index on ties, and its squared
-    distance to that component. The (n, kappa) distances are a work array,
-    overwritten by the next scan. A duplicate component gets bit-equal
-    distances, so it never wins over its first copy."""
+    """Every point's squared distances to the components of w, component by
+    component as (kappa, n), its nearest component, the smallest index on
+    ties, and its squared distance to that component. The (kappa, n)
+    distances are a work array, overwritten by the next scan. A component
+    takes a point only when strictly closer than every earlier one, so a
+    duplicate never wins over its first copy."""
     n, kappa = batch.n, len(w)
-    d2 = _sq_dist(batch.points.T[:, :, None], w.T[:, None, :],
-                  _work_array(batch, "d2", (n, kappa)), _work_array(batch, "d2_tmp", (n, kappa)))
-    assign = np.argmin(d2, axis=1)
-    return d2, assign, d2[np.arange(n), assign]
+    d2 = _sq_dist(batch.points.T[:, None, :], w.T[:, :, None],
+                  _work_array(batch, "d2", (kappa, n)), _work_array(batch, "d2_tmp", (kappa, n)))
+    assign = np.zeros(n, dtype=np.intp)
+    u2 = d2[0].copy()
+    closer = np.empty(n, dtype=bool)
+    for k in range(1, kappa):
+        np.copyto(assign, k, where=np.less(d2[k], u2, out=closer))
+        np.minimum(u2, d2[k], out=u2)
+    return d2, assign, u2
 
 
 def _scan_stats(w: np.ndarray, batch: SampleBatch) -> tuple[float, np.ndarray, np.ndarray]:
@@ -204,10 +214,12 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     Quantizer j moves component k by drift_jk = |W_jk - A_k|, so p's
     distance to W_j,a_p is at most u_p + drift_j,a_p and to any other W_jk
     at least l_p - max_{k != a_p} drift_jk: p stays in a_p unless its slack
-    l_p - u_p is at most drift_j,a_p + max_{k != a_p} drift_jk. The points
-    of a cell sorted by slack make each (j, cell) candidate set a prefix,
-    and only candidates are rescanned over all components. A tie has zero
-    slack, so it is always rescanned and goes to the smallest index.
+    l_p - u_p is at most theta_j,a_p = drift_j,a_p + max_{k != a_p} drift_jk.
+    Only points whose slack is at most their cell's largest theta can move;
+    those candidates, sorted by cell, then slack, then index, make each
+    (j, cell) candidate set a prefix, and only candidates are rescanned over
+    all components. A tie has zero slack, so it is always rescanned and goes
+    to the smallest index.
 
     Distances are computed in the direct form, each within (dim + 3) eps R
     of the true one, R bounding every distance; the allowance of
@@ -224,12 +236,8 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     j0 = C // 2
     A = Wc[j0]
     d2, assign, u2 = _scan(A, batch)
-    d2[np.arange(n), assign] = np.inf
-    slack = np.sqrt(d2.min(axis=1)) - np.sqrt(u2)      # inf when kappa == 1
-    order = np.lexsort((slack, assign))
-    slack = slack[order]
-    start = np.zeros(kappa + 1, dtype=np.intp)
-    np.cumsum(np.bincount(assign, minlength=kappa), out=start[1:])
+    d2[assign, np.arange(n)] = np.inf
+    slack = np.sqrt(d2.min(axis=0)) - np.sqrt(u2)      # inf when kappa == 1
 
     step = Wc - A
     drift = np.sqrt(np.einsum("ckd,ckd->ck", step, step))
@@ -239,8 +247,14 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
         two = np.partition(drift, kappa - 2, axis=1)[:, kappa - 2:]
         other[:] = two[:, 1:]
         other[np.arange(C), top] = two[:, 0]
-    R = np.linalg.norm(np.abs(pts).max(axis=0)) + np.linalg.norm(np.abs(Wc).max(axis=(0, 1)))
+    R = batch._radius + np.linalg.norm(np.abs(Wc).max(axis=(0, 1)))
     theta = drift + other + 16 * (dim + 4) * np.finfo(float).eps * R
+
+    cand = np.flatnonzero(slack <= theta.max(axis=0)[assign])
+    order = cand[np.lexsort((slack[cand], assign[cand]))]
+    slack = slack[order]
+    start = np.zeros(kappa + 1, dtype=np.intp)
+    np.cumsum(np.bincount(assign[cand], minlength=kappa), out=start[1:])
     m = np.empty((C, kappa), dtype=np.intp)
     for k in range(kappa):
         m[:, k] = np.searchsorted(slack[start[k]:start[k + 1]], theta[:, k], side="right")

@@ -38,6 +38,10 @@ _DELAY_LAWS = ("zero", "fixed", "uniform")
 _ACTIVITIES = ("all-active", "round-robin", "random-subset", "none")
 
 _ROW_SUM_TOL = 1e-12
+# The limits build the (B1 * M)^2 step matrix of the merge on the augmented
+# state (agreement._step_matrix); a B1 that puts it over this many bytes is
+# rejected where a schedule is built.
+_STEP_MATRIX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,8 @@ class CommSchedule:
     Stored delays may exceed t near the start; the accessors clamp them to t so
     a requested version time is never negative. The clamped value is the
     schedule. Past the horizon the accessors repeat the tables (the period, or
-    the whole trace when dense).
+    the whole trace when dense). B1 is bounded by the step matrix of the
+    limits: 8 (B1 M)^2 bytes at most _STEP_MATRIX_BYTES.
     """
 
     M: int
@@ -119,6 +124,8 @@ class CommSchedule:
     delay_table: np.ndarray      # (P, M, M) int
     active_table: np.ndarray     # (P, M) bool
     period: Optional[int] = None  # None: tables are dense over the horizon
+    # agreement.merged_versions' merge plans, built on first use
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1 or self.horizon < 0:
@@ -126,6 +133,9 @@ class CommSchedule:
         for name in ("B1", "B2", "B3"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if 8 * (self.B1 * self.M) ** 2 > _STEP_MATRIX_BYTES:
+            raise ConfigError(f"B1={self.B1} at M={self.M} needs a {self.B1 * self.M}^2 "
+                              f"step matrix, over {_STEP_MATRIX_BYTES} bytes")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError("alpha must lie in (0, 1]")
         c = np.ascontiguousarray(self.coeff_table, dtype=float)
@@ -143,6 +153,7 @@ class CommSchedule:
         object.__setattr__(self, "coeff_table", c)
         object.__setattr__(self, "delay_table", d)
         object.__setattr__(self, "active_table", a)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def cycle(self) -> int:

@@ -137,6 +137,15 @@ def per_event_tick(t: int, ring: np.ndarray, schedule, events, ks) -> None:
     ring[(t + 1) % depth] = merged
 
 
+def dense_merge(schedule, ring: np.ndarray, t: int) -> np.ndarray:
+    """The merge at tick t over every sender: each receiver's row gathers all
+    M delayed versions, (M, M, D), and one einsum sums them in sender order,
+    zero coefficients included."""
+    slots = (t - schedule.delay(t)) % ring.shape[0]
+    gathered = ring[slots, np.arange(ring.shape[1])]   # [i, j] = delayed version of j
+    return np.einsum("ij,ijd->id", schedule.coeff(t), gathered)
+
+
 def trace_text(schedule) -> str:
     """`schedule.write_trace`'s file as text, one json.dumps per tick of the
     accessors' values."""

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import dalvq.agreement
 from dalvq.agreement import (_impulse_blocks, _step_matrix, compute_phi, merged_versions,
                              phi_limit_series)
+from dalvq.diagnostics import consensus_decay
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.errors import ConfigError
 from dalvq.measures import DistributionSpec
-from dalvq.schedule import CommSchedule, ScheduleSpec, generate, read_trace, write_trace
-from oracles import agreement_vector, dense_descent, envelope_blocks, phi_family
+from dalvq.schedule import (CommSchedule, ScheduleSpec, generate, read_trace, validate,
+                            write_trace)
+from oracles import agreement_vector, dense_descent, dense_merge, envelope_blocks, phi_family
 from test_workload_bytes import WORKLOADS
 
 
@@ -138,6 +140,120 @@ class TestMergedVersions:
         sch = ring_schedule(delay=3)
         with pytest.raises(ValueError):
             merged_versions(sch, np.zeros((2, 3, 2)), 0)
+
+
+@st.composite
+def merge_cases(draw):
+    """A schedule, a ring of depth B1 to B1 + 2 (or a column view of a wider
+    one, as the impulse pass merges) and ticks to merge at: the clamped
+    start, the horizon and one cycle past it, and far past it."""
+    M = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["ring", "complete", "random-symmetric-gossip", "custom"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "custom" or (kind == "random-symmetric-gossip" and M < 2):
+        # random row-stochastic rows, some the identity, some with a
+        # diagonal delay, and delays on zero coefficients too
+        P, dmax = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+        keep = rng.random((P, M, M)) < rng.random((P, 1, 1))
+        keep[:, np.arange(M), np.arange(M)] = True
+        coeff = keep * rng.random((P, M, M))
+        coeff /= coeff.sum(axis=-1, keepdims=True)
+        ident = rng.random((P, M)) < 0.3
+        coeff[ident] = np.eye(M)[np.nonzero(ident)[1]]
+        coeff[rng.random(P) < 0.4] = np.eye(M)
+        delay = rng.integers(0, dmax + 1, (P, M, M))
+        delay[:, np.arange(M), np.arange(M)] *= rng.random((P, M)) < 0.2
+        dense = draw(st.booleans())   # a trace's tables span its horizon
+        sch = CommSchedule(M=M, horizon=P if dense else draw(st.integers(0, 2 * P)),
+                           alpha=float(coeff[coeff > 0].min()), B1=dmax + 1, B2=1, B3=1,
+                           coeff_table=coeff, delay_table=delay,
+                           active_table=np.ones((P, M), dtype=bool),
+                           period=None if dense else P)
+    else:
+        law = draw(st.sampled_from(["zero", "fixed", "uniform"]))
+        activity = draw(st.sampled_from(["all-active", "round-robin"]))
+        if kind == "random-symmetric-gossip" and M < 3:   # too few to pair off the active one
+            activity = "all-active"
+        spec = ScheduleSpec(topology=kind, merge_period=draw(st.integers(1, 3)), delay_law=law,
+                            delay_value={"zero": 0, "fixed": 2, "uniform": 4}[law],
+                            activity=activity, base_window=6)
+        sch = generate(spec, M, draw(st.integers(0, 12)), int(rng.integers(2**31)))
+    B = sch.B1 + draw(st.integers(0, 2))
+    # width 1 often: einsum sums it in SIMD lanes, where a term's position counts
+    D, pad = draw(st.sampled_from([1, 1, 2, 3, 4])), draw(st.sampled_from([0, 0, 3]))
+    # normal numbers of many scales, +-0.0 and subnormals
+    wide = rng.standard_normal((B, M, D + pad)) * 10.0 ** rng.integers(-9, 10, (B, M, D + pad))
+    kind_of = rng.integers(0, 6, wide.shape)
+    wide[kind_of == 1] = 0.0
+    wide[kind_of == 2] = -0.0
+    wide[kind_of == 3] = rng.integers(-9, 10, int(np.sum(kind_of == 3))) * 5e-324
+    ring = wide[:, :, pad:pad + D] if pad else wide
+    dmax = int(sch.delay_table.max())
+    ticks = sorted({*range(dmax + 2), sch.horizon, sch.horizon + sch.cycle,
+                    10**6 + int(rng.integers(2 * sch.cycle))})
+    return sch, ring, ticks
+
+
+class TestMergePlan:
+    """The merge plan gives the dense merge's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=merge_cases())
+    def test_matches_dense_merge(self, case):
+        sch, ring, ticks = case
+        out = np.empty(ring.shape[1:])
+        for t in ticks:
+            want = dense_merge(sch, ring, t).tobytes()
+            assert merged_versions(sch, ring, t).tobytes() == want
+            assert merged_versions(sch, ring, t, out=out) is out
+            assert out.tobytes() == want
+
+    def test_width_one_keeps_the_dense_term_positions(self):
+        # einsum may sum a width-1 merge in SIMD lanes, so each term keeps
+        # the position it has in the dense row: rows of several terms with
+        # zeros between them, on versions of scales 1e-9 to 1e9
+        rng = np.random.default_rng(7)
+        P, M = 64, 8
+        coeff = rng.random((P, M, M)) * (rng.random((P, M, M)) < 0.6)
+        coeff[:, np.arange(M), np.arange(M)] = 1.0
+        coeff /= coeff.sum(axis=-1, keepdims=True)
+        sch = CommSchedule(M=M, horizon=P, alpha=float(coeff[coeff > 0].min()), B1=1, B2=1,
+                           B3=1, coeff_table=coeff, delay_table=np.zeros((P, M, M), dtype=int),
+                           active_table=np.ones((P, M), dtype=bool), period=None)
+        ring = rng.standard_normal((1, M, 1)) * 10.0 ** rng.integers(-9, 10, (1, M, 1))
+        for t in range(P):
+            assert merged_versions(sch, ring, t).tobytes() == dense_merge(sch, ring, t).tobytes()
+
+
+def short_ring_schedule():
+    # M = 2, both processors read each other two ticks late, but B1 = 2
+    coeff = np.full((1, 2, 2), 0.5)
+    delay = np.array([[[0, 2], [2, 0]]])
+    return CommSchedule(M=2, horizon=6, alpha=0.5, B1=2, B2=1, B3=1, coeff_table=coeff,
+                        delay_table=delay, active_table=np.ones((1, 2), dtype=bool), period=1)
+
+
+class TestDelayPastTheRing:
+    """A stored delay at or past the ring depth is an error, not a read of an
+    overwritten slot."""
+
+    def test_merge_raises(self):
+        sch = short_ring_schedule()
+        with pytest.raises(ValueError, match="delay 2 is at or past the ring depth 2"):
+            merged_versions(sch, np.zeros((2, 2, 3)), 4)
+        assert merged_versions(sch, np.ones((3, 2, 3)), 4).tolist() == [[1.0] * 3] * 2
+
+    @pytest.mark.parametrize("call", [lambda s: compute_phi(s, 4),
+                                      lambda s: consensus_decay(s, np.eye(2)),
+                                      lambda s: phi_limit_series(s),
+                                      lambda s: _step_matrix(s, 3)])
+    def test_consumers_raise(self, call):
+        with pytest.raises(ValueError, match="delay 2 is at or past the ring depth 2"):
+            call(short_ring_schedule())
+
+    def test_validation_reports_it(self):
+        check = validate(short_ring_schedule()).checks["delay_bounds"]
+        assert not check.passed and check.detail == "delay at or above B1"
 
 
 class TestOneMerge:

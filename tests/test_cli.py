@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import math
@@ -303,6 +304,14 @@ FAULTS = [
      lambda p: run_args(p, trace_config(p, lambda lines: lines[:21]))),
     ("trace-truncated-line", EXIT_CONFIG,
      lambda p: run_args(p, trace_config(p, lambda lines: lines[:-1] + [lines[-1][:25]]))),
+    ("trace-meta-B1-huge", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: [
+         json.dumps({"meta": {**json.loads(lines[0])["meta"], "B1": 10**18}}), *lines[1:]]))),
+    ("delay-fixed-huge", EXIT_CONFIG,
+     lambda p: run_args(p, edited_config(p, ("sched", "delay_value"), 10**18))),
+    ("delay-uniform-huge", EXIT_CONFIG,
+     lambda p: run_args(p, write_config(p, config_doc(sched=dataclasses.replace(
+         RING, delay_law="uniform", delay_value=10**18))))),
     ("seed-2**70", EXIT_CONFIG,
      lambda p: run_args(p, write_config(p, config_doc()), "--seed", str(2**70))),
     ("box-bound-infinite", EXIT_CONFIG,

@@ -321,3 +321,33 @@ class TestBatchedTick:
             for a, b in [rings, (logs[0].comp, logs[1].comp),
                          (logs[0].w_before, logs[1].w_before)]:
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_depth_one_ring(self, M, seed):
+        # zero delays give B1 = 1, where the next ring slot is the current
+        # one: the tick must score and record before the merge writes
+        sch = generate(ScheduleSpec(topology="complete", merge_period=2), M, 12, seed)
+        assert sch.B1 == 1
+        rng = np.random.default_rng(seed)
+        kappa, dim = 3, 2
+        procs = [np.sort(rng.choice(M, rng.integers(0, M + 1), replace=False))
+                 for _ in range(sch.horizon)]
+        t_ev = np.repeat(np.arange(sch.horizon), [len(p) for p in procs])
+        proc = np.concatenate(procs).astype(np.int64)
+        eps = rng.choice([0.5, 0.25, 1.0 / 3.0], len(t_ev))
+        logs = [EventLog(t_ev, proc, np.zeros_like(proc), eps, dim, kappa * dim)
+                for _ in range(2)]
+        z = rng.standard_normal((len(t_ev), dim))
+        for log in logs:
+            log.z[:] = z
+        x0 = rng.standard_normal((M, kappa * dim))
+        one, two = x0[None].copy(), np.stack([x0, np.zeros_like(x0)])
+        starts = np.searchsorted(t_ev, np.arange(sch.horizon + 1))
+        for t in range(sch.horizon):
+            ks = range(starts[t], starts[t + 1])
+            dalvq_tick(t, one, sch, logs[0], ks)
+            per_event_tick(t, two, sch, logs[1], ks)
+            assert one[0].tobytes() == two[(t + 1) % 2].tobytes()
+        assert np.array_equal(logs[0].comp, logs[1].comp)
+        assert logs[0].w_before.tobytes() == logs[1].w_before.tobytes()

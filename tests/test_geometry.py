@@ -355,6 +355,70 @@ class TestPrunedKernel:
         assert sum(evaluated) == cfg.horizon + art.events.n + 1
 
 
+def box_batch(pts):
+    return SampleBatch(points=pts, bbox_low=pts.min(axis=0), bbox_high=pts.max(axis=0),
+                       diameter=1.0 + float(np.ptp(pts, axis=0).max()))
+
+
+def assert_oracle_cells(W, batch):
+    """The kernel's counts and the anchor's assignment plus the listed moves
+    are the oracle's for every quantizer of a one-chunk stack W; returns the
+    moves (j, p, cell)."""
+    dist, grad, counts, sums = batched_cell_stats(W, batch)
+    oracle = [cell_stats(w, batch.points) for w in W]
+    for c, (o_dist, _, o_counts, _, _) in enumerate(oracle):
+        np.testing.assert_array_equal(counts[c], o_counts)
+        assert dist[c] == pytest.approx(o_dist, rel=1e-12)
+    _, assign, _, full, j, p, cell = _cell_moves(W, batch)
+    assert len(full) == 0
+    for q in range(len(W)):
+        got = assign.copy()
+        got[p[j == q]] = cell[j == q]
+        np.testing.assert_array_equal(got, oracle[q][4])
+    return j, p, cell
+
+
+class TestCandidateFilter:
+    """Only points whose anchor slack is within their cell's largest
+    threshold are sorted and rescanned."""
+
+    def test_zero_drift_keeps_no_point(self):
+        # a stack of one quantizer: every threshold is the rounding allowance,
+        # and every point's slack is far above it
+        rng = np.random.default_rng(1)
+        batch = box_batch(rng.uniform(-5, 5, (400, 2)))
+        W = np.repeat(rng.uniform(-4, 4, (1, 5, 2)), 6, axis=0)
+        d = np.sort(np.sqrt(((batch.points[:, None] - W[0][None]) ** 2).sum(axis=-1)), axis=1)
+        assert np.min(d[:, 1] - d[:, 0]) > 1e-9
+        j, p, cell = assert_oracle_cells(W, batch)
+        assert len(p) == 0
+
+    def test_one_component_keeps_no_point(self):
+        # kappa = 1: no runner-up, so every slack is infinite
+        rng = np.random.default_rng(2)
+        batch = box_batch(rng.uniform(-5, 5, (200, 3)))
+        W = rng.uniform(-1, 1, (1, 1, 3)) + np.cumsum(rng.uniform(-0.1, 0.1, (9, 1, 3)), axis=0)
+        j, p, cell = assert_oracle_cells(W, batch)
+        assert len(p) == 0
+
+    def test_zero_slack_tie_is_rescanned(self):
+        # the anchor (the middle quantizer) has a point on the bisector of its
+        # components 0 and 1, which goes to 0; the outer quantizers move
+        # component 1 a grid step nearer, so the point changes cell there.
+        # A stack without drift keeps it in cell 0.
+        rng = np.random.default_rng(3)
+        pts = rng.integers(-512, 513, (150, 2)) / 128.0
+        pts[0] = [1.0, 0.0]
+        batch = box_batch(pts)
+        A = np.array([[0.0, 0.0], [2.0, 0.0], [-3.0, 3.0]])
+        moved = A.copy()
+        moved[1, 0] -= 2.0**-10
+        j, p, cell = assert_oracle_cells(np.stack([moved, A, moved]), batch)
+        assert {(int(q), int(c)) for q, c in zip(j[p == 0], cell[p == 0])} == {(0, 1), (2, 1)}
+        j, p, cell = assert_oracle_cells(np.stack([A, A, A]), batch)
+        assert len(p) == 0
+
+
 class TestMinSeparation:
     def test_pairwise_min(self):
         w = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
