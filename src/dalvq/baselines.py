@@ -34,7 +34,8 @@ class BaselineRun:
 def run_clvq(dist: DistributionSpec, kappa: int, horizon: int, seed: int, c: float,
              replay_from_batch: bool = False, n_ref: int = 2000) -> BaselineRun:
     """Sequential run with steps c / (t or 1), t = 0 .. horizon-1: the engine's
-    one-processor run."""
+    one-processor run. It reads only the final version, so the run's ticks
+    pass chunk by chunk and no event log is kept."""
     config = RunConfig(M=1, kappa=kappa, dim=dist.dim, horizon=horizon, dist=dist,
                        sched=ScheduleSpec(topology="complete"),
                        step=StepPolicy("global-clock", c), seed=seed, n_ref=n_ref,

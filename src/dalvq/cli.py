@@ -172,12 +172,12 @@ def cmd_run(args) -> int:
                      "final_gap": float(gaps[-1]), "validation": report_v.to_dict()})
     else:  # dalvq
         art = run(rc)
-        timing["engine_s"] = time.perf_counter() - t_start
+        timing["run_setup_s"] = time.perf_counter() - t_start
         t_mid = time.perf_counter()
         limits = phi_limit_series(art.schedule)
-        metrics = compute_metrics(art, limits)
+        metrics = compute_metrics(art, limits)    # takes the ticks, a chunk at a time
         report = summarize(art, metrics, limits)
-        timing["diagnostics_s"] = time.perf_counter() - t_mid
+        timing["pass_s"] = time.perf_counter() - t_mid
 
         metrics.to_csv(os.path.join(args.out, "metrics.csv"))
         per_proc, _, _, _ = batched_cell_stats(art.final.reshape(rc.M, rc.kappa, rc.dim),

@@ -1,6 +1,7 @@
 """Run diagnostics: the agreement trajectory, perturbation sums, and bounds.
 
-Everything here is a pure post-pass over run artifacts. The expensive parts
+Everything here reads run artifacts; the metrics sweep consumes the run's
+chunks of consecutive ticks as the engine produces them. The expensive parts
 (distortion and gradient evaluations against the reference batch) go through
 ``geometry.batched_cell_stats`` a few hundred quantizers at a time: a chunk
 of consecutive ticks' w*(t), then the pre-merge versions of that chunk's
@@ -25,7 +26,6 @@ import numpy as np
 
 from .agreement import PhiLimitSeries, merged_versions
 from .engine import RunArtifacts
-from . import geometry
 from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
@@ -121,36 +121,27 @@ def _spread(x: np.ndarray) -> np.ndarray:
 def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     """One chronological sweep computing every diagnostic series.
 
-    Needs the run's event log. The sweep walks the kernel's anchor chunks of
-    consecutive ticks; in each, the agreement trajectory w*(t) and the
-    perturbation partial sums are prefix sums over the chunk's events, in
-    event order, and all distortion or gradient evaluations go through the
-    batched kernel.
+    Walks the run chunk by chunk (art.chunks, the kernel's anchor chunks of
+    consecutive ticks), so a run whose ticks have not been taken yet takes
+    them here, one chunk of its event log at a time. In each chunk the
+    agreement trajectory w*(t) and the perturbation partial sums are prefix
+    sums over the chunk's events, in event order, and all distortion or
+    gradient evaluations go through the batched kernel.
     """
     cfg = art.config
     T, M, kappa, dim, D = cfg.horizon, cfg.M, cfg.kappa, cfg.dim, cfg.width
-    ev = art.events
-    t_plan, proc_plan, _ = art.schedule.descents()
-    if not (np.array_equal(ev.t, t_plan) and np.array_equal(ev.proc, proc_plan)):
-        raise ValueError("metrics need the run's event log of every planned descent")
     batch = art.batch
     diam = batch.diameter
 
-    # per-event quantities
-    wb = ev.w_before.reshape(ev.n, kappa, dim)
-    wb_comp = wb[np.arange(ev.n), ev.comp]                     # (n_ev, dim)
-    phi_evt = limits.phi[ev.t, ev.proc]
-    coef_evt = phi_evt * ev.eps
-    step_evt = phi_evt[:, None] * (-ev.eps[:, None] * (wb_comp - ev.z))   # phi * s
+    # per-tick step weights and activity, filled chunk by chunk
+    eps_star_all = np.zeros(T + 1)
+    n_active = np.zeros(T + 1, dtype=np.int64)
 
-    eps_star_all = np.bincount(ev.t, weights=coef_evt, minlength=T + 1)
-    n_active = np.bincount(ev.t, minlength=T + 1)
-    starts = np.searchsorted(ev.t, np.arange(T + 1))
-
-    # martingale increment sampling: evenly spaced over the event log
-    smask = np.zeros(ev.n, dtype=bool)
-    smask[np.unique(np.linspace(0, ev.n - 1, min(_MART_SAMPLES, ev.n)).astype(int))] = True
-    mart_rows = np.empty((int(smask.sum()), D))
+    # martingale increment sampling: evenly spaced over the event log, each
+    # sampled event once
+    n_ev = art.events.n
+    mart_at = np.linspace(0, n_ev - 1, min(_MART_SAMPLES, n_ev)).astype(int)
+    mart_rows = np.empty((len(mart_at), D))
     mart_cursor = 0
 
     times = art.snap_times
@@ -159,13 +150,6 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     w_star_rec = np.empty((n_rec, D))
     dm_rec = np.empty((n_rec, 2, D))      # the dm1 and dm2 partial sums
 
-    theta_all = theta_series(T + 1, limits.rho_hat)
-    bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
-
-    tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
-    env_cum = np.cumsum(n_active / tick_w**2)
-    env_coef = 4.0 * kappa * diam**2 * art.K2**2
-
     # Each prefix sum below runs behind a -0.0 row or over -0.0 fill, since
     # x + (-0.0) keeps every bit of x: row p then holds the first p events'
     # sum, added in the order a loop over the events would add them.
@@ -173,37 +157,41 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     run_dm = np.zeros((2, D))
     run_seg = 0.0
 
-    chunk = geometry._STACK_CHUNK   # one kernel anchor chunk of consecutive ticks
-    for b0 in range(0, T, chunk):
-        b1 = min(b0 + chunk, T)
-        L = b1 - b0
-        e0, e1 = int(starts[b0]), int(starts[b1])
-        E = e1 - e0
-        evs = slice(e0, e1)
+    for b0, b1, e0, starts, ev in art.chunks():
+        L, E = b1 - b0, ev.n
         ev_rows = np.arange(E)
+        wb = ev.w_before.reshape(E, kappa, dim)
+        wb_comp = wb[ev_rows, ev.comp]                               # (E, dim)
+        phi_evt = limits.phi[ev.t, ev.proc]
+        coef_evt = phi_evt * ev.eps
+        step_evt = phi_evt[:, None] * (-ev.eps[:, None] * (wb_comp - ev.z))   # phi * s
+        eps_star_all[b0:b1] = np.bincount(ev.t - b0, weights=coef_evt, minlength=L)
+        n_active[b0:b1] = np.bincount(ev.t - b0, minlength=L)
 
         # w* before each of the chunk's events, and after the last
         acc = np.full((E + 1, D), -0.0)
         acc[0] = w_star
-        acc.reshape(E + 1, kappa, dim)[ev_rows + 1, ev.comp[evs]] = step_evt[evs]
+        acc.reshape(E + 1, kappa, dim)[ev_rows + 1, ev.comp] = step_evt
         np.cumsum(acc, axis=0, out=acc)
-        W = acc[starts[b0:b1] - e0]
+        W = acc[starts[:L]]
         w_star = acc[E]
 
         dist_b, grad_b, _, _ = batched_cell_stats(W.reshape(L, kappa, dim), batch)
         gn2_b = np.einsum("ckd,ckd->c", grad_b, grad_b)
         seg = np.cumsum(np.concatenate(([-0.0], eps_star_all[b0:b1] * gn2_b)))
 
-        _, h_evt, _, _ = batched_cell_stats(wb[evs], batch)
+        _, h_evt, _, _ = batched_cell_stats(wb, batch)
         dm = np.full((E + 1, 2, kappa, dim), -0.0)
         dm1, dm2 = dm[1:, 0], dm[1:, 1]
-        cview = coef_evt[evs, None, None]
-        dm1[...] = grad_b[ev.t[evs] - b0]                        # h* per event
+        cview = coef_evt[:, None, None]
+        dm1[...] = grad_b[ev.t - b0]                                 # h* per event
         dm1 -= h_evt
         dm1 *= cview
-        inc = h_evt                                              # h - H per event
-        inc[ev_rows, ev.comp[evs]] -= wb_comp[evs] - ev.z[evs]
-        picked = inc[smask[evs]]
+        inc = h_evt                                                  # h - H per event
+        inc[ev_rows, ev.comp] -= wb_comp - ev.z
+        sampled = np.zeros(E, dtype=bool)
+        sampled[mart_at[slice(*np.searchsorted(mart_at, [e0, e0 + E]))] - e0] = True
+        picked = inc[sampled]
         mart_rows[mart_cursor:mart_cursor + len(picked)] = picked.reshape(-1, D)
         mart_cursor += len(picked)
         np.multiply(inc, cview, out=dm2)
@@ -212,12 +200,12 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
 
         # the chunk's recorded ticks, by one gather each
         ks = slice(*np.searchsorted(times, [b0, b1]))
-        rec = times[ks]
-        w_star_rec[ks] = W[rec - b0]
-        out["distortion_star"][ks] = dist_b[rec - b0]
-        out["grad_norm_star"][ks] = np.sqrt(gn2_b[rec - b0])
-        out["sum_eps_grad2"][ks] = run_seg + seg[rec - b0]
-        dm_rec[ks] = run_dm + dm[starts[rec] - e0]
+        rec = times[ks] - b0
+        w_star_rec[ks] = W[rec]
+        out["distortion_star"][ks] = dist_b[rec]
+        out["grad_norm_star"][ks] = np.sqrt(gn2_b[rec])
+        out["sum_eps_grad2"][ks] = run_seg + seg[rec]
+        dm_rec[ks] = run_dm + dm[starts[rec]]
 
         run_seg += float(seg[L])
         run_dm += dm[E]
@@ -233,8 +221,14 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     out["sum_dm1"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 0]]
     out["dm2_partial_norm"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 1]]
 
-    # series that need no sweep
+    # series that need no sweep; the run's versions and step constants are
+    # known once its last chunk has been taken
     snaps = art.snapshots
+    theta_all = theta_series(T + 1, limits.rho_hat)
+    bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
+    tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
+    env_cum = np.cumsum(n_active / tick_w**2)
+    env_coef = 4.0 * kappa * diam**2 * art.K2**2
     out["consensus_gap"][:] = _spread(snaps)
     dev = snaps - w_star_rec[:, None, :]
     out["agreement_gap"][:] = np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1)

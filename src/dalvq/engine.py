@@ -4,21 +4,27 @@ Each simulated processor repeats: draw a sample, apply one winner-takes-all
 descent tick scaled by its step policy, and merge delayed versions of its
 peers according to the communication schedule. The schedule alone fixes every
 descent's tick, processor, step and draw counter, and no sample depends on the
-iterates, so a run plans every descent and draws every sample before its first
-tick, in one call over the array of draw addresses. Draw k of processor i is
-addressed as (seed, i, k) in a counter-based stream, so a run is a pure
-function of its config and schedule; replaying any processor's draws needs no
-coordination with the others. The events of one tick belong to distinct
-processors and each reads only its own processor's pre-merge version, so a
-tick with several events scores and steps them together.
+iterates, so a run takes its ticks in chunks: each chunk plans its descents
+and draws all their samples in one call over their draw addresses before its
+first tick. Draw k of processor i is addressed as (seed, i, k) in a
+counter-based stream, so a run is a pure function of its config and schedule;
+replaying any processor's draws needs no coordination with the others. The
+events of one tick belong to distinct processors and each reads only its own
+processor's pre-merge version, so a tick with several events scores and steps
+them together. A consumer of the chunks, such as the metrics sweep, holds one
+chunk of the event log at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import math
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from . import geometry
 from .agreement import merged_versions
 from .errors import ConfigError, require_int, strict_object
 from .geometry import SampleBatch, nearest_cell
@@ -30,6 +36,7 @@ __all__ = [
     "StepPolicy",
     "RunConfig",
     "EventLog",
+    "Chunk",
     "RunArtifacts",
     "dalvq_tick",
     "run",
@@ -144,8 +151,8 @@ class EventLog:
     winning component and w_before[k] the flat quantizer the gradient
     observation was evaluated at (its version at t[k], before that tick's
     merge). The descent vector is recoverable as -eps * (w_before[comp] - z)
-    on the winning rows. The plan gives t, proc, draw and eps, run draws z
-    before the first tick, and the ticks fill in comp and w_before.
+    on the winning rows. The plan gives t, proc, draw and eps, the draws z,
+    and the ticks fill in comp and w_before.
     """
 
     def __init__(self, t: np.ndarray, proc: np.ndarray, draw: np.ndarray,
@@ -156,14 +163,149 @@ class EventLog:
         self.z = np.zeros((self.n, dim))
         self.w_before = np.zeros((self.n, width))
 
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.t, self.proc, self.draw, self.eps, self.comp, self.z, self.w_before
+
     def finish(self) -> None:
-        for arr in (self.t, self.proc, self.draw, self.eps, self.comp, self.z, self.w_before):
+        for arr in self._arrays():
             arr.flags.writeable = False
+
+    def rows(self, e0: int, e1: int) -> "EventLog":
+        """Events e0 .. e1 - 1, as views of this log's arrays."""
+        part = copy.copy(self)
+        part.t, part.proc, part.draw, part.eps, part.comp, part.z, part.w_before = \
+            (arr[e0:e1] for arr in self._arrays())
+        part.n = e1 - e0
+        return part
+
+
+class Chunk(NamedTuple):
+    """Ticks b0 .. b1 - 1 of a run and their descents, events e0 onwards of
+    the run's log: tick t's are events[starts[t - b0]:starts[t - b0 + 1]]."""
+
+    b0: int
+    b1: int
+    e0: int
+    starts: np.ndarray       # (b1 - b0 + 1,) offsets into events
+    events: EventLog
+
+
+def _split(log: EventLog, schedule: CommSchedule) -> Iterator[Chunk]:
+    """A whole log of the schedule's descents, by the kernel's anchor chunk."""
+    t_plan, proc_plan, _ = schedule.descents()
+    if not (np.array_equal(log.t, t_plan) and np.array_equal(log.proc, proc_plan)):
+        raise ValueError("metrics need the run's event log of every planned descent")
+    T, size = schedule.horizon, geometry._STACK_CHUNK
+    starts = np.searchsorted(log.t, np.arange(T + 1))
+    for b0 in range(0, T, size):
+        b1 = min(b0 + size, T)
+        e0 = int(starts[b0])
+        yield Chunk(b0, b1, e0, starts[b0:b1 + 1] - e0, log.rows(e0, int(starts[b1])))
+
+
+class Ticks:
+    """The ticks of one run, taken a chunk at a time.
+
+    A pass starts at tick 0 with a fresh version ring. Each chunk plans its
+    descents, draws their samples in one call over its draw addresses, runs
+    its ticks and is handed on; nothing of it is kept. The run is a pure
+    function of its config, so every pass gives the same chunks. The first
+    pass to reach the horizon keeps the snapshots, the final versions and
+    the step constants (K1, K2); collect() keeps the whole log.
+    """
+
+    def __init__(self, config: RunConfig, schedule: CommSchedule, batch: SampleBatch,
+                 x0: np.ndarray, snap_times: np.ndarray):
+        self.config, self.schedule, self.batch = config, schedule, batch
+        self.x0, self.snap_times = x0, snap_times
+        self.n = int(schedule.active_count(config.horizon).sum())
+        self._log: Optional[EventLog] = None
+        self._end: Optional[tuple] = None
+
+    def chunks(self) -> Iterator[Chunk]:
+        """The run, by the kernel's anchor chunk of consecutive ticks."""
+        cfg, schedule, batch = self.config, self.schedule, self.batch
+        T, depth, size = cfg.horizon, schedule.B1, geometry._STACK_CHUNK
+        ring = np.zeros((depth, cfg.M, cfg.width))
+        ring[0] = self.x0
+        snapshots = np.empty((len(self.snap_times), cfg.M, cfg.width))
+        snap_at = {int(u): k for k, u in enumerate(self.snap_times)}
+        K1, K2, e0 = math.inf, 1.0, 0
+        before = np.zeros(cfg.M, dtype=np.int64)    # each processor's active ticks before b0
+        for b0 in range(0, T, size):
+            b1 = min(b0 + size, T)
+            t_ev, proc, n = schedule.descents(b0, b1, before)
+            before = before + np.bincount(proc, minlength=cfg.M)
+            eps, k1, k2 = cfg.step.steps(t_ev, n)
+            if len(t_ev):
+                K1, K2 = min(K1, k1), max(K2, k2)
+            events = EventLog(t_ev, proc, n - 1, eps, cfg.dim, cfg.width)
+            draws = StreamHandle(cfg.seed, proc, events.draw)
+            if cfg.replay_from_batch:
+                np.take(batch.points, draw_index(batch.n, draws), axis=0, out=events.z)
+            else:
+                events.z[:] = sample(cfg.dist, draws)
+            starts = np.searchsorted(t_ev, np.arange(b0, b1 + 1))
+            for t in range(b0, b1):
+                k = snap_at.get(t)
+                if k is not None:
+                    snapshots[k] = ring[t % depth]
+                dalvq_tick(t, ring, schedule, events, range(starts[t - b0], starts[t - b0 + 1]))
+            events.finish()
+            yield Chunk(b0, b1, e0, starts, events)
+            e0 += events.n
+        snapshots[snap_at[T]] = ring[T % depth]
+        if self._end is None:
+            final = ring[T % depth].copy()
+            for arr in (snapshots, final):
+                arr.flags.writeable = False
+            self._end = (snapshots, final, K1 if self.n else cfg.step.c, K2)
+
+    def end(self) -> tuple:
+        """(snapshots, final, K1, K2), after a pass if none has reached the horizon."""
+        if self._end is None:
+            for _ in self.chunks():
+                pass
+        return self._end
+
+    def collect(self) -> EventLog:
+        """The whole log, from a pass that keeps every chunk's events."""
+        if self._log is None:
+            cfg = self.config
+            t, proc, n = self.schedule.descents()
+            log = EventLog(t, proc, n - 1, cfg.step.steps(t, n)[0], cfg.dim, cfg.width)
+            for ch in self.chunks():
+                rows = slice(ch.e0, ch.e0 + ch.events.n)
+                log.z[rows], log.comp[rows], log.w_before[rows] = \
+                    ch.events.z, ch.events.comp, ch.events.w_before
+            log.finish()
+            self._log = log
+        return self._log
+
+
+class _PendingLog:
+    """A run's EventLog before its ticks are kept: the length n from the
+    plan at once, and the arrays of Ticks.collect() once one is read."""
+
+    def __init__(self, ticks: Ticks):
+        self.n, self._ticks = ticks.n, ticks
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._ticks.collect(), name)
 
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything a finished run exposes to diagnostics and reports."""
+    """Everything a run exposes to diagnostics and reports.
+
+    run() stops before the first tick. chunks() takes the ticks one chunk at
+    a time, so a consumer such as the metrics sweep holds one chunk of the
+    event log at a time. Reading events, snapshots, final, K1 or K2 before
+    that runs the ticks too: events keeps the whole log, the others only
+    the versions they report.
+    """
 
     config: RunConfig
     schedule: CommSchedule
@@ -171,10 +313,21 @@ class RunArtifacts:
     x0: np.ndarray                     # (M, width) initial versions
     events: EventLog
     snap_times: np.ndarray             # (n_snap,) recorded ticks
-    snapshots: np.ndarray              # (n_snap, M, width) versions at those ticks
-    final: np.ndarray                  # (M, width) versions at the horizon
-    K1: float
-    K2: float
+    ticks: Ticks = field(repr=False, compare=False)
+
+    def chunks(self) -> Iterator[Chunk]:
+        """The run's ticks, or the log given in place of its own, by the
+        kernel's anchor chunk."""
+        if isinstance(self.events, _PendingLog):
+            return self.ticks.chunks()
+        return _split(self.events, self.schedule)
+
+    # what the first pass to reach the horizon keeps (Ticks.end)
+    snapshots = property(lambda self: self.ticks.end()[0],
+                         doc="(n_snap, M, width) versions at the recorded ticks")
+    final = property(lambda self: self.ticks.end()[1], doc="(M, width) versions at the horizon")
+    K1 = property(lambda self: self.ticks.end()[2], doc="least step * (t or 1) of a descent")
+    K2 = property(lambda self: self.ticks.end()[3], doc="largest step * (t or 1), at least 1")
 
 
 def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLog,
@@ -231,42 +384,16 @@ def initial_versions(config: RunConfig) -> np.ndarray:
 
 
 def run(config: RunConfig) -> RunArtifacts:
-    """Execute a full run. Byte-deterministic in the config. The schedule plans
-    every descent, each planned draw fills its row of events.z, and then the
-    ticks merge and descend."""
+    """Set up a run: its schedule, reference batch and start versions.
+    Byte-deterministic in the config. The ticks run when the artifacts'
+    chunks, events or versions are first read (see RunArtifacts)."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
     x0 = initial_versions(config)
-
-    t_ev, proc, n = schedule.descents()
-    eps, K1, K2 = config.step.steps(t_ev, n)
-    events = EventLog(t_ev, proc, n - 1, eps, config.dim, config.width)
-    starts = np.searchsorted(t_ev, np.arange(config.horizon + 1))
-    draws = StreamHandle(config.seed, proc, events.draw)
-    if config.replay_from_batch:
-        np.take(batch.points, draw_index(batch.n, draws), axis=0, out=events.z)
-    else:
-        events.z[:] = sample(config.dist, draws)
-
-    depth = schedule.B1
-    ring = np.zeros((depth, config.M, config.width))
-    ring[0] = x0
     snap_times = np.array(sorted(set(range(0, config.horizon + 1, config.cadence))
                                  | {config.horizon}), dtype=np.int64)
-    snapshots = np.empty((len(snap_times), config.M, config.width))
-    snap_at = {int(u): k for k, u in enumerate(snap_times)}
-
-    for t in range(config.horizon):
-        k = snap_at.get(t)
-        if k is not None:
-            snapshots[k] = ring[t % depth]
-        dalvq_tick(t, ring, schedule, events, range(starts[t], starts[t + 1]))
-    snapshots[snap_at[config.horizon]] = ring[config.horizon % depth]
-
-    events.finish()
-    final = ring[config.horizon % depth].copy()
-    for arr in (x0, snap_times, snapshots, final):
+    for arr in (x0, snap_times):
         arr.flags.writeable = False
+    ticks = Ticks(config, schedule, batch, x0, snap_times)
     return RunArtifacts(config=config, schedule=schedule, batch=batch, x0=x0,
-                        events=events, snap_times=snap_times, snapshots=snapshots,
-                        final=final, K1=K1, K2=K2)
+                        events=_PendingLog(ticks), snap_times=snap_times, ticks=ticks)

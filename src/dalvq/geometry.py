@@ -317,7 +317,8 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
     total = (cell_d + cross + quad).sum(axis=1)
     dist[:] = 0.5 * total / batch.n
     loose = (cell_d + np.abs(cross) + quad).sum(axis=1) > _CANCEL * total
-    return np.union1d(full, np.flatnonzero(loose))
+    loose[full] = True
+    return np.flatnonzero(loose)
 
 
 def min_component_separation(w) -> float:

@@ -177,13 +177,24 @@ class CommSchedule:
     def active(self, t: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.active_table[self._idx(t)]))
 
-    def descents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every descent over the horizon in tick order, then processor order:
-        (t, proc, n), where processor proc[k] descends at tick t[k] and n[k]
-        counts its active ticks up to and including t[k]."""
-        act = self.active_table[np.arange(self.horizon) % self.cycle]
+    def active_count(self, t: int) -> np.ndarray:
+        """(M,) each processor's active ticks before tick t."""
+        q, r = divmod(t, self.cycle)
+        return q * self.active_table.sum(axis=0) + self.active_table[:r].sum(axis=0)
+
+    def descents(self, t0: int = 0, t1: Optional[int] = None,
+                 before: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+        """The descents at ticks t0 .. t1 - 1 (by default the whole horizon) in
+        tick order, then processor order: (t, proc, n), where processor
+        proc[k] descends at tick t[k] and n[k] counts its active ticks up to
+        and including t[k]. before is active_count(t0), which a caller walking
+        the horizon in windows carries from one window to the next rather
+        than have it recounted from tick 0."""
+        act = self.active_table[np.arange(t0, self.horizon if t1 is None else t1) % self.cycle]
         t, proc = np.nonzero(act)
-        return t, proc, np.cumsum(act, axis=0)[act]
+        if before is None:
+            before = self.active_count(t0)
+        return t + t0, proc, (np.cumsum(act, axis=0) + before)[act]
 
     def materialize(self, t1: Optional[int] = None):
         """Dense (coeff, delay, active) arrays of the accessors' values for

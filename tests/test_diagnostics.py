@@ -7,7 +7,7 @@ import pytest
 
 from dalvq.agreement import phi_limit_series
 from dalvq import diagnostics, geometry
-from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
+from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, RunMetrics, compute_metrics,
                                consensus_decay, estimate_lipschitz,
                                summarize, theta_series)
 from dalvq.engine import EventLog, RunConfig, StepPolicy, run
@@ -278,6 +278,22 @@ class TestComputeMetrics:
                                        rtol=1e-11, atol=1e-18)
         # w* does not go through the kernel, so its chunks leave no trace
         assert same_bits(alt.w_star_rec, met.w_star_rec)
+
+    @pytest.mark.parametrize("chunk", [256, 7])
+    def test_streamed_run_is_the_collected_log(self, chunk, monkeypatch):
+        # the sweep over a pass of the ticks and over the split of the kept
+        # log agree in every bit
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        cfg = make_config(horizon=100, cadence=3)
+        streamed = run(cfg)
+        limits = phi_limit_series(streamed.schedule)
+        a = compute_metrics(streamed, limits)
+        kept = run(cfg)
+        assert len(kept.events.z) == streamed.events.n       # the log, kept
+        b = compute_metrics(replace(kept, events=kept.ticks.collect()), limits)
+        for name in RunMetrics.__dataclass_fields__:
+            assert np.asarray(getattr(a, name)).tobytes() == \
+                np.asarray(getattr(b, name)).tobytes(), name
 
     def test_csv_round_trip(self, small, tmp_path):
         _, _, met = small

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dalvq import geometry
 from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
 from dalvq.errors import ConfigError
 from dalvq.geometry import nearest_cell
@@ -351,3 +352,121 @@ class TestBatchedTick:
             assert one[0].tobytes() == two[(t + 1) % 2].tobytes()
         assert np.array_equal(logs[0].comp, logs[1].comp)
         assert logs[0].w_before.tobytes() == logs[1].w_before.tobytes()
+
+
+# ---- the ticks, chunk by chunk ----
+
+
+def _schedules():
+    """A periodic round-robin ring, a random-subset one, a dense trace of it
+    idle for its first ten ticks, and one that never descends."""
+    robin = generate(RING, 3, 50, seed=1)
+    subset = generate(ScheduleSpec(topology="ring", merge_period=2, delay_law="uniform",
+                                   delay_value=3, activity="random-subset", base_window=8),
+                      4, 61, seed=2)
+    coeff, delay, active = subset.materialize()
+    active = active.copy()
+    active[:10] = False
+    dense = replace(subset, coeff_table=coeff, delay_table=delay, active_table=active,
+                    period=None)
+    idle = replace(robin, active_table=np.zeros_like(robin.active_table))
+    return [robin, subset, dense, idle]
+
+
+class TestPlanWindows:
+    @pytest.mark.parametrize("k", range(4))
+    def test_window_is_the_slice_of_the_plan(self, k):
+        sch = _schedules()[k]
+        t, proc, n = sch.descents()
+        for t0, t1 in [(0, 0), (0, 7), (5, 5), (7, 19), (13, sch.horizon), (0, sch.horizon)]:
+            keep = (t >= t0) & (t < t1)
+            got = sch.descents(t0, t1)
+            for a, b in zip(got, (t[keep], proc[keep], n[keep])):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_active_count(self, k):
+        sch = _schedules()[k]
+        for t in range(sch.horizon + 1):
+            want = np.zeros(sch.M, dtype=int)
+            for u in range(t):
+                want[list(sch.active(u))] += 1
+            assert np.array_equal(sch.active_count(t), want)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("size", [256, 7, 1])
+    def test_pass_is_the_collected_log(self, size, monkeypatch):
+        # the chunks of a pass hold the log's rows, and the pass ends on its versions
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", size)
+        cfg = make_config(horizon=45, cadence=4)
+        live = run(cfg)
+        chunks = [(b0, b1, e0, starts.copy(), ev) for b0, b1, e0, starts, ev
+                  in live.chunks()]
+        art = run(cfg)
+        log = art.events
+        assert [c[:2] for c in chunks] == [(b0, min(b0 + size, 45)) for b0 in range(0, 45, size)]
+        for (b0, b1, e0, starts, ev), again in zip(chunks, replace(art, events=log).chunks()):
+            assert np.array_equal(starts, np.searchsorted(log.t, np.arange(b0, b1 + 1)) - e0)
+            assert ev.n == starts[-1] == again.events.n
+            for name in ("t", "proc", "draw", "eps", "comp", "z", "w_before"):
+                assert getattr(ev, name).tobytes() == getattr(log, name)[e0:e0 + ev.n].tobytes()
+        assert sum(c[4].n for c in chunks) == log.n == live.events.n
+        for name in ("snapshots", "final", "K1", "K2"):
+            assert np.array_equal(getattr(live, name), getattr(art, name))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_step_constants_over_the_chunks(self, k, monkeypatch):
+        # empty chunks fold nothing in: the idle start keeps K1 above c
+        sch = _schedules()[k]
+        t, _, n = sch.descents()
+        monkeypatch.setattr("dalvq.engine.generate", lambda *a: sch)
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", 5)
+        art = run(make_config(M=sch.M, horizon=sch.horizon,
+                              step=StepPolicy("local-clock", 0.45)))
+        list(art.chunks())
+        assert (art.K1, art.K2) == StepPolicy("local-clock", 0.45).steps(t, n)[1:]
+
+    def test_ticks_run_once_per_reader(self, monkeypatch):
+        # run() takes no tick; one pass serves the versions; reading the log
+        # takes a second pass, which keeps it
+        from dalvq import engine
+        calls = []
+        tick = engine.dalvq_tick
+        monkeypatch.setattr(engine, "dalvq_tick", lambda t, *a: calls.append(t) or tick(t, *a))
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", 6)
+        art = run(make_config(horizon=20))
+        assert calls == [] and art.events.n == 20
+        list(art.chunks())
+        assert calls == list(range(20))
+        art.final, art.snapshots, art.K1, art.K2
+        assert len(calls) == 20
+        art.events.z, art.events.w_before
+        assert len(calls) == 40
+
+    def test_pass_counts_each_window_once(self, monkeypatch):
+        # a dense trace's cycle is its horizon, so recounting each window's
+        # start from tick 0 (CommSchedule.active_count) would sum about
+        # T^2 / 512 rows of the active table over a pass; the pass carries
+        # the counts instead and sums no more rows than the horizon
+        from dalvq.schedule import CommSchedule
+        T = 8000
+        sch = _schedules()[1]
+        coeff, delay, active = sch.materialize(T)
+        dense = replace(sch, horizon=T, coeff_table=coeff, delay_table=delay,
+                        active_table=active, period=None)
+        rows = []
+        count = CommSchedule.active_count
+        monkeypatch.setattr(CommSchedule, "active_count",
+                            lambda self, t: rows.append(t % self.cycle) or count(self, t))
+        monkeypatch.setattr("dalvq.engine.generate", lambda *a: dense)
+        art = run(make_config(M=dense.M, horizon=T, cadence=T))
+        ends = [(ch.b0, ch.events.n) for ch in art.chunks()]
+        assert len(ends) == -(-T // 256) and sum(n for _, n in ends) == art.events.n
+        assert sum(rows) <= T, len(rows)
+
+    def test_versions_alone_keep_no_log(self, monkeypatch):
+        from dalvq import engine
+        monkeypatch.setattr(engine.Ticks, "collect", None)
+        art = run(make_config())
+        assert art.final.shape == (3, 4) and art.snapshots.shape == (4, 3, 4)

@@ -11,29 +11,12 @@ inside ``perfbench/workloads.py`` are older and are not read.
 """
 
 import hashlib
-import importlib.util
 import json
-import os
-import sys
 
 import pytest
 
+from bench_workloads import WORKLOADS
 from dalvq import cli
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  os.path.join(PERFBENCH, "workloads.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _load_workloads()
 
 PINNED = {
     "sweep-ref5k": {
