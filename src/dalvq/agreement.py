@@ -98,43 +98,35 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
 # impulse responses
 
 
-def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
-                    limits: Optional[np.ndarray] = None):
-    """Unit impulses as column blocks of one joint merge iteration.
+def _impulse_blocks(schedule: CommSchedule, limits: np.ndarray):
+    """The envelope pass: the impulse injected at tick tau = k - 1 is column
+    block k of one joint merge iteration, entering as the identity at time k.
+    It is merged until its residual against limits[k] over the current and
+    history versions is below 1e-14 + delta * age: a row-stochastic merge
+    never increases it, and rows that miss 1 by delta move it by at most
+    delta per tick. A merge never mixes columns, so each block follows exactly
+    the arithmetic of a run on its own; past the horizon the schedule repeats.
 
-    Block k carries the impulse injected at tick tau = k - 1: it enters as the
-    identity at time k and is merged until time t_end or, given limits (n, M),
-    until its residual against limits[k] over the current and history versions
-    is below 1e-14 + delta * age: a row-stochastic merge never increases it,
-    and rows that miss 1 by delta move it by at most delta per tick. A merge
-    never mixes columns, so each block follows exactly the arithmetic of a run
-    on its own. Past the horizon the schedule repeats.
-
-    Yields (t, lo, x, live, resid) for t = 0, 1, ... until every block has
-    stopped. x (M, W * M) holds blocks lo .. lo + W - 1 at time t, the last of
-    them injected at t or earlier; live marks those still running at t, and
-    resid is each one's largest current-version residual (None without
-    limits). Stopped blocks between running ones ride along unrecorded.
-    hist[u % depth] keeps ring slot u % depth's residuals, so a tick measures one
-    slot; a block's slots hold 0 until it enters, residual max |limits[k]|.
+    Yields (t, lo, live, resid) until every block has stopped: whether each
+    of blocks lo, lo + 1, ... (injected by t) still runs at t, and its largest
+    current-version residual; stopped blocks between running ones ride along.
+    hist[u % depth] keeps ring slot u % depth's residuals, so a tick measures
+    one slot; a block's slots hold 0 until it enters, residual max |limits[k]|.
     """
-    M, depth = schedule.M, schedule.B1
+    M, depth, n = schedule.M, schedule.B1, len(limits)
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
     ring[0, :, :M] = eye
-    hist = None if limits is None else np.tile(np.abs(limits).max(axis=1), (depth, 1))
+    hist = np.tile(np.abs(limits).max(axis=1), (depth, 1))
     live = np.ones(n, dtype=bool)
     lo, hi, t = 0, 1, 0
     while True:
         cur = ring[t % depth, :, lo * M:hi * M]
-        if limits is None:
-            resid, done = None, np.full(hi - lo, t >= t_end)
-        else:
-            resid = np.abs(cur - limits[lo:hi].ravel()).max(axis=0).reshape(-1, M).max(axis=1)
-            hist[t % depth, lo:hi] = resid
-            done = hist[:, lo:hi].max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
-        yield t, lo, cur, live[lo:hi].copy(), resid
+        resid = np.abs(cur - limits[lo:hi].ravel()).max(axis=0).reshape(-1, M).max(axis=1)
+        hist[t % depth, lo:hi] = resid
+        done = hist[:, lo:hi].max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
+        yield t, lo, live[lo:hi].copy(), resid
         live[lo:hi] &= ~done
         if not live.any():
             return
@@ -145,6 +137,33 @@ def _impulse_blocks(schedule: CommSchedule, n: int, t_end: Optional[int] = None,
             x[:, (t + 1 - lo) * M:] = eye
         ring[(t + 1) % depth, :, cols] = x
         t += 1
+
+
+def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
+    """The merge at tick t on the augmented state, whose slot k holds the M
+    versions at time t - k: slot 0 takes the merge, the others shift back by
+    one."""
+    M, B = schedule.M, schedule.B1
+    _check_depth(_merge_plan(schedule), B)
+    i, j = np.indices((M, M))
+    k, m = np.arange(1, B)[:, None], np.arange(M)
+    a = np.zeros((B, M, B, M))
+    a[0, i, schedule.delay(t), j] = schedule.coeff(t)
+    a[k, m, k - 1, m] = 1.0
+    return a.reshape(B * M, B * M)
+
+
+def _backward(schedule: CommSchedule, r: np.ndarray, t: int) -> np.ndarray:
+    """Slot 0 of r A(t - 1) ... A(s) for each s from t down to 0, indexed by s,
+    where A(s) = _step_matrix(schedule, s) and r (..., B1 * M) weights the
+    augmented state at time t: t products in all."""
+    M = schedule.M
+    out = np.empty((t + 1, *r.shape[:-1], M))
+    out[t] = r[..., :M]
+    for s in range(t - 1, -1, -1):
+        r = r @ _step_matrix(schedule, s)
+        out[s] = r[..., :M]
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,31 +193,16 @@ class PhiTable:
 
 
 def compute_phi(schedule: CommSchedule, t: int) -> PhiTable:
-    """Impulse weights at time t for every injection tick tau in [-1, t); past
-    the horizon the schedule repeats, as its accessors do."""
+    """Impulse weights at time t for every injection tick tau in [-1, t), past
+    the horizon too: slot 0 of R_{tau + 1}, where R_t = [I, 0, ..., 0] and
+    R_s = R_{s+1} A(s) on the augmented state (see _backward)."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    for _, _, x, _, _ in _impulse_blocks(schedule, t + 1, t_end=t):
-        pass
-    return PhiTable(t=t, phi=x.reshape(schedule.M, t + 1, schedule.M).transpose(1, 0, 2).copy())
+    return PhiTable(t, _backward(schedule, np.eye(schedule.M, schedule.B1 * schedule.M), t))
 
 
 # ---------------------------------------------------------------------------
 # limits
-
-
-def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
-    """The merge at tick t on the augmented state, whose slot k holds the M
-    versions at time t - k: slot 0 takes the merge, the others shift back by
-    one."""
-    M, B = schedule.M, schedule.B1
-    _check_depth(_merge_plan(schedule), B)
-    i, j = np.indices((M, M))
-    k, m = np.arange(1, B)[:, None], np.arange(M)
-    a = np.zeros((B, M, B, M))
-    a[0, i, schedule.delay(t), j] = schedule.coeff(t)
-    a[k, m, k - 1, m] = 1.0
-    return a.reshape(B * M, B * M)
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,7 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     Otherwise A_hat = rho_hat = 1, which holds since every weight is in [0, 1].
     """
     T = schedule.horizon if horizon is None else horizon
-    M, n, P = schedule.M, schedule.B1 * schedule.M, schedule.cycle
+    n, P = schedule.B1 * schedule.M, schedule.cycle
     tau0 = P * math.ceil(schedule.B1 / P)
     direct_hi = min(tau0 + P, T)
 
@@ -255,19 +259,14 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     # smallest such pi when eigenvalue 1 is not simple
     pi = np.linalg.lstsq(np.vstack([prod.T - np.eye(n), np.ones(n)]), np.eye(n + 1)[-1],
                          rcond=None)[0]
-    limits = np.empty((tau0 + P + 1, M))
-    limits[-1] = pi[:M]
-    for s in range(tau0 + P - 1, -1, -1):
-        pi = pi @ _step_matrix(schedule, s)
-        limits[s] = pi[:M]
-    limits = limits[:direct_hi + 1]
+    limits = _backward(schedule, pi, tau0 + P)[:direct_hi + 1]
 
     a_hat, rho_hat = 1.0, 1.0
     if resolved:
         rho = max(float(lam[1]), float(np.finfo(float).eps)) ** (1.0 / P)
         log_a = -math.inf
         cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + schedule.B1 + P
-        for t, lo, _, live, resid in _impulse_blocks(schedule, direct_hi + 1, limits=limits):
+        for t, lo, live, resid in _impulse_blocks(schedule, limits):
             if t + 1 - lo > cap:  # the oldest live block's gap
                 resolved = False
                 break
@@ -277,9 +276,7 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
         else:
             a_hat, rho_hat = float(np.exp(log_a)), rho
 
-    phi = np.zeros((T, M))
-    phi[:direct_hi] = limits[1:]
-    if T > direct_hi:  # tile the periodic block
-        phi[direct_hi:] = phi[tau0 + (np.arange(direct_hi, T) - tau0) % P]
+    ticks = np.arange(T)   # past the base block its last period repeats
+    phi = limits[1:][np.where(ticks < tau0, ticks, tau0 + (ticks - tau0) % P)]
     return PhiLimitSeries(phi_init=limits[0], phi=phi, A_hat=a_hat, rho_hat=rho_hat,
                           eta_hat=float(np.min(limits)), resolved=resolved)

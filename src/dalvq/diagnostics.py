@@ -98,6 +98,7 @@ class RunMetrics:
     eps_ratio_max: float
     eps_ratio_max_t: int
     eps_star_total: float
+    theta_final: float                # theta at the horizon, for the report
     mart_mean_norm: float             # unscaled increment sample mean
     mart_sigma: float
     mart_n: int
@@ -262,6 +263,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
                       eps_ratio_min=r_min, eps_ratio_min_t=t_min,
                       eps_ratio_max=r_max, eps_ratio_max_t=t_max,
                       eps_star_total=float(np.sum(eps_star_all[:T])),
+                      theta_final=float(theta_all[T]),
                       mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma,
                       mart_n=len(mart), **out)
 
@@ -389,7 +391,7 @@ def summarize(art: RunArtifacts, metrics: RunMetrics,
         bound_params={"A_hat": limits.A_hat, "rho_hat": limits.rho_hat,
                       "eta_hat": limits.eta_hat, "K1": art.K1, "K2": art.K2,
                       "safety": _BOUND_SAFETY,
-                      "theta_final": float(theta_series(T + 1, limits.rho_hat)[T])},
+                      "theta_final": metrics.theta_final},
         final_distortion_star=float(dvals[-1]),
         distortion_cauchy_ratio=cauchy,
         final_grad_norm_star=float(metrics.grad_norm_star[-1]),

@@ -1,8 +1,8 @@
 """Direct reference implementations the tests compare the library against.
 
 None of these is used by the library itself: each spells out one quantity the
-fast paths compute, in the plainest form, or records what the library only
-streams (``phi_family``).
+fast paths compute, in the plainest form, or records at every time what the
+library computes at one (``phi_family``).
 """
 
 import json
@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from dalvq.agreement import _impulse_blocks, merged_versions
+from dalvq.agreement import merged_versions
 from dalvq.errors import ConfigError
 from dalvq.geometry import min_component_separation, nearest_cell
 from dalvq.measures import StreamHandle, init_quantizer, make_batch
@@ -263,21 +263,29 @@ def phi_family(schedule, t_end: int) -> np.ndarray:
     Returns F of shape (t_end + 1, t_end + 1, M, M): F[t, k, i, j] is the
     weight processor i's version at time t puts on the unit injected at
     processor j at tick tau = k - 1 (k = 0 probes the initial versions).
-    Entries with tau >= t are zero. Records every time of the library's joint
-    impulse propagator, which ``compute_phi`` reads at one time only.
+    Entries with tau >= t are zero. One forward merge iteration carries all
+    t_end + 1 impulses as column blocks of one ring; block t + 1 is set to
+    the identity once tick t's merge is done. ``compute_phi`` gives one time
+    of this family, by the backward recursion.
     """
-    M, n = schedule.M, t_end + 1
+    M, depth, n = schedule.M, schedule.B1, t_end + 1
+    eye = np.eye(M)
+    ring = np.zeros((depth, M, n * M))
+    ring[0, :, :M] = eye
     out = np.zeros((n, M, n * M))
-    for t, lo, x, _, _ in _impulse_blocks(schedule, n, t_end=t_end):
-        out[t, :, lo * M:lo * M + x.shape[1]] = x
+    out[0] = ring[0]
+    for t in range(t_end):
+        x = merged_versions(schedule, ring, t)
+        x[:, (t + 1) * M:(t + 2) * M] = eye
+        ring[(t + 1) % depth] = out[t + 1] = x
     return out.reshape(n, M, n, M).transpose(0, 2, 1, 3).copy()
 
 
 def envelope_blocks(schedule, limits: np.ndarray):
-    """The envelope pass of ``_impulse_blocks(schedule, len(limits),
-    limits=limits)`` with every residual taken afresh: each tick measures
-    every ring slot of every block in the window against its limit. Yields
-    (t, lo, live, resid) as the library yields (t, lo, x, live, resid)."""
+    """The envelope pass of ``_impulse_blocks(schedule, limits)`` with every
+    residual taken afresh: each tick measures every ring slot of every block
+    in the window against its limit. Yields (t, lo, live, resid), as the
+    library does."""
     M, depth, n = schedule.M, schedule.B1, len(limits)
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)

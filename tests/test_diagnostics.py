@@ -442,6 +442,23 @@ class TestSummarize:
         d = rep.to_dict()
         assert d["horizon"] == rep.horizon and "bound_params" in d
 
+    def test_theta_final_is_read_from_the_sweep(self, small, monkeypatch):
+        # the sweep has built theta over the whole run; the report reads its
+        # last value instead of building the series again
+        art, limits, met = small
+        T = art.config.horizon
+        want = float(theta_series(T + 1, limits.rho_hat)[T])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return theta_series(*args)
+
+        monkeypatch.setattr(diagnostics, "theta_series", counted)
+        rep = summarize(art, met, limits)
+        assert calls == []
+        assert rep.bound_params["theta_final"] == met.theta_final == want
+
     def test_distortion_cauchy_ratio_definition(self, small):
         art, limits, met = small
         rep = summarize(art, met, limits)

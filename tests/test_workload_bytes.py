@@ -101,7 +101,7 @@ BASELINE_PINNED = {
 # phi-table at its default t, min(horizon, 64)
 PHI_TABLE_PINNED = {
     "sweep-ref5k": "d8bab657f56780411ada35ab198a49739e92dbc389f48e8dfb723b76ab746485",
-    "engine-m8-disk": "91a0a2c1d070258224132e3ba684bdb8217baf675b44e432565eb03fb6e12228",
+    "engine-m8-disk": "b376f232e4716253657cab84b82cb3bc0fdff47bce24c592038dae00a8dd53b3",
     "impulse-gossip-m8": "6c6e18c506bcd39678e11bc7089c9655b7bdcad7b1ff98fbcdb82b29f153f830",
 }
 
