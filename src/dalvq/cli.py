@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import run_clvq, run_lloyd
-from .diagnostics import compute_metrics, consensus_decay, summarize
+from .diagnostics import compute_metrics, consensus_decay, summarize, sweep_path
 from .engine import RunConfig, initial_versions, run
 from .errors import ConfigError, ScheduleValidationError
 from .agreement import compute_phi, phi_limit_series
@@ -175,6 +175,7 @@ def cmd_run(args) -> int:
         timing["run_setup_s"] = time.perf_counter() - t_start
         t_mid = time.perf_counter()
         limits = phi_limit_series(art.schedule)
+        timing["sweep"] = sweep_path()             # "forked" or "inline"
         metrics = compute_metrics(art, limits)    # takes the ticks, a chunk at a time
         report = summarize(art, metrics, limits)
         timing["pass_s"] = time.perf_counter() - t_mid

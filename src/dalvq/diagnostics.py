@@ -11,6 +11,18 @@ of a full scan. The per-tick bookkeeping (the agreement trajectory, the
 perturbation partial sums) is a prefix sum over each chunk's events, in
 event order, and each recorded tick reads its row by one gather.
 
+The pass has two halves: the chunk loop, which reads only the chunk stream,
+and a tail that reads what the ticks leave at the horizon (the snapshots and
+K2) and the limits. On a system that can fork, with at least two CPUs
+available to the process (os.sched_getaffinity), the loop runs in a forked
+child: the ticks, draws and merges stay in the caller, which pickles each
+chunk into a pipe sized to hold one, so the child sweeps a chunk while the
+next one's ticks run. With one CPU the same loop reads the chunks in the
+caller. Both paths give the same bits. An exception in the child is raised
+in the caller as its own type, or as a RuntimeError carrying the child's
+traceback when it does not pickle; a child that dies raises
+ChildProcessError, an OSError. No child outlives compute_metrics.
+
 Cumulative columns follow one convention: the value reported at tick t sums
 contributions of ticks tau < t, matching the agreement recursion whose value
 at t is built from descents strictly before t.
@@ -18,14 +30,17 @@ at t is built from descents strictly before t.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .agreement import PhiLimitSeries, merged_versions
-from .engine import RunArtifacts
+from .engine import Chunk, RunArtifacts
 from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
 
@@ -33,6 +48,7 @@ __all__ = [
     "theta_series",
     "RunMetrics",
     "compute_metrics",
+    "sweep_path",
     "consensus_decay",
     "estimate_lipschitz",
     "ConvergenceReport",
@@ -71,6 +87,8 @@ def theta_series(n: int, rho: float) -> np.ndarray:
 CSV_COLUMNS = ("t", "consensus_gap", "agreement_gap", "bound_normmaj",
                "distortion_star", "grad_norm_star", "eps_star", "min_sep_star",
                "sum_eps_grad2", "sum_dm1", "dm2_partial_norm")
+
+_STREAM_COLUMNS = CSV_COLUMNS[4:]   # the columns the event stream decides
 
 _BOUND_SAFETY = 1.1
 _MART_SAMPLES = 10000     # martingale increments sampled from the event log
@@ -119,20 +137,39 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ijd,...ijd->...ij", d, d)).max(axis=(-2, -1))
 
 
-def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
-    """One chronological sweep computing every diagnostic series.
+# Plain classes: a NamedTuple or dataclass would cost every import of this
+# module, validate-schedule's included, a tenth of a millisecond or more.
+class _Swept:
+    """What the chunk loop reads from the event stream: the stream's CSV
+    columns by name (cols), w* at the recorded ticks (n_rec, width), the
+    envelope's sum of n_active / (tau or 1)**2 over tau < t at each recorded
+    t (env_sum), and RunMetrics' step-weight and martingale fields (scalars)."""
 
-    Walks the run chunk by chunk (art.chunks, the kernel's anchor chunks of
-    consecutive ticks), so a run whose ticks have not been taken yet takes
-    them here, one chunk of its event log at a time. In each chunk the
-    agreement trajectory w*(t) and the perturbation partial sums are prefix
-    sums over the chunk's events, in event order, and all distortion or
-    gradient evaluations go through the batched kernel.
+    def __init__(self, cols: dict, w_star_rec: np.ndarray, env_sum: np.ndarray,
+                 scalars: dict):
+        self.cols, self.w_star_rec, self.env_sum, self.scalars = \
+            cols, w_star_rec, env_sum, scalars
+
+
+class _Failure:
+    """An exception that stopped the sweep child, with the child's traceback."""
+
+    def __init__(self, exc: BaseException, traceback: str):
+        self.exc, self.traceback = exc, traceback
+
+
+def _chunk_loop(art: RunArtifacts, limits: PhiLimitSeries,
+                chunks: Iterable[Chunk]) -> _Swept:
+    """The sweep over a run's chunks, in tick order.
+
+    In each chunk the agreement trajectory w*(t) and the perturbation
+    partial sums are prefix sums over the chunk's events, in event order,
+    and all distortion or gradient evaluations go through the batched
+    kernel. Reads nothing the ticks leave at the horizon.
     """
     cfg = art.config
-    T, M, kappa, dim, D = cfg.horizon, cfg.M, cfg.kappa, cfg.dim, cfg.width
+    T, kappa, dim, D = cfg.horizon, cfg.kappa, cfg.dim, cfg.width
     batch = art.batch
-    diam = batch.diameter
 
     # per-tick step weights and activity, filled chunk by chunk
     eps_star_all = np.zeros(T + 1)
@@ -147,7 +184,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
 
     times = art.snap_times
     n_rec = len(times)
-    out = {name: np.zeros(n_rec) for name in CSV_COLUMNS[1:]}
+    out = {name: np.zeros(n_rec) for name in _STREAM_COLUMNS}
     w_star_rec = np.empty((n_rec, D))
     dm_rec = np.empty((n_rec, 2, D))      # the dm1 and dm2 partial sums
 
@@ -158,7 +195,7 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     run_dm = np.zeros((2, D))
     run_seg = 0.0
 
-    for b0, b1, e0, starts, ev in art.chunks():
+    for b0, b1, e0, starts, ev in chunks:
         L, E = b1 - b0, ev.n
         ev_rows = np.arange(E)
         wb = ev.w_before.reshape(E, kappa, dim)
@@ -221,24 +258,13 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     out["eps_star"][:] = eps_star_all[times]      # no event falls at the horizon
     out["sum_dm1"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 0]]
     out["dm2_partial_norm"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 1]]
-
-    # series that need no sweep; the run's versions and step constants are
-    # known once its last chunk has been taken
-    snaps = art.snapshots
-    theta_all = theta_series(T + 1, limits.rho_hat)
-    bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
-    tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
-    env_cum = np.cumsum(n_active / tick_w**2)
-    env_coef = 4.0 * kappa * diam**2 * art.K2**2
-    out["consensus_gap"][:] = _spread(snaps)
-    dev = snaps - w_star_rec[:, None, :]
-    out["agreement_gap"][:] = np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1)
-    out["bound_normmaj"][:] = bound_coef * theta_all[times]
     out["min_sep_star"][:] = [min_component_separation(w.reshape(kappa, dim))
                               if kappa > 1 else math.inf for w in w_star_rec]
-    env = np.zeros(n_rec)
+    tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
+    env_cum = np.cumsum(n_active / tick_w**2)
+    env_sum = np.zeros(n_rec)
     pos = times > 0
-    env[pos] = np.sqrt(env_coef * env_cum[times[pos] - 1])
+    env_sum[pos] = env_cum[times[pos] - 1]
 
     # step-weight ratio bounds over active ticks
     act = np.flatnonzero(n_active > 0)
@@ -258,14 +284,145 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
     else:
         mart_mean_norm = mart_sigma = 0.0
 
-    return RunMetrics(times=times, w_star_rec=w_star_rec,
-                      dm2_envelope=env,
-                      eps_ratio_min=r_min, eps_ratio_min_t=t_min,
-                      eps_ratio_max=r_max, eps_ratio_max_t=t_max,
-                      eps_star_total=float(np.sum(eps_star_all[:T])),
-                      theta_final=float(theta_all[T]),
-                      mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma,
-                      mart_n=len(mart), **out)
+    return _Swept(out, w_star_rec, env_sum, dict(
+        eps_ratio_min=r_min, eps_ratio_min_t=t_min,
+        eps_ratio_max=r_max, eps_ratio_max_t=t_max,
+        eps_star_total=float(np.sum(eps_star_all[:T])),
+        mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart)))
+
+
+def sweep_path() -> str:
+    """Where compute_metrics runs its chunk loop: "forked" into a child when
+    the system can fork and at least two CPUs are available to this process,
+    "inline" otherwise."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return "forked" if affinity and hasattr(os, "fork") and len(affinity(0)) >= 2 else "inline"
+
+
+def _send(fd: int, obj) -> None:
+    """obj, pickled, into the pipe fd; blocks while the pipe is full."""
+    view = memoryview(pickle.dumps(obj, protocol=5))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _sweep_child(art: RunArtifacts, limits: PhiLimitSeries, chunk_r: int,
+                 result_w: int) -> None:
+    """The forked child's work: the chunk loop on the chunks read from
+    chunk_r, up to a None, then its result, or the exception that stopped
+    it, into result_w."""
+    try:
+        with open(chunk_r, "rb") as fh:
+            msg = _chunk_loop(art, limits, iter(functools.partial(pickle.load, fh), None))
+    except BaseException as exc:
+        import traceback
+        msg = _Failure(exc, traceback.format_exc())
+        try:
+            pickle.loads(pickle.dumps(msg, protocol=5))
+        except Exception:
+            msg = _Failure(RuntimeError(msg.traceback), msg.traceback)
+    _send(result_w, msg)
+
+
+def _forked_loop(art: RunArtifacts, limits: PhiLimitSeries) -> _Swept:
+    """The chunk loop in a forked child, fed through a pipe.
+
+    The caller takes the run's ticks (art.chunks) and pickles each chunk
+    into the pipe, so the child sweeps one chunk while the next one's ticks
+    run; the pipe holds about one chunk, which bounds how far the ticks run
+    ahead. The child's exception is raised here as its own type. A child
+    that ends without a result raises ChildProcessError, and one left
+    running when the caller raises is killed; either way it is reaped
+    before this returns.
+
+    The child is a copy of the calling thread alone. It uses only numpy and
+    pickle; OpenBLAS stops its thread pool before a fork (its pthread_atfork
+    handler) and starts a fresh one on its next call in either process.
+    """
+    import fcntl            # POSIX, like fork: only the forked path imports these
+    import signal
+    chunk_r, chunk_w = os.pipe()
+    result_r, result_w = os.pipe()
+    try:        # a pipe that holds a whole chunk: the caller waits on the child less
+        with open("/proc/sys/fs/pipe-max-size") as fh:
+            fcntl.fcntl(chunk_w, fcntl.F_SETPIPE_SZ, int(fh.read()))
+    except (OSError, ValueError, AttributeError):
+        pass
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (chunk_r, chunk_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:        # the child leaves only through _exit: no atexit, no stdio flush
+        code = 1
+        try:
+            os.close(chunk_w)
+            os.close(result_r)
+            _sweep_child(art, limits, chunk_r, result_w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(chunk_r)
+    os.close(result_w)
+    status = None
+    with open(result_r, "rb") as back:
+        try:
+            try:
+                for chunk in art.chunks():
+                    _send(chunk_w, chunk)
+                _send(chunk_w, None)
+            except BrokenPipeError:
+                pass        # the child stopped reading: its message or its status says why
+            finally:
+                os.close(chunk_w)
+            try:
+                msg = pickle.load(back)
+            except (EOFError, pickle.UnpicklingError):
+                msg = None
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if isinstance(msg, _Failure):
+        raise msg.exc from RuntimeError(f"in the metrics sweep child:\n{msg.traceback}")
+    code = os.waitstatus_to_exitcode(status)
+    if not isinstance(msg, _Swept) or code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the metrics sweep child {how} without a result")
+    return msg
+
+
+def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
+    """One chronological sweep computing every diagnostic series.
+
+    Walks the run chunk by chunk (art.chunks, the kernel's anchor chunks of
+    consecutive ticks), so a run whose ticks have not been taken yet takes
+    them here, one chunk of its event log at a time, in this process. The
+    chunk loop runs in a forked child or here (sweep_path); the tail, which
+    reads the versions the ticks leave (snapshots, K2) and the limits, runs
+    here once the last chunk is taken.
+    """
+    if sweep_path() == "forked":
+        swept = _forked_loop(art, limits)
+    else:
+        swept = _chunk_loop(art, limits, art.chunks())
+    cfg = art.config
+    T, M, kappa = cfg.horizon, cfg.M, cfg.kappa
+    diam = art.batch.diameter
+    times = art.snap_times
+    snaps = art.snapshots
+    theta_all = theta_series(T + 1, limits.rho_hat)
+    bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
+    env_coef = 4.0 * kappa * diam**2 * art.K2**2
+    dev = snaps - swept.w_star_rec[:, None, :]
+    return RunMetrics(times=times, w_star_rec=swept.w_star_rec,
+                      consensus_gap=_spread(snaps),
+                      agreement_gap=np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1),
+                      bound_normmaj=bound_coef * theta_all[times],
+                      dm2_envelope=np.sqrt(env_coef * swept.env_sum),
+                      theta_final=float(theta_all[T]), **swept.cols, **swept.scalars)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ Each simulated processor repeats: draw a sample, apply one winner-takes-all
 descent tick scaled by its step policy, and merge delayed versions of its
 peers according to the communication schedule. The schedule alone fixes every
 descent's tick, processor, step and draw counter, and no sample depends on the
-iterates, so a run takes its ticks in chunks: each chunk plans its descents
-and draws all their samples in one call over their draw addresses before its
-first tick. Draw k of processor i is addressed as (seed, i, k) in a
-counter-based stream, so a run is a pure function of its config and schedule;
-replaying any processor's draws needs no coordination with the others. The
-events of one tick belong to distinct processors and each reads only its own
-processor's pre-merge version, so a tick with several events scores and steps
-them together. A consumer of the chunks, such as the metrics sweep, holds one
-chunk of the event log at a time.
+iterates, so a run takes its ticks in chunks, each planned and drawn before
+its first tick: the samples of a table of consecutive chunks' descents come
+from one call over their draw addresses. Draw k of processor i is addressed
+as (seed, i, k) in a counter-based stream, so a run is a pure function of its
+config and schedule; replaying any processor's draws needs no coordination
+with the others. The events of one tick belong to distinct processors and
+each reads only its own processor's pre-merge version, so a tick with several
+events scores and steps them together. A consumer of the chunks, such as the
+metrics sweep, holds one chunk of the event log at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import geometry
+from . import geometry, measures
 from .agreement import merged_versions
 from .errors import ConfigError, require_int, strict_object
 from .geometry import SampleBatch, nearest_cell
@@ -206,12 +206,13 @@ def _split(log: EventLog, schedule: CommSchedule) -> Iterator[Chunk]:
 class Ticks:
     """The ticks of one run, taken a chunk at a time.
 
-    A pass starts at tick 0 with a fresh version ring. Each chunk plans its
-    descents, draws their samples in one call over its draw addresses, runs
-    its ticks and is handed on; nothing of it is kept. The run is a pure
-    function of its config, so every pass gives the same chunks. The first
-    pass to reach the horizon keeps the snapshots, the final versions and
-    the step constants (K1, K2); collect() keeps the whole log.
+    A pass starts at tick 0 with a fresh version ring. Each chunk's
+    descents are planned and their samples drawn a table ahead (_planned);
+    the chunk runs its ticks and is handed on, and nothing of it is kept.
+    The run is a pure function of its config, so every pass gives the same
+    chunks. The first pass to reach the horizon keeps the snapshots, the
+    final versions and the step constants (K1, K2); collect() keeps the
+    whole log.
     """
 
     def __init__(self, config: RunConfig, schedule: CommSchedule, batch: SampleBatch,
@@ -222,29 +223,56 @@ class Ticks:
         self._log: Optional[EventLog] = None
         self._end: Optional[tuple] = None
 
+    def _planned(self) -> Iterator[tuple]:
+        """Each chunk's ticks b0 .. b1 - 1, its descents (t, proc, n) as
+        CommSchedule.descents gives them, and their samples. The samples are
+        drawn a table ahead: one call over the draw addresses of as many
+        consecutive chunks as measures._TABLE_CHUNK holds, or of one chunk
+        that alone holds more."""
+        cfg, size = self.config, geometry._STACK_CHUNK
+        before = np.zeros(cfg.M, dtype=np.int64)    # each processor's active ticks before b0
+        table, n_table = [], 0
+        for b0 in range(0, cfg.horizon, size):
+            b1 = min(b0 + size, cfg.horizon)
+            t_ev, proc, n = self.schedule.descents(b0, b1, before)
+            before = before + np.bincount(proc, minlength=cfg.M)
+            if table and n_table + len(t_ev) > measures._TABLE_CHUNK:
+                yield from self._drawn(table)
+                table, n_table = [], 0
+            table.append((b0, b1, t_ev, proc, n))
+            n_table += len(t_ev)
+        if table:
+            yield from self._drawn(table)
+
+    def _drawn(self, table: list) -> Iterator[tuple]:
+        """The table's chunk plans, each with its slice of one draw over all
+        their addresses."""
+        cfg = self.config
+        draws = StreamHandle(cfg.seed, np.concatenate([plan[3] for plan in table]),
+                             np.concatenate([plan[4] for plan in table]) - 1)
+        if cfg.replay_from_batch:
+            z = np.take(self.batch.points, draw_index(self.batch.n, draws), axis=0)
+        else:
+            z = sample(cfg.dist, draws)
+        for plan in table:
+            yield (*plan, z[:len(plan[2])])
+            z = z[len(plan[2]):]
+
     def chunks(self) -> Iterator[Chunk]:
         """The run, by the kernel's anchor chunk of consecutive ticks."""
-        cfg, schedule, batch = self.config, self.schedule, self.batch
-        T, depth, size = cfg.horizon, schedule.B1, geometry._STACK_CHUNK
+        cfg, schedule = self.config, self.schedule
+        T, depth = cfg.horizon, schedule.B1
         ring = np.zeros((depth, cfg.M, cfg.width))
         ring[0] = self.x0
         snapshots = np.empty((len(self.snap_times), cfg.M, cfg.width))
         snap_at = {int(u): k for k, u in enumerate(self.snap_times)}
         K1, K2, e0 = math.inf, 1.0, 0
-        before = np.zeros(cfg.M, dtype=np.int64)    # each processor's active ticks before b0
-        for b0 in range(0, T, size):
-            b1 = min(b0 + size, T)
-            t_ev, proc, n = schedule.descents(b0, b1, before)
-            before = before + np.bincount(proc, minlength=cfg.M)
+        for b0, b1, t_ev, proc, n, z in self._planned():
             eps, k1, k2 = cfg.step.steps(t_ev, n)
             if len(t_ev):
                 K1, K2 = min(K1, k1), max(K2, k2)
             events = EventLog(t_ev, proc, n - 1, eps, cfg.dim, cfg.width)
-            draws = StreamHandle(cfg.seed, proc, events.draw)
-            if cfg.replay_from_batch:
-                np.take(batch.points, draw_index(batch.n, draws), axis=0, out=events.z)
-            else:
-                events.z[:] = sample(cfg.dist, draws)
+            events.z[:] = z
             starts = np.searchsorted(t_ev, np.arange(b0, b1 + 1))
             for t in range(b0, b1):
                 k = snap_at.get(t)

@@ -1,12 +1,16 @@
+import contextlib
 import functools
+import json
 import math
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dalvq.agreement import phi_limit_series
-from dalvq import diagnostics, geometry
+from dalvq import cli, diagnostics, engine, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, RunMetrics, compute_metrics,
                                consensus_decay, estimate_lipschitz,
                                summarize, theta_series)
@@ -368,6 +372,153 @@ class TestAgreementTrajectoryBits:
         assert not np.isin(edges, art.events.t).any()
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
         self.check(art, phi_limit_series(art.schedule))
+
+
+# ---- the chunk loop in a forked child ----
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
+
+
+def two_cpus(monkeypatch):
+    # fork also works on one CPU, so the forked path is tested on any host
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """TimeoutError in this process if the block runs longer than seconds;
+    a forked child does not inherit the timer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child_only(action):
+    """The kernel, except that a process other than this one runs action
+    first; the caller's own kernel calls go through untouched."""
+    caller = os.getpid()
+
+    def kernel_or_action(W, batch):
+        if os.getpid() != caller:
+            action()
+        return batched_cell_stats(W, batch)
+
+    return kernel_or_action
+
+
+class TestForkedSweep:
+    def test_path_follows_the_cpus(self, monkeypatch):
+        two_cpus(monkeypatch)
+        assert diagnostics.sweep_path() == "forked"
+        one_cpu(monkeypatch)
+        assert diagnostics.sweep_path() == "inline"
+        monkeypatch.delattr(diagnostics.os, "sched_getaffinity")
+        assert diagnostics.sweep_path() == "inline"
+
+    @pytest.mark.parametrize("chunk", [256, 7])
+    def test_forked_and_inline_sweeps_agree(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        art = run(make_config(horizon=300, cadence=3))
+        limits = phi_limit_series(art.schedule)
+        two_cpus(monkeypatch)
+        with deadline(60):
+            forked = compute_metrics(art, limits)
+        one_cpu(monkeypatch)
+        inline = compute_metrics(art, limits)
+        for name in RunMetrics.__dataclass_fields__:
+            assert np.asarray(getattr(forked, name)).tobytes() == \
+                np.asarray(getattr(inline, name)).tobytes(), name
+        assert_no_child_left()
+
+    def test_ticks_stay_in_the_caller(self, monkeypatch):
+        # every tick runs here; every kernel call of the sweep runs in the child
+        art = run(make_config(horizon=600))
+        limits = phi_limit_series(art.schedule)
+        ticks, kernel_calls = [], []
+        tick = engine.dalvq_tick
+        monkeypatch.setattr(engine, "dalvq_tick", lambda t, *a: ticks.append(t) or tick(t, *a))
+        monkeypatch.setattr(diagnostics, "batched_cell_stats",
+                            lambda *a: kernel_calls.append(1) or batched_cell_stats(*a))
+        two_cpus(monkeypatch)
+        with deadline(60):
+            compute_metrics(art, limits)
+        assert ticks == list(range(600)) and kernel_calls == []
+        assert_no_child_left()
+
+    def test_child_exception_is_raised_here(self, small, monkeypatch):
+        art, limits, _ = small
+
+        def fail():
+            raise ValueError("kernel failed in the child")
+
+        monkeypatch.setattr(diagnostics, "batched_cell_stats", in_child_only(fail))
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(ValueError, match="failed in the child") as info:
+            compute_metrics(art, limits)
+        assert "in fail" in str(info.value.__cause__)     # the child's traceback
+        assert_no_child_left()
+
+    def test_unpicklable_exception_arrives_as_its_traceback(self, small, monkeypatch):
+        art, limits, _ = small
+
+        class LocalError(Exception):      # a local class does not pickle
+            pass
+
+        def fail():
+            raise LocalError("kernel failed in the child")
+
+        monkeypatch.setattr(diagnostics, "batched_cell_stats", in_child_only(fail))
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(RuntimeError, match="LocalError: kernel failed"):
+            compute_metrics(art, limits)
+        assert_no_child_left()
+
+    def test_killed_child_is_a_typed_error(self, small, tmp_path, monkeypatch, capsys):
+        art, limits, _ = small
+        kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(diagnostics, "batched_cell_stats", kill)
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(ChildProcessError, match="killed by signal 9"):
+            compute_metrics(art, limits)
+        assert_no_child_left()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "dalvq", **make_config().to_dict()}))
+        capsys.readouterr()
+        with deadline(60):
+            code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error: the metrics sweep child")
+        assert_no_child_left()
+
+    def test_failing_tick_reaps_the_child(self, monkeypatch):
+        art = run(make_config(horizon=700))
+        limits = phi_limit_series(art.schedule)
+        tick = engine.dalvq_tick
+
+        def failing(t, *args):
+            if t == 300:        # the child has swept the first chunk by now
+                raise FloatingPointError("tick 300")
+            return tick(t, *args)
+
+        monkeypatch.setattr(engine, "dalvq_tick", failing)
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(FloatingPointError, match="tick 300"):
+            compute_metrics(art, limits)
+        assert_no_child_left()
 
 
 # ---- merge-only decay ----

@@ -351,6 +351,9 @@ class TestPrunedKernel:
             return out
 
         monkeypatch.setattr(diagnostics, "batched_cell_stats", checked)
+        # one CPU: the chunk loop's kernel calls stay in this process, where
+        # they are counted (a forked loop calls the same kernel)
+        monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
         diagnostics.compute_metrics(art, limits)
         assert sum(evaluated) == cfg.horizon + art.events.n + 1
 
