@@ -37,30 +37,33 @@ class _MergePlan:
     max_delay: int         # the largest stored delay
 
 
-def _merge_plan(schedule: CommSchedule, compact: bool = True) -> _MergePlan:
+def _merge_plan(schedule: CommSchedule) -> _MergePlan:
     """The schedule's merge plan, built once and kept on the schedule.
 
-    In the compact plan a receiver keeps only its nonzero coefficients, in
-    sender order, padded with zeros to K, the most any row has; in the full
-    plan it keeps all M. einsum builds each output from +0.0 and adds the
-    terms in order, so a zero term never changes a partial sum (a + 0.0 = a,
-    and +0.0 + -0.0 = +0.0), and both plans give the dense merge's bits.
-    Width 1 is the exception: einsum then sums over the senders in SIMD
-    lanes, where a term's position matters, so it takes the full plan.
+    A receiver keeps only its nonzero coefficients, in sender order, padded
+    with zeros to K, the most any row has. Each output is built from +0.0
+    with the terms added in order, so a zero term never changes a partial
+    sum (a + 0.0 = a, and +0.0 + -0.0 = +0.0), and the plan gives the dense
+    merge's bits.
     """
-    plan = schedule._plans.get(compact)
+    plan = schedule._plans.get("merge")
     if plan is None:
         c, d, M = schedule.coeff_table, schedule.delay_table, schedule.M
-        keep = c != 0.0 if compact else np.ones(c.shape, dtype=bool)
+        keep = c != 0.0
         K = int(keep.sum(axis=-1).max(initial=0))
         cols = np.argsort(~keep, axis=-1, kind="stable")[..., :K]   # kept first, in order
         coeff = np.where(np.take_along_axis(keep, cols, -1), np.take_along_axis(c, cols, -1), 0.0)
         offset = cols - np.take_along_axis(d, cols, -1) * M
         identity = np.all(c == np.eye(M), axis=(1, 2)) \
             & ~np.any(np.diagonal(d, axis1=1, axis2=2), axis=1)
-        plan = schedule._plans[compact] = _MergePlan(coeff, offset, identity,
+        plan = schedule._plans["merge"] = _MergePlan(coeff, offset, identity,
                                                      int(np.max(d, initial=0)))
     return plan
+
+
+def _row_delta(schedule: CommSchedule) -> float:
+    """delta: the largest |row sum - 1| of the schedule's coefficients."""
+    return float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
 
 
 def _check_depth(plan: _MergePlan, depth: int) -> None:
@@ -77,12 +80,14 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
     u, with every stored delay below depth. Delays are clamped to t and the
     tables repeat past the horizon, as the schedule's accessors do. A tick
     gathers each receiver's terms from the ring in one take and sums them in
-    one einsum; an identity tick is the current versions plus 0.0, which is
-    what the sum gives. The result goes to out when given, which may be any
-    slot of the ring, the current one included.
+    sender order from +0.0: in one einsum, or at width 1, where einsum would
+    sum over the senders in SIMD lanes and a term's position would count,
+    term by term. An identity tick is the current versions plus 0.0, which
+    is what the sum gives. The result goes to out when given, which may be
+    any slot of the ring, the current one included.
     """
     B, M = ring.shape[:2]
-    plan = _merge_plan(schedule, compact=ring.shape[2] > 1)
+    plan = _merge_plan(schedule)
     _check_depth(plan, B)
     r = schedule._idx(t)
     if plan.identity[r]:
@@ -91,7 +96,14 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
     # flat row ((t - d) % B) * M + j, and j where the delay is clamped to t
     rows = off + (t % B) * M if t >= plan.max_delay else np.maximum(off + t * M, off % M)
     gathered = ring.reshape(B * M, -1).take(rows, 0, mode="wrap")
-    return np.einsum("ik,ikd->id", plan.coeff[r], gathered, out=out)
+    if ring.shape[2] > 1:
+        return np.einsum("ik,ikd->id", plan.coeff[r], gathered, out=out)
+    terms = plan.coeff[r] * gathered[:, :, 0]
+    out = np.empty((M, 1)) if out is None else out
+    out[:] = 0.0
+    for k in range(terms.shape[1]):
+        out[:, 0] += terms[:, k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +126,7 @@ def _impulse_blocks(schedule: CommSchedule, limits: np.ndarray):
     one slot; a block's slots hold 0 until it enters, residual max |limits[k]|.
     """
     M, depth, n = schedule.M, schedule.B1, len(limits)
-    delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
+    delta = _row_delta(schedule)
     eye = np.eye(M)
     ring = np.zeros((depth, M, n * M))
     ring[0, :, :M] = eye

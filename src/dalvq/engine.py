@@ -11,8 +11,12 @@ as (seed, i, k) in a counter-based stream, so a run is a pure function of its
 config and schedule; replaying any processor's draws needs no coordination
 with the others. The events of one tick belong to distinct processors and
 each reads only its own processor's pre-merge version, so a tick with several
-events scores and steps them together. A consumer of the chunks, such as the
-metrics sweep, holds one chunk of the event log at a time.
+events scores and steps them together. Within a chunk the ticks go in windows
+of _WINDOW ticks: at each window start, every event of the window is scored
+against its processor's version there in one stacked call, and a drift bound
+certifies most winners, whose ticks then skip nearest_cell (see dalvq_tick).
+A consumer of the chunks, such as the metrics sweep, holds one chunk of the
+event log at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import geometry, measures
-from .agreement import merged_versions
+from .agreement import _row_delta, merged_versions
 from .errors import ConfigError, require_int, strict_object
-from .geometry import SampleBatch, nearest_cell
+from .geometry import SampleBatch, _sq_dist, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
                        draw_index, init_quantizer, make_batch, sample)
 from .schedule import CommSchedule, ScheduleSpec, generate
@@ -43,6 +47,11 @@ __all__ = [
 ]
 
 _STEP_KINDS = ("global-clock", "local-clock")
+# Ticks.chunks certifies the winners of a window of this many ticks at once
+# (_certify): a longer window shares its scoring call among more events, a
+# shorter one keeps the drift bound tighter.
+_WINDOW = 64
+_EPS = np.finfo(float).eps
 _INIT_POLICIES = ("shared", "per-processor")
 
 
@@ -152,14 +161,16 @@ class EventLog:
     observation was evaluated at (its version at t[k], before that tick's
     merge). The descent vector is recoverable as -eps * (w_before[comp] - z)
     on the winning rows. The plan gives t, proc, draw and eps, the draws z,
-    and the ticks fill in comp and w_before.
+    and the ticks fill in comp and w_before. comp starts at -1, "not yet
+    scored": a winner certified before its tick is recorded there first
+    (see dalvq_tick).
     """
 
     def __init__(self, t: np.ndarray, proc: np.ndarray, draw: np.ndarray,
                  eps: np.ndarray, dim: int, width: int):
         self.t, self.proc, self.draw, self.eps = t, proc, draw, eps
         self.n = len(t)
-        self.comp = np.zeros(self.n, dtype=np.int32)
+        self.comp = np.full(self.n, -1, dtype=np.int32)
         self.z = np.zeros((self.n, dim))
         self.w_before = np.zeros((self.n, width))
 
@@ -228,7 +239,9 @@ class Ticks:
         CommSchedule.descents gives them, and their samples. The samples are
         drawn a table ahead: one call over the draw addresses of as many
         consecutive chunks as measures._TABLE_CHUNK holds, or of one chunk
-        that alone holds more."""
+        that alone holds more. The first chunk is a table of its own, so a
+        consumer running beside the ticks, such as the forked sweep, gets it
+        without waiting for a whole table's draws."""
         cfg, size = self.config, geometry._STACK_CHUNK
         before = np.zeros(cfg.M, dtype=np.int64)    # each processor's active ticks before b0
         table, n_table = [], 0
@@ -236,7 +249,7 @@ class Ticks:
             b1 = min(b0 + size, cfg.horizon)
             t_ev, proc, n = self.schedule.descents(b0, b1, before)
             before = before + np.bincount(proc, minlength=cfg.M)
-            if table and n_table + len(t_ev) > measures._TABLE_CHUNK:
+            if table and (b0 == size or n_table + len(t_ev) > measures._TABLE_CHUNK):
                 yield from self._drawn(table)
                 table, n_table = [], 0
             table.append((b0, b1, t_ev, proc, n))
@@ -266,6 +279,7 @@ class Ticks:
         ring[0] = self.x0
         snapshots = np.empty((len(self.snap_times), cfg.M, cfg.width))
         snap_at = {int(u): k for k, u in enumerate(self.snap_times)}
+        delta = _row_delta(schedule)
         K1, K2, e0 = math.inf, 1.0, 0
         for b0, b1, t_ev, proc, n, z in self._planned():
             eps, k1, k2 = cfg.step.steps(t_ev, n)
@@ -274,11 +288,16 @@ class Ticks:
             events = EventLog(t_ev, proc, n - 1, eps, cfg.dim, cfg.width)
             events.z[:] = z
             starts = np.searchsorted(t_ev, np.arange(b0, b1 + 1))
-            for t in range(b0, b1):
-                k = snap_at.get(t)
-                if k is not None:
-                    snapshots[k] = ring[t % depth]
-                dalvq_tick(t, ring, schedule, events, range(starts[t - b0], starts[t - b0 + 1]))
+            first = starts.tolist()
+            for w0 in range(b0, b1, _WINDOW):
+                w1 = min(w0 + _WINDOW, b1)
+                _certify(ring, w0, events, slice(first[w0 - b0], first[w1 - b0]), delta)
+                for t in range(w0, w1):
+                    k = snap_at.get(t)
+                    if k is not None:
+                        snapshots[k] = ring[t % depth]
+                    dalvq_tick(t, ring, schedule, events,
+                               range(first[t - b0], first[t - b0 + 1]))
             events.finish()
             yield Chunk(b0, b1, e0, starts, events)
             e0 += events.n
@@ -367,10 +386,41 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
     versions comes before the merge writes, so a ring of depth 1, whose next
     slot is the current one, advances too.
 
-    A tick's events belong to distinct processors, and each reads only its
-    own processor's pre-merge version, so several events are scored in one
-    stacked nearest_cell call and stepped in one scatter; a lone event takes
-    the scalar step, which costs less than a stack of one.
+    An event whose comp is still -1, the value EventLog starts it at, is
+    scored by nearest_cell, so a direct caller gets nearest_cell's rule for
+    every event. Ticks.chunks records the winners it can certify before the
+    tick (_certify), and the tick keeps them. A tick's events belong to
+    distinct processors, and each reads only its own processor's pre-merge
+    version, so several events are scored in one stacked nearest_cell call
+    and stepped in one scatter; a lone event takes the scalar step, which
+    costs less than a stack of one.
+
+    Why a certified winner is nearest_cell's (Elkan, ICML 2003; Hamerly,
+    SDM 2010; the argument geometry._cell_moves makes for the sweep): at the
+    window start t0, event k of processor i is scored against i's version V
+    at t0, giving its winner c, the distance r from z to V_c and the slack s,
+    the runner-up's distance minus r.
+
+    - Every version stored at t0 (times max(0, t0 - depth + 1) .. t0, all
+      processors) has component l in the box of component l over them, of
+      diagonal spread_l. Let B_l(G) be that box grown by G.
+    - A merge reads stored versions with nonnegative coefficients
+      (CommSchedule rejects others), so a row with sum 1 keeps component l
+      in B_l(G), and a row whose sum misses 1 by at most delta moves it by
+      at most delta R more, where R bounds every norm involved.
+    - An event at tick u moves its winner by eps |w - z|, and the winner is
+      no farther from z than component c, which lies within spread_c + G_u
+      of V_c; so it moves by at most eps (r + spread_c + G_u).
+    - So every version at tick t has component l in B_l(G_t), with G_t0 = 0
+      and G_{u+1} = G_u (1 + m_u) + a_u + rho. Here m_u is the largest step
+      and a_u the largest eps (r + spread_c) of tick u's events, and rho
+      takes delta R and the rounding of the merge, the step and the bound.
+    - At event k's tick t, i's version W has |W_l - V_l| <= spread_l + G_t
+      for every l. So W_c is strictly nearest to z when s > spread_c +
+      max_{l != c} spread_l + 2 G_t. Adding _cell_moves' allowance of
+      16 (dim + 4) eps R for the rounding of the distances makes W_c the
+      strict least of the direct-form distances at t, which is nearest_cell's
+      winner. A tie has zero slack and is never certified.
     """
     depth, dim = ring.shape[0], events.z.shape[1]
     cur, nxt = ring[t % depth], ring[(t + 1) % depth]
@@ -378,26 +428,76 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
         k = ks[0]
         i = int(events.proc[k])
         z = events.z[k]
-        w_cur = cur[i].reshape(-1, dim)
-        comp = nearest_cell(z, w_cur)
-        events.comp[k], events.w_before[k] = comp, cur[i]
-        step = -events.eps[k] * (w_cur[comp] - z)
-        merged_versions(schedule, ring, t, out=nxt)
+        comp = int(events.comp[k])
+        if comp < 0:
+            comp = events.comp[k] = nearest_cell(z, cur[i].reshape(-1, dim))
+        events.w_before[k] = cur[i]
         lo = comp * dim
+        step = -events.eps[k] * (cur[i, lo:lo + dim] - z)
+        merged_versions(schedule, ring, t, out=nxt)
         nxt[i, lo:lo + dim] += step
     elif len(ks) > 1:
+        if not nxt.flags.c_contiguous:      # reshape would scatter into a copy
+            raise ValueError("the version ring must be C-contiguous")
         ks = slice(ks.start, ks.stop)
-        i = events.proc[ks]
-        z = events.z[ks]
-        w_before = cur[i]
-        w_cur = w_before.reshape(len(i), -1, dim)
-        comp = nearest_cell(z, w_cur)
-        events.comp[ks], events.w_before[ks] = comp, w_before
-        step = -events.eps[ks, None] * (w_cur[np.arange(len(i)), comp] - z)
+        i, z = events.proc[ks], events.z[ks]
+        w_before = cur.take(i, 0, out=events.w_before[ks])
+        comp = events.comp[ks]
+        if comp[comp.argmin()] < 0:      # some event is left to score
+            todo = np.flatnonzero(comp < 0)
+            comp[todo] = nearest_cell(z[todo], w_before[todo].reshape(len(todo), -1, dim))
+        at = (i * cur.shape[1] + comp * dim)[:, None] + np.arange(dim)   # flat, in a slot
+        step = -events.eps[ks, None] * (cur.reshape(-1).take(at) - z)
         merged_versions(schedule, ring, t, out=nxt)
-        nxt[i[:, None], comp[:, None] * dim + np.arange(dim)] += step
+        nxt.reshape(-1)[at] += step
     else:
         merged_versions(schedule, ring, t, out=nxt)
+
+
+def _certify(ring: np.ndarray, t0: int, events: EventLog, ks: slice, delta: float) -> None:
+    """Record in comp the winner of each event ks (ticks t0 onwards) that the
+    drift bound of dalvq_tick proves, before tick t0 runs, and leave the
+    others at -1. delta is the schedule's largest |row sum - 1|. The events
+    are scored in one stacked direct-form call. G_t is bounded by Q_t
+    sum_{u<t} (a_u + rho), with Q_t = prod_{u<t} (1 + m_u). R = 2 sqrt(dim)
+    (|x| + |z|), where |x| and |z| are the largest coordinates of the stored
+    versions and of the samples, bounds the norms up to the tick of any event
+    that certifies: its 2 G_t is below its slack, which is at most 2 sqrt(dim)
+    |x|.
+    """
+    E = ks.stop - ks.start
+    if E == 0:
+        return
+    depth, M, width = ring.shape
+    dim = events.z.shape[1]
+    kappa = width // dim
+    proc, z, eps = events.proc[ks], events.z[ks], events.eps[ks]
+    V = ring[t0 % depth].take(proc, 0).reshape(E, kappa, dim)
+    d2 = _sq_dist(z.T[:, None, :], V.transpose(2, 1, 0), np.empty((kappa, E)),
+                  np.empty((kappa, E)))                   # component-major
+    win = d2.argmin(axis=0)
+    rows = np.arange(E)
+    r = np.sqrt(d2[win, rows])
+    d2[win, rows] = np.inf
+    slack = np.sqrt(d2.min(axis=0)) - r                 # inf when kappa == 1
+
+    stored = ring[:t0 + 1] if t0 + 1 < depth else ring
+    lo, hi = stored.min(axis=(0, 1)), stored.max(axis=(0, 1))
+    spread = np.sqrt(np.square(hi - lo).reshape(kappa, dim).sum(axis=1))
+    top = np.sort(spread)[::-1]
+    other = np.where(spread == top[0], top[1] if kappa > 1 else 0.0, top[0])
+    R = 2.0 * math.sqrt(dim) * (max(hi.max(), -lo.min()) + np.abs(z).max())
+    rho = R * (delta + 4 * (M + dim + 4) * (1.0 + delta) * _EPS)
+
+    u = events.t[ks] - t0
+    m, a = np.zeros(u[-1] + 1), np.zeros(u[-1] + 1)
+    np.maximum.at(m, u, eps)
+    np.maximum.at(a, u, eps * (r + spread[win]))
+    G = np.zeros(len(a) + 1)
+    G[1:] = np.cumsum(a + rho) * np.cumprod(1.0 + m)
+    theta = spread[win] + other[win] + 2.0 * G[u] + 16 * (dim + 4) * _EPS * R
+    ok = slack > theta
+    events.comp[ks][ok] = win[ok]
 
 
 def initial_versions(config: RunConfig) -> np.ndarray:

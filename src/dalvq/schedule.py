@@ -124,7 +124,7 @@ class CommSchedule:
     delay_table: np.ndarray      # (P, M, M) int
     active_table: np.ndarray     # (P, M) bool
     period: Optional[int] = None  # None: tables are dense over the horizon
-    # agreement.merged_versions' merge plans, built on first use
+    # agreement.merged_versions' merge plan, built on first use
     _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

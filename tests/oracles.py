@@ -138,12 +138,17 @@ def per_event_tick(t: int, ring: np.ndarray, schedule, events, ks) -> None:
 
 
 def dense_merge(schedule, ring: np.ndarray, t: int) -> np.ndarray:
-    """The merge at tick t over every sender: each receiver's row gathers all
-    M delayed versions, (M, M, D), and one einsum sums them in sender order,
+    """The merge at tick t over every sender: each receiver's row adds the
+    terms of all M delayed versions to +0.0 one at a time, in sender order,
     zero coefficients included."""
+    M = ring.shape[1]
     slots = (t - schedule.delay(t)) % ring.shape[0]
-    gathered = ring[slots, np.arange(ring.shape[1])]   # [i, j] = delayed version of j
-    return np.einsum("ij,ijd->id", schedule.coeff(t), gathered)
+    gathered = ring[slots, np.arange(M)]   # [i, j] = delayed version of j
+    coeff = schedule.coeff(t)
+    out = np.zeros((M, ring.shape[2]))
+    for j in range(M):
+        out += coeff[:, j, None] * gathered[:, j]
+    return out
 
 
 def trace_text(schedule) -> str:

@@ -231,21 +231,33 @@ class TestMergePlan:
             assert merged_versions(sch, ring, t, out=out) is out
             assert out.tobytes() == want
 
-    def test_width_one_keeps_the_dense_term_positions(self):
-        # einsum may sum a width-1 merge in SIMD lanes, so each term keeps
-        # the position it has in the dense row: rows of several terms with
-        # zeros between them, on versions of scales 1e-9 to 1e9
+    def test_width_one_is_the_sequential_sum(self):
+        # einsum would sum a width-1 merge over the senders in SIMD lanes,
+        # whose layout follows the host's CPU dispatch; each receiver's value
+        # must be a plain Python sum in sender order from 0.0: rows with zeros
+        # between their terms, on versions of scales 1e-9 to 1e9, 500 ticks
+        # at each M in 3 .. 8
         rng = np.random.default_rng(7)
-        P, M = 64, 8
-        coeff = rng.random((P, M, M)) * (rng.random((P, M, M)) < 0.6)
-        coeff[:, np.arange(M), np.arange(M)] = 1.0
-        coeff /= coeff.sum(axis=-1, keepdims=True)
-        sch = CommSchedule(M=M, horizon=P, alpha=float(coeff[coeff > 0].min()), B1=1, B2=1,
-                           B3=1, coeff_table=coeff, delay_table=np.zeros((P, M, M), dtype=int),
-                           active_table=np.ones((P, M), dtype=bool), period=None)
-        ring = rng.standard_normal((1, M, 1)) * 10.0 ** rng.integers(-9, 10, (1, M, 1))
-        for t in range(P):
-            assert merged_versions(sch, ring, t).tobytes() == dense_merge(sch, ring, t).tobytes()
+        P = 500
+        for M in range(3, 9):
+            coeff = rng.random((P, M, M)) * (rng.random((P, M, M)) < 0.6)
+            coeff[:, np.arange(M), np.arange(M)] = 1.0
+            coeff /= coeff.sum(axis=-1, keepdims=True)
+            sch = CommSchedule(M=M, horizon=P, alpha=float(coeff[coeff > 0].min()), B1=1, B2=1,
+                               B3=1, coeff_table=coeff,
+                               delay_table=np.zeros((P, M, M), dtype=int),
+                               active_table=np.ones((P, M), dtype=bool), period=None)
+            ring = rng.standard_normal((1, M, 1)) * 10.0 ** rng.integers(-9, 10, (1, M, 1))
+            v = ring[0, :, 0].tolist()
+            for t in range(P):
+                want = []
+                for i in range(M):
+                    total = 0.0
+                    for j in range(M):
+                        total += float(coeff[t, i, j]) * v[j]
+                    want.append(total)
+                assert merged_versions(sch, ring, t)[:, 0].tolist() == want
+                assert merged_versions(sch, ring, t).tobytes() == dense_merge(sch, ring, t).tobytes()
 
 
 def short_ring_schedule():

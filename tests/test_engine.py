@@ -7,12 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dalvq import geometry
-from dalvq.engine import EventLog, RunConfig, StepPolicy, dalvq_tick, initial_versions, run
+from dalvq import engine, geometry
+from dalvq.agreement import _row_delta
+from dalvq.engine import (EventLog, RunConfig, StepPolicy, _certify, dalvq_tick,
+                          initial_versions, run)
 from dalvq.errors import ConfigError
 from dalvq.geometry import nearest_cell
 from dalvq.measures import DistributionSpec, StreamHandle, sample
-from dalvq.schedule import ScheduleSpec, generate, write_trace
+from dalvq.schedule import CommSchedule, ScheduleSpec, generate, write_trace
+from bench_workloads import WORKLOADS
 from oracles import (descent_term, generator_index, generator_sample, gradient_observation,
                      per_event_tick)
 
@@ -287,6 +290,19 @@ class TestDalvqTick:
         assert np.array_equal(log.comp, art.events.comp)
         assert np.array_equal(log.w_before, art.events.w_before)
 
+    def test_non_contiguous_ring_is_refused(self):
+        # a tick of several events scatters through a flat view of the next
+        # slot, which a non-C-contiguous ring cannot give: refused before
+        # anything is written
+        sch = generate(ScheduleSpec(topology="complete", merge_period=1), 2, 2, 0)
+        ring = np.asfortranarray(np.arange(8.0).reshape(1, 2, 4))
+        log = EventLog(np.array([0, 0]), np.array([0, 1]), np.zeros(2, dtype=int),
+                       np.full(2, 0.5), 2, 4)
+        before = ring.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            dalvq_tick(0, ring, sch, log, range(0, 2))
+        assert np.array_equal(ring, before) and np.all(log.comp == -1)
+
 
 class TestBatchedTick:
     """A tick of several events is the per-event rule, bit for bit."""
@@ -315,11 +331,16 @@ class TestBatchedTick:
         for log in logs:
             log.z[:] = z
         starts = np.searchsorted(t_ev, np.arange(sch.horizon + 1))
+        window = int(rng.integers(1, 5))   # the engine's log takes certified winners too
         for t in range(sch.horizon):
+            if t % window == 0:
+                t1 = min(t + window, sch.horizon)
+                _certify(rings[0], t, logs[0], slice(starts[t], starts[t1]), _row_delta(sch))
             ks = range(starts[t], starts[t + 1])
             dalvq_tick(t, rings[0], sch, logs[0], ks)
             per_event_tick(t, rings[1], sch, logs[1], ks)
-            for a, b in [rings, (logs[0].comp, logs[1].comp),
+            done = slice(0, ks.stop)
+            for a, b in [rings, (logs[0].comp[done], logs[1].comp[done]),
                          (logs[0].w_before, logs[1].w_before)]:
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -352,6 +373,169 @@ class TestBatchedTick:
             assert one[0].tobytes() == two[(t + 1) % 2].tobytes()
         assert np.array_equal(logs[0].comp, logs[1].comp)
         assert logs[0].w_before.tobytes() == logs[1].w_before.tobytes()
+
+
+# ---- certified winners ----
+
+
+def _schedule(coeff, delay, B1):
+    """A periodic schedule of the given tables, one row or (P, M, M), every
+    processor active."""
+    M = np.shape(coeff)[-1]
+    coeff = np.array(coeff, dtype=float).reshape(-1, M, M)
+    return CommSchedule(M=M, horizon=4, alpha=float(coeff[coeff > 0].min(initial=1.0)), B1=B1,
+                        B2=1, B3=1, coeff_table=coeff, delay_table=np.reshape(delay, coeff.shape),
+                        active_table=np.ones(coeff.shape[:2], dtype=bool), period=len(coeff))
+
+
+def _windows(sch, ring, log, window):
+    """Certify each window's winners at its first tick, then run its ticks
+    by the per-event rule; returns the certified winners (-1 where none)
+    and the scalar ones, event by event."""
+    T = int(log.t[-1]) + 1 if log.n else 0
+    starts = np.searchsorted(log.t, np.arange(T + 1))
+    certified = np.full(log.n, -1)
+    for t0 in range(0, T, window):
+        ks = slice(starts[t0], starts[min(t0 + window, T)])
+        _certify(ring, t0, log, ks, _row_delta(sch))
+        certified[ks] = log.comp[ks]
+        for t in range(t0, min(t0 + window, T)):
+            per_event_tick(t, ring, sch, log, range(starts[t], starts[t + 1]))
+    return certified, log.comp.copy()
+
+
+def _log(t, proc, eps, z, width):
+    z = np.array(z, dtype=float)
+    z = z if z.ndim == 2 else z.reshape(len(t), -1)
+    log = EventLog(np.array(t), np.array(proc), np.zeros(len(t), dtype=int),
+                   np.full(len(t), eps, dtype=float), z.shape[1], width)
+    log.z[:] = z
+    return log
+
+
+@st.composite
+def certify_cases(draw):
+    """A schedule, a start ring and a log of events on it: generated rings
+    and complete graphs (zero delays give B1 = 1), or a custom trace whose
+    decimal rows miss 1; components and samples on a grid of few values
+    (duplicates, ties, -0.0), at random, or on midpoints of the start
+    components, a few ulps off, with steps too small to undo the tie."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    M, kappa, dim = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    T = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["ring", "complete", "decimal"]))
+    if kind == "decimal":
+        P, B1 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        coeff = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0], (P, M, M))
+        sch = _schedule(coeff, rng.integers(0, B1, (P, M, M)), B1)
+    else:
+        delays = dict(delay_law="uniform", delay_value=3) if kind == "ring" else {}
+        spec = ScheduleSpec(topology=kind, merge_period=draw(st.integers(1, 3)),
+                            activity="all-active", **delays)
+        sch = generate(spec, M, T, seed)
+    values = draw(st.sampled_from(["grid", "normal", "near-tie"]))
+    x0 = rng.choice([0.0, -0.0, 0.25, -0.5, 1.0], (M, kappa, dim)) if values == "grid" \
+        else rng.standard_normal((M, kappa, dim))
+    procs = [np.sort(rng.choice(M, rng.integers(0, M + 1), replace=False)) for _ in range(T)]
+    t_ev = np.repeat(np.arange(T), [len(p) for p in procs]).astype(np.int64)
+    proc = np.concatenate(procs).astype(np.int64)
+    if values == "grid":
+        z = rng.choice([0.0, -0.0, 0.25, -0.5, 1.0], (len(t_ev), dim))
+    elif values == "normal":
+        z = rng.standard_normal((len(t_ev), dim))
+    else:
+        pair = rng.integers(0, kappa, (len(t_ev), 2))
+        z = 0.5 * (x0[proc, pair[:, 0]] + x0[proc, pair[:, 1]])
+        z += rng.integers(-3, 4, z.shape) * np.spacing(z)
+    eps = rng.choice([0.5, 1.0 / 3.0, 1e-3, 1e-9 if values == "near-tie" else 1e-6], len(t_ev))
+    ring = np.zeros((sch.B1, M, kappa * dim))
+    ring[0] = x0.reshape(M, -1)
+    return sch, ring, _log(t_ev, proc, eps, z, kappa * dim), draw(st.integers(1, 8))
+
+
+class TestCertifiedWinners:
+    """A certified winner is the winner nearest_cell gives at the event's tick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=certify_cases())
+    def test_certified_winners_are_the_scalar_rule(self, case):
+        sch, ring, log, window = case
+        certified, scalar = _windows(sch, ring, log, window)
+        sure = certified >= 0
+        assert np.array_equal(certified[sure], scalar[sure])
+
+    def test_far_winners_certify(self):
+        # well-separated components, small steps: every winner is certified
+        sch = generate(ScheduleSpec(topology="ring", merge_period=1, delay_law="fixed",
+                                    delay_value=2, activity="all-active"), 3, 8, 1)
+        ring = np.zeros((sch.B1, 3, 4))
+        ring[0] = [0.0, 0.0, 10.0, 10.0]
+        t = np.repeat(np.arange(8), 3)
+        z = np.tile([[1.0, 1.0], [9.0, 9.0], [0.5, -0.5]], (8, 1))
+        certified, scalar = _windows(sch, ring, _log(t, np.tile(np.arange(3), 8), 1e-3, z, 4), 8)
+        assert np.array_equal(certified, scalar)
+        assert np.array_equal(scalar, np.tile([0, 1, 0], 8))
+
+    def test_steps_grow_the_bound(self):
+        # the tick-0 step carries component 1 from 1 to 9.1, so tick 1's
+        # sample at 0.6, nearest to component 1 at the window start, is not
+        sch = _schedule([[1.0]], [[0]], 1)
+        ring = np.array([[[0.0, 1.0]]])
+        certified, scalar = _windows(sch, ring, _log([0, 1], [0, 0], 0.9, [10.0, 0.6], 2), 2)
+        assert scalar.tolist() == [1, 0]
+        assert certified.tolist() == [1, -1]
+
+    def test_rows_that_miss_one(self):
+        # a row summing to 0.5 halves both components at tick 0: the sample
+        # at 1.4 is nearest to component 0 at 1 before, to component 1 after
+        sch = _schedule([[0.5]], [[0]], 1)
+        assert _row_delta(sch) == 0.5
+        ring = np.array([[[1.0, 2.0]]])
+        certified, scalar = _windows(sch, ring, _log([1], [0], 0.5, [1.4], 2), 2)
+        assert scalar.tolist() == [1] and certified.tolist() == [-1]
+
+    def test_delayed_versions_bound_the_box(self):
+        # the merge at tick 1 reads the version at time 0, which the ring
+        # still holds: component 1 goes back from 1 to 5, so the sample at
+        # 0.6, nearest to it at the window start (tick 1), is not at tick 2
+        sch = _schedule([[1.0]], [[1]], 2)
+        ring = np.array([[[0.0, 5.0]], [[0.0, 1.0]]])
+        log = _log([2], [0], 0.5, [0.6], 2)
+        _certify(ring, 1, log, slice(0, 1), _row_delta(sch))
+        certified = log.comp.tolist()
+        for t in (1, 2):
+            per_event_tick(t, ring, sch, log, range(0, 1) if t == 2 else range(0))
+        assert log.comp.tolist() == [0] and certified == [-1]
+
+    def test_merge_rounding_flips_a_near_tie(self):
+        # three equal versions merged with weights 1/3 (whose sum rounds to
+        # exactly 1) each come out one ulp lower, which moves a sample
+        # 1.1e-16 nearer to component 0 over to component 1
+        sch = _schedule(np.full((3, 3), 1.0 / 3.0), np.zeros((3, 3), dtype=int), 1)
+        assert _row_delta(sch) == 0.0
+        p, q = float.fromhex("0x1.b5e04f5a70a3cp-1"), float.fromhex("0x1.b8fa268155d33p-1")
+        z = float.fromhex("0x1.b76d3aede33b7p-1")
+        ring = np.tile([p, q], (1, 3, 1))
+        certified, scalar = _windows(sch, ring, _log([1], [0], 1e-9, [z], 2), 2)
+        assert nearest_cell(np.array([z]), np.array([[p], [q]])) == 0
+        assert scalar.tolist() == [1] and certified.tolist() == [-1]
+
+    @pytest.mark.parametrize("name, ceiling", [("sweep-ref5k", 0.5), ("engine-m8-disk", 0.15),
+                                               ("impulse-gossip-m8", 0.15)])
+    def test_most_winners_skip_the_scalar_rule(self, name, ceiling, monkeypatch):
+        # measured at 2,000 ticks: 37% of the events reach nearest_cell on
+        # sweep-ref5k (its first ticks take large steps), 8.9% on
+        # engine-m8-disk and 9.2% on impulse-gossip-m8
+        cfg, _ = WORKLOADS[name].config_for(0)
+        cfg = {k: v for k, v in cfg.items() if k != "mode"}
+        scored = []
+        scalar = engine.nearest_cell
+        monkeypatch.setattr(engine, "nearest_cell",
+                            lambda z, w: scored.append(len(np.atleast_2d(z))) or scalar(z, w))
+        art = run(RunConfig.from_dict({**cfg, "horizon": 2000}))
+        art.ticks.end()
+        assert 0 < sum(scored) <= ceiling * art.ticks.n
 
 
 # ---- the ticks, chunk by chunk ----
@@ -443,6 +627,18 @@ class TestChunks:
         assert len(calls) == 20
         art.events.z, art.events.w_before
         assert len(calls) == 40
+
+    def test_first_chunk_is_drawn_alone(self, monkeypatch):
+        # a consumer beside the ticks waits for the first chunk, so its
+        # samples are one call of its own; the rest share one table
+        sizes = []
+        draw = engine.sample
+        monkeypatch.setattr(engine, "sample", lambda spec, at: sizes.append(np.size(at.counter))
+                            or draw(spec, at))
+        monkeypatch.setattr(geometry, "_STACK_CHUNK", 6)
+        art = run(make_config(horizon=40))
+        list(art.chunks())
+        assert sizes == [6, 34]
 
     def test_pass_counts_each_window_once(self, monkeypatch):
         # a dense trace's cycle is its horizon, so recounting each window's
