@@ -121,8 +121,14 @@ def cmd_run(args) -> int:
     cfg = parse_config(_load_config(args.config), args.seed)
     rc = cfg.run
     os.makedirs(args.out, exist_ok=True)
+    timing: dict = {}
+    t_start = time.perf_counter()
 
-    schedule = generate(rc.sched, rc.M, rc.horizon, rc.seed)
+    if cfg.mode == "dalvq":      # the run's own schedule: one generate per run
+        art = run(rc)
+        schedule = art.schedule
+    else:
+        schedule = generate(rc.sched, rc.M, rc.horizon, rc.seed)
     report_v = validate(schedule)
     needs_valid = cfg.mode in ("dalvq", "agreement-only")
     if needs_valid and not report_v.passed and not args.allow_invalid_schedule:
@@ -133,9 +139,6 @@ def cmd_run(args) -> int:
     effective = {**cfg.to_dict(), "version": __version__,
                  "fingerprint": _fingerprint(rc)}
     _write_json(os.path.join(args.out, "effective-config.json"), effective)
-
-    timing: dict = {}
-    t_start = time.perf_counter()
 
     if cfg.mode == "validate-only":
         _write_json(os.path.join(args.out, "validation.json"), report_v.to_dict())
@@ -171,13 +174,11 @@ def cmd_run(args) -> int:
                     {**head, "rho_fit": rho_fit, "initial_gap": float(gaps[0]),
                      "final_gap": float(gaps[-1]), "validation": report_v.to_dict()})
     else:  # dalvq
-        art = run(rc)
         timing["run_setup_s"] = time.perf_counter() - t_start
         t_mid = time.perf_counter()
-        limits = phi_limit_series(art.schedule)
         timing["sweep"] = sweep_path()             # "forked" or "inline"
-        metrics = compute_metrics(art, limits)    # takes the ticks, a chunk at a time
-        report = summarize(art, metrics, limits)
+        metrics = compute_metrics(art)             # takes the ticks, a chunk at a time
+        report = summarize(art, metrics)
         timing["pass_s"] = time.perf_counter() - t_mid
 
         metrics.to_csv(os.path.join(args.out, "metrics.csv"))

@@ -11,16 +11,19 @@ of a full scan. The per-tick bookkeeping (the agreement trajectory, the
 perturbation partial sums) is a prefix sum over each chunk's events, in
 event order, and each recorded tick reads its row by one gather.
 
-The pass has two halves: the chunk loop, which reads only the chunk stream,
-and a tail that reads what the ticks leave at the horizon (the snapshots and
-K2) and the limits. On a system that can fork, with at least two CPUs
-available to the process (os.sched_getaffinity), the loop runs in a forked
-child: the ticks, draws and merges stay in the caller, which pickles each
-chunk into a pipe sized to hold one, so the child sweeps a chunk while the
-next one's ticks run. With one CPU the same loop reads the chunks in the
-caller. Both paths give the same bits. An exception in the child is raised
-in the caller as its own type, or as a RuntimeError carrying the child's
-traceback when it does not pickle; a child that dies raises
+The pass has two halves: the impulse limits and the chunk loop, which read
+only the schedule and the chunk stream, and a tail that reads what the ticks
+leave at the horizon (the snapshots and K2). On a system that can fork, with
+at least two CPUs available to the process (os.sched_getaffinity), the first
+half runs in a forked child: the ticks, draws and merges stay in the caller,
+which starts them at once and pickles each chunk into a pipe widened to hold
+several, so the child computes the limits while the first ticks run and then
+sweeps a chunk while the next one's ticks run. Once the last chunk is sent,
+the caller scores the snapshots for the Lipschitz probe while the child
+finishes. With one CPU the same limits, loop and scoring run in the caller,
+in that order. Both paths give the same bits. An exception in the child is
+raised in the caller as its own type, or as a RuntimeError carrying the
+child's traceback when it does not pickle; a child that dies raises
 ChildProcessError, an OSError. No child outlives compute_metrics.
 
 Cumulative columns follow one convention: the value reported at tick t sums
@@ -39,7 +42,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .agreement import PhiLimitSeries, merged_versions
+from .agreement import PhiLimitSeries, merged_versions, phi_limit_series
 from .engine import Chunk, RunArtifacts
 from .geometry import batched_cell_stats, min_component_separation
 from .schedule import CommSchedule
@@ -120,6 +123,8 @@ class RunMetrics:
     mart_mean_norm: float             # unscaled increment sample mean
     mart_sigma: float
     mart_n: int
+    limits: PhiLimitSeries            # the impulse limits the series are built on
+    h_snap: np.ndarray                # (n_rec, M, width) h at each recorded version
 
     def to_csv(self, path: str) -> None:
         """Shortest round-trip decimal floats; byte-stable across runs."""
@@ -143,7 +148,8 @@ class _Swept:
     """What the chunk loop reads from the event stream: the stream's CSV
     columns by name (cols), w* at the recorded ticks (n_rec, width), the
     envelope's sum of n_active / (tau or 1)**2 over tau < t at each recorded
-    t (env_sum), and RunMetrics' step-weight and martingale fields (scalars)."""
+    t (env_sum), and RunMetrics' step-weight, martingale and limits fields
+    (scalars)."""
 
     def __init__(self, cols: dict, w_star_rec: np.ndarray, env_sum: np.ndarray,
                  scalars: dict):
@@ -158,15 +164,16 @@ class _Failure:
         self.exc, self.traceback = exc, traceback
 
 
-def _chunk_loop(art: RunArtifacts, limits: PhiLimitSeries,
-                chunks: Iterable[Chunk]) -> _Swept:
-    """The sweep over a run's chunks, in tick order.
+def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> _Swept:
+    """The run's impulse limits, then the sweep over its chunks, in tick order.
 
-    In each chunk the agreement trajectory w*(t) and the perturbation
-    partial sums are prefix sums over the chunk's events, in event order,
-    and all distortion or gradient evaluations go through the batched
-    kernel. Reads nothing the ticks leave at the horizon.
+    The limits depend on the schedule alone, so they come first, before the
+    first chunk is read. In each chunk the agreement trajectory w*(t) and
+    the perturbation partial sums are prefix sums over the chunk's events,
+    in event order, and all distortion or gradient evaluations go through
+    the batched kernel. Reads nothing the ticks leave at the horizon.
     """
+    limits = phi_limit_series(art.schedule)
     cfg = art.config
     T, kappa, dim, D = cfg.horizon, cfg.kappa, cfg.dim, cfg.width
     batch = art.batch
@@ -288,7 +295,18 @@ def _chunk_loop(art: RunArtifacts, limits: PhiLimitSeries,
         eps_ratio_min=r_min, eps_ratio_min_t=t_min,
         eps_ratio_max=r_max, eps_ratio_max_t=t_max,
         eps_star_total=float(np.sum(eps_star_all[:T])),
-        mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart)))
+        mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart),
+        limits=limits))
+
+
+def _snapshot_grads(art: RunArtifacts) -> np.ndarray:
+    """h at every processor's recorded version, (n_rec, M, width), scored in
+    one kernel call on the stacked snapshots."""
+    cfg = art.config
+    n_rec, M = art.snapshots.shape[:2]
+    _, h, _, _ = batched_cell_stats(art.snapshots.reshape(n_rec * M, cfg.kappa, cfg.dim),
+                                    art.batch)
+    return h.reshape(n_rec, M, cfg.width)
 
 
 def sweep_path() -> str:
@@ -306,14 +324,13 @@ def _send(fd: int, obj) -> None:
         view = view[os.write(fd, view):]
 
 
-def _sweep_child(art: RunArtifacts, limits: PhiLimitSeries, chunk_r: int,
-                 result_w: int) -> None:
+def _sweep_child(art: RunArtifacts, chunk_r: int, result_w: int) -> None:
     """The forked child's work: the chunk loop on the chunks read from
     chunk_r, up to a None, then its result, or the exception that stopped
     it, into result_w."""
     try:
         with open(chunk_r, "rb") as fh:
-            msg = _chunk_loop(art, limits, iter(functools.partial(pickle.load, fh), None))
+            msg = _chunk_loop(art, iter(functools.partial(pickle.load, fh), None))
     except BaseException as exc:
         import traceback
         msg = _Failure(exc, traceback.format_exc())
@@ -324,16 +341,19 @@ def _sweep_child(art: RunArtifacts, limits: PhiLimitSeries, chunk_r: int,
     _send(result_w, msg)
 
 
-def _forked_loop(art: RunArtifacts, limits: PhiLimitSeries) -> _Swept:
-    """The chunk loop in a forked child, fed through a pipe.
+def _forked_loop(art: RunArtifacts) -> tuple[_Swept, np.ndarray]:
+    """The chunk loop in a forked child, fed through a pipe, and the
+    snapshots' gradients (_snapshot_grads) scored here while it finishes.
 
-    The caller takes the run's ticks (art.chunks) and pickles each chunk
-    into the pipe, so the child sweeps one chunk while the next one's ticks
-    run; the pipe holds about one chunk, which bounds how far the ticks run
-    ahead. The child's exception is raised here as its own type. A child
-    that ends without a result raises ChildProcessError, and one left
-    running when the caller raises is killed; either way it is reaped
-    before this returns.
+    The caller takes the run's ticks (art.chunks) at once and pickles each
+    chunk into the pipe; the child computes the limits meanwhile, then
+    sweeps the chunks as they come. The pipe, widened to the system's
+    largest, holds a few chunks, which bounds how far the ticks run ahead.
+    The child never reads the snapshots or the final versions, which would
+    take the ticks again in the child. The child's exception is raised here
+    as its own type. A child that ends without a result raises
+    ChildProcessError, and one left running when the caller raises is
+    killed; either way it is reaped before this returns.
 
     The child is a copy of the calling thread alone. It uses only numpy and
     pickle; OpenBLAS stops its thread pool before a fork (its pthread_atfork
@@ -343,7 +363,7 @@ def _forked_loop(art: RunArtifacts, limits: PhiLimitSeries) -> _Swept:
     import signal
     chunk_r, chunk_w = os.pipe()
     result_r, result_w = os.pipe()
-    try:        # a pipe that holds a whole chunk: the caller waits on the child less
+    try:        # a pipe that holds several chunks: the ticks run on during the limits
         with open("/proc/sys/fs/pipe-max-size") as fh:
             fcntl.fcntl(chunk_w, fcntl.F_SETPIPE_SZ, int(fh.read()))
     except (OSError, ValueError, AttributeError):
@@ -359,19 +379,20 @@ def _forked_loop(art: RunArtifacts, limits: PhiLimitSeries) -> _Swept:
         try:
             os.close(chunk_w)
             os.close(result_r)
-            _sweep_child(art, limits, chunk_r, result_w)
+            _sweep_child(art, chunk_r, result_w)
             code = 0
         finally:
             os._exit(code)
     os.close(chunk_r)
     os.close(result_w)
-    status = None
+    status = h_snap = None
     with open(result_r, "rb") as back:
         try:
             try:
                 for chunk in art.chunks():
                     _send(chunk_w, chunk)
                 _send(chunk_w, None)
+                h_snap = _snapshot_grads(art)
             except BrokenPipeError:
                 pass        # the child stopped reading: its message or its status says why
             finally:
@@ -391,23 +412,26 @@ def _forked_loop(art: RunArtifacts, limits: PhiLimitSeries) -> _Swept:
     if not isinstance(msg, _Swept) or code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise ChildProcessError(f"the metrics sweep child {how} without a result")
-    return msg
+    return msg, h_snap
 
 
-def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
-    """One chronological sweep computing every diagnostic series.
+def compute_metrics(art: RunArtifacts) -> RunMetrics:
+    """The run's impulse limits and one chronological sweep computing every
+    diagnostic series.
 
     Walks the run chunk by chunk (art.chunks, the kernel's anchor chunks of
     consecutive ticks), so a run whose ticks have not been taken yet takes
     them here, one chunk of its event log at a time, in this process. The
-    chunk loop runs in a forked child or here (sweep_path); the tail, which
-    reads the versions the ticks leave (snapshots, K2) and the limits, runs
-    here once the last chunk is taken.
+    limits and the chunk loop run in a forked child or here (sweep_path);
+    the snapshots' gradients and the tail, which read the versions the
+    ticks leave (snapshots, K2), run here once the last chunk is taken.
     """
     if sweep_path() == "forked":
-        swept = _forked_loop(art, limits)
+        swept, h_snap = _forked_loop(art)
     else:
-        swept = _chunk_loop(art, limits, art.chunks())
+        swept = _chunk_loop(art, art.chunks())
+        h_snap = _snapshot_grads(art)
+    limits = swept.scalars["limits"]
     cfg = art.config
     T, M, kappa = cfg.horizon, cfg.M, cfg.kappa
     diam = art.batch.diameter
@@ -422,7 +446,8 @@ def compute_metrics(art: RunArtifacts, limits: PhiLimitSeries) -> RunMetrics:
                       agreement_gap=np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1),
                       bound_normmaj=bound_coef * theta_all[times],
                       dm2_envelope=np.sqrt(env_coef * swept.env_sum),
-                      theta_final=float(theta_all[T]), **swept.cols, **swept.scalars)
+                      theta_final=float(theta_all[T]), h_snap=h_snap,
+                      **swept.cols, **swept.scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +484,14 @@ def _log_slope(t: np.ndarray, v: np.ndarray, floor: float) -> Optional[float]:
 
 def estimate_lipschitz(art: RunArtifacts, metrics: RunMetrics) -> float:
     """Largest observed ratio ||h(a) - h(b)|| / ||a - b|| over the run's own
-    recorded quantizers paired with the agreement trajectory."""
+    recorded quantizers paired with the agreement trajectory; h at the
+    recorded quantizers is the sweep's (metrics.h_snap)."""
     cfg = art.config
-    n_rec, M = art.snapshots.shape[:2]
-    _, hA, _, _ = batched_cell_stats(art.snapshots.reshape(n_rec * M, cfg.kappa, cfg.dim),
-                                      art.batch)
+    n_rec = len(metrics.times)
     _, hS, _, _ = batched_cell_stats(metrics.w_star_rec.reshape(n_rec, cfg.kappa, cfg.dim),
                                       art.batch)
     dw = np.linalg.norm(art.snapshots - metrics.w_star_rec[:, None], axis=2)
-    dh = np.linalg.norm(hA.reshape(n_rec, M, -1) - hS.reshape(n_rec, 1, -1), axis=2)
+    dh = np.linalg.norm(metrics.h_snap - hS.reshape(n_rec, 1, -1), axis=2)
     keep = dw > 1e-9 * art.batch.diameter
     return float(np.max(dh[keep] / dw[keep], initial=0.0))
 
@@ -515,9 +539,8 @@ class ConvergenceReport:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-def summarize(art: RunArtifacts, metrics: RunMetrics,
-              limits: PhiLimitSeries) -> ConvergenceReport:
-    T = art.config.horizon
+def summarize(art: RunArtifacts, metrics: RunMetrics) -> ConvergenceReport:
+    T, limits = art.config.horizon, metrics.limits
     times = metrics.times
     gaps = metrics.agreement_gap
     bounds = metrics.bound_normmaj

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dalvq.agreement import phi_limit_series
 from dalvq.baselines import run_lloyd
 from dalvq.diagnostics import compute_metrics, consensus_decay, summarize, theta_series
 from dalvq.engine import RunConfig, StepPolicy, initial_versions, run
@@ -45,9 +44,9 @@ def big_config():
 def big():
     t0 = time.perf_counter()
     art = run(big_config())
-    limits = phi_limit_series(art.schedule)
-    met = compute_metrics(art, limits)
-    rep = summarize(art, met, limits)
+    met = compute_metrics(art)
+    limits = met.limits
+    rep = summarize(art, met)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(art=art, limits=limits, met=met, rep=rep,
                            elapsed=elapsed)
@@ -336,8 +335,7 @@ def test_criterion_09_distortion_vs_batch_fixed_point(big):
 
 def test_criterion_10_repeat_run_is_byte_identical(big, tmp_path):
     art2 = run(big_config())
-    limits2 = phi_limit_series(art2.schedule)
-    met2 = compute_metrics(art2, limits2)
+    met2 = compute_metrics(art2)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     big.met.to_csv(str(a))
     met2.to_csv(str(b))

@@ -105,6 +105,17 @@ class TestRunModes:
             header = fh.readline().strip().split(",")
         assert header[0] == "t" and "agreement_gap" in header
 
+    @pytest.mark.parametrize("mode", ["dalvq", "agreement-only", "validate-only"])
+    def test_one_schedule_per_run(self, tmp_path, monkeypatch, mode):
+        # a dalvq run validates and traces the schedule its ticks run on
+        calls = []
+        for module in (dalvq.cli, dalvq.engine):
+            monkeypatch.setattr(module, "generate", lambda *a, gen=module.generate:
+                                calls.append(1) or gen(*a))
+        cfg = write_config(tmp_path, config_doc(mode=mode))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [1]
+
     def test_dalvq_m64_complete(self, tmp_path):
         sched = ScheduleSpec(topology="complete", merge_period=1, delay_law="fixed",
                              delay_value=1, activity="all-active")

@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dalvq.agreement import phi_limit_series
+from dalvq.agreement import PhiLimitSeries, phi_limit_series
 from dalvq import cli, diagnostics, engine, geometry
-from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, RunMetrics, compute_metrics,
+from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
                                consensus_decay, estimate_lipschitz,
                                summarize, theta_series)
 from dalvq.engine import EventLog, RunConfig, StepPolicy, run
@@ -37,9 +37,8 @@ def make_config(**kw):
 def small():
     cfg = make_config()
     art = run(cfg)
-    limits = phi_limit_series(art.schedule)
-    met = compute_metrics(art, limits)
-    return art, limits, met
+    met = compute_metrics(art)
+    return art, met.limits, met
 
 
 # ---- the step-weight tail sum ----
@@ -93,6 +92,20 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def field_bytes(obj) -> dict:
+    """The bytes of each field of a RunMetrics or PhiLimitSeries, by name,
+    the limits' fields one by one: np.asarray of a dataclass would hold a
+    pointer."""
+    out = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if isinstance(value, PhiLimitSeries):
+            out.update({f"{name}.{k}": v for k, v in field_bytes(value).items()})
+        else:
+            out[name] = np.asarray(value).tobytes()
+    return out
+
+
 def kernel(w, batch):
     """(distortion, gradient) of one quantizer from the geometry kernel."""
     dist, grad, _, _ = batched_cell_stats(w[None], batch)
@@ -136,11 +149,14 @@ class TestComputeMetrics:
         art = run(cfg)
         ev = art.events
         none = np.zeros(0, dtype=np.int64)
-        limits = phi_limit_series(art.schedule)
         for log in (EventLog(none, none, none, np.zeros(0), cfg.dim, cfg.width),
                     EventLog(ev.t, ev.proc[::-1], ev.draw, ev.eps, cfg.dim, cfg.width)):
             with pytest.raises(ValueError):
-                compute_metrics(replace(art, events=log), limits)
+                compute_metrics(replace(art, events=log))
+
+    def test_limits_are_the_schedules(self, small):
+        art, limits, _ = small
+        assert field_bytes(limits) == field_bytes(phi_limit_series(art.schedule))
 
     def test_times_are_snapshot_times(self, small):
         art, _, met = small
@@ -268,15 +284,15 @@ class TestComputeMetrics:
         assert met.mart_sigma == pytest.approx(sigma, rel=1e-10)
 
     def test_martingale_cap(self, small, monkeypatch):
-        art, limits, _ = small
+        art, _, _ = small
         monkeypatch.setattr(diagnostics, "_MART_SAMPLES", 7)
-        met = compute_metrics(art, limits)
+        met = compute_metrics(art)
         assert met.mart_n == 7
 
     def test_chunk_independence(self, small, monkeypatch):
-        art, limits, met = small
+        art, _, met = small
         monkeypatch.setattr(geometry, "_STACK_CHUNK", 7)
-        alt = compute_metrics(art, limits)
+        alt = compute_metrics(art)
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_allclose(getattr(alt, name), getattr(met, name),
                                        rtol=1e-11, atol=1e-18)
@@ -290,14 +306,11 @@ class TestComputeMetrics:
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
         cfg = make_config(horizon=100, cadence=3)
         streamed = run(cfg)
-        limits = phi_limit_series(streamed.schedule)
-        a = compute_metrics(streamed, limits)
+        a = compute_metrics(streamed)
         kept = run(cfg)
         assert len(kept.events.z) == streamed.events.n       # the log, kept
-        b = compute_metrics(replace(kept, events=kept.ticks.collect()), limits)
-        for name in RunMetrics.__dataclass_fields__:
-            assert np.asarray(getattr(a, name)).tobytes() == \
-                np.asarray(getattr(b, name)).tobytes(), name
+        b = compute_metrics(replace(kept, events=kept.ticks.collect()))
+        assert field_bytes(a) == field_bytes(b)
 
     def test_csv_round_trip(self, small, tmp_path):
         _, _, met = small
@@ -326,21 +339,21 @@ class TestAgreementTrajectoryBits:
     """w*(t) at every recorded tick equals the per-event loop of
     ``oracles.agreement_trajectory`` in every bit, sign of zero included."""
 
-    def check(self, art, limits):
-        met = compute_metrics(art, limits)
-        assert same_bits(met.w_star_rec, agreement_trajectory(art, limits))
+    def check(self, art):
+        met = compute_metrics(art)
+        assert same_bits(met.w_star_rec, agreement_trajectory(art, met.limits))
         return met
 
     @pytest.mark.parametrize("chunk", [256, 7, 1])
     def test_small(self, small, chunk, monkeypatch):
         # horizon 60: below one chunk of 256, and not a multiple of 7
-        art, limits, _ = small
+        art, _, _ = small
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
-        self.check(art, limits)
+        self.check(art)
 
     def test_horizon_not_a_chunk_multiple(self):
         art = run(make_config(horizon=300, cadence=1))
-        self.check(art, phi_limit_series(art.schedule))
+        self.check(art)
 
     @pytest.mark.parametrize("chunk", [256, 7])
     def test_negative_zero_columns(self, chunk, monkeypatch):
@@ -351,8 +364,9 @@ class TestAgreementTrajectoryBits:
         x0[:, ::art.config.dim] = -0.0
         limits = phi_limit_series(art.schedule)
         limits = replace(limits, phi_init=limits.phi_init.view(KeepSigns))
+        monkeypatch.setattr(diagnostics, "phi_limit_series", lambda schedule: limits)
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
-        met = self.check(replace(art, x0=x0), limits)
+        met = self.check(replace(art, x0=x0))
         firsts = np.signbit(met.w_star_rec[:, ::art.config.dim])
         assert firsts[0].all() and firsts[1].any()
 
@@ -371,7 +385,7 @@ class TestAgreementTrajectoryBits:
                               sched=ScheduleSpec(topology="custom-trace", trace_path=path)))
         assert not np.isin(edges, art.events.t).any()
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
-        self.check(art, phi_limit_series(art.schedule))
+        self.check(art)
 
 
 # ---- the chunk loop in a forked child ----
@@ -407,17 +421,17 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def in_child_only(action):
-    """The kernel, except that a process other than this one runs action
-    first; the caller's own kernel calls go through untouched."""
+def in_child_only(action, inner=batched_cell_stats):
+    """inner (the kernel by default), except that a process other than this
+    one runs action first; the caller's own calls go through untouched."""
     caller = os.getpid()
 
-    def kernel_or_action(W, batch):
+    def inner_or_action(*args):
         if os.getpid() != caller:
             action()
-        return batched_cell_stats(W, batch)
+        return inner(*args)
 
-    return kernel_or_action
+    return inner_or_action
 
 
 class TestForkedSweep:
@@ -433,34 +447,87 @@ class TestForkedSweep:
     def test_forked_and_inline_sweeps_agree(self, chunk, monkeypatch):
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
         art = run(make_config(horizon=300, cadence=3))
-        limits = phi_limit_series(art.schedule)
         two_cpus(monkeypatch)
         with deadline(60):
-            forked = compute_metrics(art, limits)
+            forked = compute_metrics(art)
         one_cpu(monkeypatch)
-        inline = compute_metrics(art, limits)
-        for name in RunMetrics.__dataclass_fields__:
-            assert np.asarray(getattr(forked, name)).tobytes() == \
-                np.asarray(getattr(inline, name)).tobytes(), name
+        inline = compute_metrics(art)
+        assert field_bytes(forked) == field_bytes(inline)
         assert_no_child_left()
 
     def test_ticks_stay_in_the_caller(self, monkeypatch):
-        # every tick runs here; every kernel call of the sweep runs in the child
+        # every tick runs here, and none in the child, which never reads the
+        # snapshots; every kernel call of the sweep runs in the child but the
+        # one on the stacked snapshots
         art = run(make_config(horizon=600))
-        limits = phi_limit_series(art.schedule)
         ticks, kernel_calls = [], []
         tick = engine.dalvq_tick
-        monkeypatch.setattr(engine, "dalvq_tick", lambda t, *a: ticks.append(t) or tick(t, *a))
+
+        def tick_here(t, *args):
+            ticks.append(t)
+            return tick(t, *args)
+
+        monkeypatch.setattr(engine, "dalvq_tick", in_child_only(
+            lambda: pytest.fail("a tick ran in the child"), tick_here))
         monkeypatch.setattr(diagnostics, "batched_cell_stats",
-                            lambda *a: kernel_calls.append(1) or batched_cell_stats(*a))
+                            lambda W, b: kernel_calls.append(len(W)) or batched_cell_stats(W, b))
         two_cpus(monkeypatch)
         with deadline(60):
-            compute_metrics(art, limits)
-        assert ticks == list(range(600)) and kernel_calls == []
+            compute_metrics(art)
+        assert ticks == list(range(600))
+        assert kernel_calls == [len(art.snap_times) * art.config.M]
+        assert_no_child_left()
+
+    def test_limits_run_in_the_child(self, monkeypatch):
+        # forked, the limits run in the child only; inline, here, once
+        art = run(make_config(horizon=600))
+        calls = []
+        monkeypatch.setattr(diagnostics, "phi_limit_series",
+                            lambda schedule: calls.append(1) or phi_limit_series(schedule))
+        two_cpus(monkeypatch)
+        with deadline(60):
+            compute_metrics(art)
+        assert calls == []
+        one_cpu(monkeypatch)
+        compute_metrics(art)
+        assert calls == [1]
+        assert_no_child_left()
+
+    def test_failing_limits_are_raised_here(self, monkeypatch):
+        # the child fails before it reads a chunk; the caller, still sending
+        # chunks after the child has exited, meets a broken pipe and raises
+        # the child's exception
+        art = run(make_config(horizon=3000))
+        caller, send = os.getpid(), diagnostics._send
+        gone_r, gone_w = os.pipe()      # the child's copy of gone_w closes when it exits
+        broken, waited = [], []
+
+        def fail():
+            raise ValueError("limits failed in the child")
+
+        def send_once_the_child_is_gone(fd, obj):
+            if os.getpid() == caller and not waited:
+                waited.append(True)
+                os.close(gone_w)
+                assert os.read(gone_r, 1) == b""        # end of file: the child has exited
+                os.close(gone_r)
+            try:
+                send(fd, obj)
+            except BrokenPipeError:
+                broken.append(obj)
+                raise
+
+        monkeypatch.setattr(diagnostics, "phi_limit_series", in_child_only(fail, phi_limit_series))
+        monkeypatch.setattr(diagnostics, "_send", send_once_the_child_is_gone)
+        two_cpus(monkeypatch)
+        with deadline(60), pytest.raises(ValueError, match="limits failed") as info:
+            compute_metrics(art)
+        assert "in fail" in str(info.value.__cause__)     # the child's traceback
+        assert len(broken) == 1 and broken[0].b0 == 0     # the first chunk met the broken pipe
         assert_no_child_left()
 
     def test_child_exception_is_raised_here(self, small, monkeypatch):
-        art, limits, _ = small
+        art = small[0]
 
         def fail():
             raise ValueError("kernel failed in the child")
@@ -468,12 +535,12 @@ class TestForkedSweep:
         monkeypatch.setattr(diagnostics, "batched_cell_stats", in_child_only(fail))
         two_cpus(monkeypatch)
         with deadline(60), pytest.raises(ValueError, match="failed in the child") as info:
-            compute_metrics(art, limits)
+            compute_metrics(art)
         assert "in fail" in str(info.value.__cause__)     # the child's traceback
         assert_no_child_left()
 
     def test_unpicklable_exception_arrives_as_its_traceback(self, small, monkeypatch):
-        art, limits, _ = small
+        art = small[0]
 
         class LocalError(Exception):      # a local class does not pickle
             pass
@@ -484,16 +551,23 @@ class TestForkedSweep:
         monkeypatch.setattr(diagnostics, "batched_cell_stats", in_child_only(fail))
         two_cpus(monkeypatch)
         with deadline(60), pytest.raises(RuntimeError, match="LocalError: kernel failed"):
-            compute_metrics(art, limits)
+            compute_metrics(art)
         assert_no_child_left()
 
     def test_killed_child_is_a_typed_error(self, small, tmp_path, monkeypatch, capsys):
-        art, limits, _ = small
-        kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        monkeypatch.setattr(diagnostics, "batched_cell_stats", kill)
+        self.check_killed(small[0], tmp_path, monkeypatch, capsys, "batched_cell_stats")
+
+    def test_child_killed_during_the_limits(self, small, tmp_path, monkeypatch, capsys):
+        self.check_killed(small[0], tmp_path, monkeypatch, capsys, "phi_limit_series")
+
+    def check_killed(self, art, tmp_path, monkeypatch, capsys, during):
+        # the child is killed on its first call of diagnostics.<during>
+        kill = in_child_only(lambda: os.kill(os.getpid(), signal.SIGKILL),
+                             getattr(diagnostics, during))
+        monkeypatch.setattr(diagnostics, during, kill)
         two_cpus(monkeypatch)
         with deadline(60), pytest.raises(ChildProcessError, match="killed by signal 9"):
-            compute_metrics(art, limits)
+            compute_metrics(art)
         assert_no_child_left()
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"mode": "dalvq", **make_config().to_dict()}))
@@ -506,7 +580,6 @@ class TestForkedSweep:
 
     def test_failing_tick_reaps_the_child(self, monkeypatch):
         art = run(make_config(horizon=700))
-        limits = phi_limit_series(art.schedule)
         tick = engine.dalvq_tick
 
         def failing(t, *args):
@@ -517,7 +590,7 @@ class TestForkedSweep:
         monkeypatch.setattr(engine, "dalvq_tick", failing)
         two_cpus(monkeypatch)
         with deadline(60), pytest.raises(FloatingPointError, match="tick 300"):
-            compute_metrics(art, limits)
+            compute_metrics(art)
         assert_no_child_left()
 
 
@@ -574,7 +647,7 @@ class TestEstimateLipschitz:
 class TestSummarize:
     def test_report_coherence(self, small):
         art, limits, met = small
-        rep = summarize(art, met, limits)
+        rep = summarize(art, met)
         assert rep.horizon == art.config.horizon
         assert rep.n_events == art.events.n
         assert rep.final_consensus_gap == float(met.consensus_gap[-1])
@@ -606,13 +679,13 @@ class TestSummarize:
             return theta_series(*args)
 
         monkeypatch.setattr(diagnostics, "theta_series", counted)
-        rep = summarize(art, met, limits)
+        rep = summarize(art, met)
         assert calls == []
         assert rep.bound_params["theta_final"] == met.theta_final == want
 
     def test_distortion_cauchy_ratio_definition(self, small):
         art, limits, met = small
-        rep = summarize(art, met, limits)
+        rep = summarize(art, met)
         d = met.distortion_star
         q = 3 * len(d) // 4
         expect = (d[q:].max() - d[q:].min()) / (d.max() - d.min())

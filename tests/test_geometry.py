@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dalvq import diagnostics
-from dalvq.agreement import phi_limit_series
 from dalvq.engine import run
 from dalvq.geometry import (_STACK_CHUNK, SampleBatch, _cell_moves,
                             batched_cell_stats, min_component_separation, nearest_cell)
@@ -336,7 +335,6 @@ class TestPrunedKernel:
         # first ticks drift too far and take full scans, the rest prune
         cfg = replace(big_config(), horizon=2000)
         art = run(cfg)
-        limits = phi_limit_series(art.schedule)
         evaluated = []
 
         def checked(W, batch):
@@ -354,8 +352,10 @@ class TestPrunedKernel:
         # one CPU: the chunk loop's kernel calls stay in this process, where
         # they are counted (a forked loop calls the same kernel)
         monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
-        diagnostics.compute_metrics(art, limits)
-        assert sum(evaluated) == cfg.horizon + art.events.n + 1
+        diagnostics.compute_metrics(art)
+        # w* at each tick, the events' pre-merge versions, w* at the horizon
+        # and every processor's recorded version
+        assert sum(evaluated) == cfg.horizon + art.events.n + 1 + len(art.snap_times) * cfg.M
 
 
 def box_batch(pts):
