@@ -72,6 +72,27 @@ def _check_depth(plan: _MergePlan, depth: int) -> None:
         raise ValueError(f"delay {plan.max_delay} is at or past the ring depth {depth}")
 
 
+def _merge_rows(plan: _MergePlan, t, depth: int) -> np.ndarray:
+    """The ring rows of the plan's terms at tick t, or at each tick of an
+    array t, for take (a negative row counts from the end): with s = t %
+    depth, j + (s - d) * M, or time 0's j - (t - s) * M, the larger if d > t."""
+    r, s, M, first = t % len(plan.offset), t % depth, plan.offset.shape[1], t
+    if isinstance(t, np.ndarray):
+        t, s, first = t[:, None, None], s[:, None, None], t.min()
+    rows = plan.offset[r] + s * M
+    return rows if first >= depth else np.maximum(rows, plan.offset[r] % M - (t - s) * M)
+
+
+def _combine(coeff: np.ndarray, gathered: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """sum_k coeff[:, k] * gathered[:, k] from +0.0 in term order: in one einsum,
+    or at width 1, where einsum would sum in SIMD lanes, term by term."""
+    if gathered.shape[2] > 1:
+        return np.einsum("ik,ikd->id", coeff, gathered, out=out)
+    out = np.empty((len(coeff), 1)) if out is None else out
+    out[:, 0] = sum((coeff * gathered[:, :, 0]).T, np.zeros(len(coeff)))
+    return out
+
+
 def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """The merge at tick t: out[i] = sum_j a_ij(t) * version of j at t - tau_ij(t).
@@ -79,12 +100,10 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
     ring (depth, M, D) holds the last depth versions, slot u % depth for time
     u, with every stored delay below depth. Delays are clamped to t and the
     tables repeat past the horizon, as the schedule's accessors do. A tick
-    gathers each receiver's terms from the ring in one take and sums them in
-    sender order from +0.0: in one einsum, or at width 1, where einsum would
-    sum over the senders in SIMD lanes and a term's position would count,
-    term by term. An identity tick is the current versions plus 0.0, which
-    is what the sum gives. The result goes to out when given, which may be
-    any slot of the ring, the current one included.
+    gathers each receiver's terms in one take (_merge_rows) and sums them in
+    sender order from +0.0 (_combine); an identity tick is the current
+    versions plus 0.0, which is what the sum gives. The result goes to out
+    when given, which may be any slot of the ring, the current one included.
     """
     B, M = ring.shape[:2]
     plan = _merge_plan(schedule)
@@ -92,18 +111,7 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
     r = schedule._idx(t)
     if plan.identity[r]:
         return np.add(ring[t % B], 0.0, out=out)
-    off = plan.offset[r]
-    # flat row ((t - d) % B) * M + j, and j where the delay is clamped to t
-    rows = off + (t % B) * M if t >= plan.max_delay else np.maximum(off + t * M, off % M)
-    gathered = ring.reshape(B * M, -1).take(rows, 0, mode="wrap")
-    if ring.shape[2] > 1:
-        return np.einsum("ik,ikd->id", plan.coeff[r], gathered, out=out)
-    terms = plan.coeff[r] * gathered[:, :, 0]
-    out = np.empty((M, 1)) if out is None else out
-    out[:] = 0.0
-    for k in range(terms.shape[1]):
-        out[:, 0] += terms[:, k]
-    return out
+    return _combine(plan.coeff[r], ring.reshape(B * M, -1).take(_merge_rows(plan, t, B), 0), out)
 
 
 # ---------------------------------------------------------------------------

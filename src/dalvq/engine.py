@@ -14,9 +14,9 @@ each reads only its own processor's pre-merge version, so a tick with several
 events scores and steps them together. Within a chunk the ticks go in windows
 of _WINDOW ticks: at each window start, every event of the window is scored
 against its processor's version there in one stacked call, and a drift bound
-certifies most winners, whose ticks then skip nearest_cell (see dalvq_tick).
-A consumer of the chunks, such as the metrics sweep, holds one chunk of the
-event log at a time.
+certifies most winners, whose ticks then skip nearest_cell (see dalvq_tick),
+and then plans the window's ticks (_plan). A consumer of the chunks, such as
+the metrics sweep, holds one chunk of the event log at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import geometry, measures
-from .agreement import _row_delta, merged_versions
+from .agreement import _check_depth, _combine, _merge_plan, _merge_rows, _row_delta, merged_versions
 from .errors import ConfigError, require_int, strict_object
 from .geometry import SampleBatch, _sq_dist, nearest_cell
 from .measures import (DistributionSpec, StreamHandle, STREAM_INIT_BASE,
@@ -280,6 +280,7 @@ class Ticks:
         snapshots = np.empty((len(self.snap_times), cfg.M, cfg.width))
         snap_at = {int(u): k for k, u in enumerate(self.snap_times)}
         delta = _row_delta(schedule)
+        _check_depth(_merge_plan(schedule), depth)
         K1, K2, e0 = math.inf, 1.0, 0
         for b0, b1, t_ev, proc, n, z in self._planned():
             eps, k1, k2 = cfg.step.steps(t_ev, n)
@@ -292,12 +293,13 @@ class Ticks:
             for w0 in range(b0, b1, _WINDOW):
                 w1 = min(w0 + _WINDOW, b1)
                 _certify(ring, w0, events, slice(first[w0 - b0], first[w1 - b0]), delta)
+                plan = _plan(schedule, ring, w0, w1, events, first[w0 - b0], first[w1 - b0])
                 for t in range(w0, w1):
                     k = snap_at.get(t)
                     if k is not None:
                         snapshots[k] = ring[t % depth]
                     dalvq_tick(t, ring, schedule, events,
-                               range(first[t - b0], first[t - b0 + 1]))
+                               range(first[t - b0], first[t - b0 + 1]), plan)
             events.finish()
             yield Chunk(b0, b1, e0, starts, events)
             e0 += events.n
@@ -377,8 +379,20 @@ class RunArtifacts:
     K2 = property(lambda self: self.ticks.end()[3], doc="largest step * (t or 1), at least 1")
 
 
+def _plan(schedule: CommSchedule, ring: np.ndarray, t0: int, t1: int, events: EventLog,
+          k0: int, k1: int) -> tuple:
+    """Ticks t0 .. t1 - 1 and events k0 .. k1 - 1 planned: t0, k0, the ring one version a row,
+    winner offsets in a slot, -eps, merge rows, coefficients, identity flags, events to score."""
+    merge, t, ks, dim = _merge_plan(schedule), np.arange(t0, t1), slice(k0, k1), events.z.shape[1]
+    r = t % len(merge.identity)
+    at = (events.proc[ks] * ring.shape[2] + events.comp[ks] * dim)[:, None] + np.arange(dim)
+    todo = np.bincount(events.t[ks][events.comp[ks] < 0] - t0, minlength=t1 - t0).tolist()
+    return (t0, k0, ring.reshape(-1, ring.shape[2]), at, -events.eps[ks, None].repeat(dim, 1),
+            _merge_rows(merge, t, len(ring)), merge.coeff[r], merge.identity[r].tolist(), todo)
+
+
 def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLog,
-               ks: range) -> None:
+               ks: range, plan: Optional[tuple] = None) -> None:
     """Advance the version ring (depth, M, width) from tick t to t + 1: score
     each of the tick's planned events ks on its sample z[k] at its
     processor's pre-merge version, merge delayed versions into the next
@@ -392,8 +406,14 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
     tick (_certify), and the tick keeps them. A tick's events belong to
     distinct processors, and each reads only its own processor's pre-merge
     version, so several events are scored in one stacked nearest_cell call
-    and stepped in one scatter; a lone event takes the scalar step, which
-    costs less than a stack of one.
+    and stepped together; a lone event takes the scalar step, which costs
+    less than a stack of one.
+
+    Ticks.chunks plans each window after _certify (_plan); a direct call
+    plans its own tick. A tick of several events is then a take, a gather,
+    the merge (a take and an einsum, or + 0.0 on an identity tick) and a
+    scatter through a flat view of the next slot, so a direct call refuses
+    a ring without one before it writes.
 
     Why a certified winner is nearest_cell's (Elkan, ICML 2003; Hamerly,
     SDM 2010; the argument geometry._cell_moves makes for the sweep): at the
@@ -422,36 +442,38 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
       strict least of the direct-form distances at t, which is nearest_cell's
       winner. A tie has zero slack and is never certified.
     """
-    depth, dim = ring.shape[0], events.z.shape[1]
+    if plan is None:
+        if len(ks) > 1 and not ring[(t + 1) % ring.shape[0]].flags.c_contiguous:
+            raise ValueError("the version ring must be C-contiguous")
+        _check_depth(_merge_plan(schedule), ring.shape[0])
+        ks = range(ks[0], ks[0] + len(ks)) if len(ks) else range(0)
+        plan = _plan(schedule, ring, t, t + 1, events, ks.start, ks.stop)
+    t0, k0, rows2d, at, neg_eps, rows, coeff, identity, todo = plan
+    depth, dim, u, n = ring.shape[0], events.z.shape[1], t - t0, len(ks)
     cur, nxt = ring[t % depth], ring[(t + 1) % depth]
-    if len(ks) == 1:
+    if n == 1:
         k = ks[0]
-        i = int(events.proc[k])
-        z = events.z[k]
+        i, z = int(events.proc[k]), events.z[k]
         comp = int(events.comp[k])
         if comp < 0:
             comp = events.comp[k] = nearest_cell(z, cur[i].reshape(-1, dim))
         events.w_before[k] = cur[i]
         lo = comp * dim
         step = -events.eps[k] * (cur[i, lo:lo + dim] - z)
-        merged_versions(schedule, ring, t, out=nxt)
+    elif n:
+        ks, e = slice(ks.start, ks.stop), slice(ks.start - k0, ks.stop - k0)
+        z, w_before = events.z[ks], cur.take(events.proc[ks], 0, out=events.w_before[ks])
+        if todo[u]:
+            comp = events.comp[ks]
+            left = np.flatnonzero(comp < 0)
+            comp[left] = nearest_cell(z[left], w_before[left].reshape(len(left), -1, dim))
+            at[e][left] += (comp[left, None] + 1) * dim     # planned at comp -1
+        step = (cur.take(at[e]) - z) * neg_eps[e]
+    np.add(cur, 0.0, out=nxt) if identity[u] else _combine(coeff[u], rows2d.take(rows[u], 0), nxt)
+    if n == 1:
         nxt[i, lo:lo + dim] += step
-    elif len(ks) > 1:
-        if not nxt.flags.c_contiguous:      # reshape would scatter into a copy
-            raise ValueError("the version ring must be C-contiguous")
-        ks = slice(ks.start, ks.stop)
-        i, z = events.proc[ks], events.z[ks]
-        w_before = cur.take(i, 0, out=events.w_before[ks])
-        comp = events.comp[ks]
-        if comp[comp.argmin()] < 0:      # some event is left to score
-            todo = np.flatnonzero(comp < 0)
-            comp[todo] = nearest_cell(z[todo], w_before[todo].reshape(len(todo), -1, dim))
-        at = (i * cur.shape[1] + comp * dim)[:, None] + np.arange(dim)   # flat, in a slot
-        step = -events.eps[ks, None] * (cur.reshape(-1).take(at) - z)
-        merged_versions(schedule, ring, t, out=nxt)
-        nxt.reshape(-1)[at] += step
-    else:
-        merged_versions(schedule, ring, t, out=nxt)
+    elif n:
+        nxt.reshape(-1)[at[e]] += step
 
 
 def _certify(ring: np.ndarray, t0: int, events: EventLog, ks: slice, delta: float) -> None:

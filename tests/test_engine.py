@@ -1,6 +1,7 @@
 import os
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dalvq import engine, geometry
-from dalvq.agreement import _row_delta
+from dalvq.agreement import _merge_plan, _merge_rows, _row_delta, merged_versions
 from dalvq.engine import (EventLog, RunConfig, StepPolicy, _certify, dalvq_tick,
                           initial_versions, run)
 from dalvq.errors import ConfigError
 from dalvq.geometry import nearest_cell
 from dalvq.measures import DistributionSpec, StreamHandle, sample
-from dalvq.schedule import CommSchedule, ScheduleSpec, generate, write_trace
+from dalvq.schedule import CommSchedule, ScheduleSpec, generate, read_trace, write_trace
 from bench_workloads import WORKLOADS
-from oracles import (descent_term, generator_index, generator_sample, gradient_observation,
-                     per_event_tick)
+from oracles import (dense_merge, descent_term, generator_index, generator_sample,
+                     gradient_observation, per_event_tick)
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -293,15 +294,48 @@ class TestDalvqTick:
     def test_non_contiguous_ring_is_refused(self):
         # a tick of several events scatters through a flat view of the next
         # slot, which a non-C-contiguous ring cannot give: refused before
-        # anything is written
-        sch = generate(ScheduleSpec(topology="complete", merge_period=1), 2, 2, 0)
-        ring = np.asfortranarray(np.arange(8.0).reshape(1, 2, 4))
-        log = EventLog(np.array([0, 0]), np.array([0, 1]), np.zeros(2, dtype=int),
-                       np.full(2, 0.5), 2, 4)
-        before = ring.copy()
-        with pytest.raises(ValueError, match="C-contiguous"):
-            dalvq_tick(0, ring, sch, log, range(0, 2))
-        assert np.array_equal(ring, before) and np.all(log.comp == -1)
+        # anything is written, on a merge tick (period 1) and on an identity
+        # tick (tick 0 of period 2)
+        for period in (1, 2):
+            sch = generate(ScheduleSpec(topology="complete", merge_period=period), 2, 2, 0)
+            assert _merge_plan(sch).identity[0] == (period == 2)
+            ring = np.asfortranarray(np.arange(8.0).reshape(1, 2, 4))
+            log = EventLog(np.array([0, 0]), np.array([0, 1]), np.zeros(2, dtype=int),
+                           np.full(2, 0.5), 2, 4)
+            before = ring.copy()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                dalvq_tick(0, ring, sch, log, range(0, 2))
+            assert np.array_equal(ring, before) and np.all(log.comp == -1)
+            assert np.all(log.w_before == 0.0)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("n_events", [0, 1])
+    def test_other_ticks_take_any_ring(self, period, n_events):
+        # a tick of no event or of one writes the ring only through views of
+        # its slots (its merge reads a copy of a ring without a flat view),
+        # so it takes any layout: a Fortran-ordered ring and a column view of
+        # a wider one advance as a C-contiguous copy does, on merge ticks and
+        # identity ticks alike (period 2), over a delay
+        sch = generate(ScheduleSpec(topology="ring", merge_period=period, delay_law="fixed",
+                                    delay_value=1, activity="all-active"), 3, 6, 0)
+        rng = np.random.default_rng(period + 2 * n_events)
+        x = rng.standard_normal((sch.B1, 3, 8))
+        for ring in (np.asfortranarray(x[:, :, :4]), x[:, :, 2:6]):
+            assert not ring.flags.c_contiguous
+            want = np.ascontiguousarray(ring)
+            t_ev = np.repeat(np.arange(6), n_events)
+            logs = [EventLog(t_ev, t_ev % 3, np.zeros_like(t_ev), np.full(len(t_ev), 0.25), 2, 4)
+                    for _ in range(2)]
+            z = rng.standard_normal((len(t_ev), 2))
+            for log in logs:
+                log.z[:] = z
+            for t in range(6):
+                ks = range(t * n_events, (t + 1) * n_events)
+                dalvq_tick(t, ring, sch, logs[0], ks)
+                per_event_tick(t, want, sch, logs[1], ks)
+                assert ring.tobytes() == want.tobytes()
+            assert np.array_equal(logs[0].comp, logs[1].comp)
+            assert logs[0].w_before.tobytes() == logs[1].w_before.tobytes()
 
 
 class TestBatchedTick:
@@ -666,3 +700,150 @@ class TestChunks:
         monkeypatch.setattr(engine.Ticks, "collect", None)
         art = run(make_config())
         assert art.final.shape == (3, 4) and art.snapshots.shape == (4, 3, 4)
+
+
+# ---- the window plans ----
+
+
+@st.composite
+def window_cases(draw):
+    """A pass of Ticks over a schedule and start versions, with the window
+    and chunk lengths to take it by. The schedules are generated rings,
+    whose delays the first ticks clamp, complete graphs (zero delays give
+    B1 = 1), or periodic tables whose decimal rows miss 1, some of them the
+    identity; merge periods above 1 add identity ticks, random subsets
+    ticks of no event, one or several. The samples are replayed from a
+    batch of grid values (duplicates, ties, -0.0), of normal ones, or of
+    midpoints of the start components a few ulps off, so that windows
+    certify all, some or none of their winners."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    M, kappa, dim = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    T = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["ring", "complete", "decimal"]))
+    if kind == "decimal":
+        P, B1 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        coeff = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0], (P, M, M))
+        delay = rng.integers(0, B1, (P, M, M))
+        eye = rng.random(P) < 0.3
+        coeff[eye], delay[eye] = np.eye(M), 0
+        sch = CommSchedule(M=M, horizon=T, alpha=float(coeff[coeff > 0].min(initial=1.0)),
+                           B1=B1, B2=1, B3=1, coeff_table=coeff, delay_table=delay,
+                           active_table=rng.random((P, M)) < 0.7, period=P)
+    else:
+        delays = dict(delay_law="uniform", delay_value=3) if kind == "ring" else {}
+        spec = ScheduleSpec(topology=kind, merge_period=draw(st.integers(1, 3)),
+                            activity=draw(st.sampled_from(["all-active", "random-subset"])),
+                            base_window=8, **delays)
+        sch = generate(spec, M, T, seed)
+    grid = [0.0, -0.0, 0.25, -0.5, 1.0]
+    values = draw(st.sampled_from(["grid", "normal", "near-tie"]))
+    x0 = rng.choice(grid, (M, kappa, dim)) if values == "grid" \
+        else rng.standard_normal((M, kappa, dim))
+    if values == "grid":
+        points = rng.choice(grid, (16, dim))
+    elif values == "normal":
+        points = rng.standard_normal((16, dim))
+    else:
+        i, pair = rng.integers(0, M, 16), rng.integers(0, kappa, (16, 2))
+        points = 0.5 * (x0[i, pair[:, 0]] + x0[i, pair[:, 1]])
+        points += rng.integers(-3, 4, points.shape) * np.spacing(points)
+    step = StepPolicy(draw(st.sampled_from(["global-clock", "local-clock"])),
+                      draw(st.sampled_from([0.5, 1.0 / 3.0, 1e-3, 1e-9])))
+    cfg = RunConfig(M=M, kappa=kappa, dim=dim, horizon=T,
+                    dist=DistributionSpec.uniform_box([0.0] * dim, [1.0] * dim), sched=RING,
+                    step=step, seed=seed, n_ref=16, replay_from_batch=True)
+    batch = geometry.SampleBatch(points, points.min(axis=0), points.max(axis=0), 1.0)
+    snap_times = np.union1d(rng.integers(0, T + 1, 3), [T])
+    ticks = engine.Ticks(cfg, sch, batch, x0.reshape(M, -1), snap_times)
+    return ticks, draw(st.integers(1, 8)), draw(st.sampled_from([5, 256]))
+
+
+class TestPlannedWindows:
+    """Ticks.chunks, which plans each window's ticks at its start, is the
+    per-event rule bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=window_cases())
+    def test_pass_is_the_per_event_rule(self, case):
+        ticks, window, size = case
+        with mock.patch.object(engine, "_WINDOW", window), \
+                mock.patch.object(geometry, "_STACK_CHUNK", size):
+            parts = [ch.events for ch in ticks.chunks()]
+        snapshots, final = ticks.end()[:2]
+        sch, cfg = ticks.schedule, ticks.config
+        log = EventLog(*(np.concatenate([getattr(ev, name) for ev in parts])
+                         for name in ("t", "proc", "draw", "eps")), cfg.dim, cfg.width)
+        log.z[:] = np.concatenate([ev.z for ev in parts])
+        ring = np.zeros((sch.B1, cfg.M, cfg.width))
+        ring[0] = ticks.x0
+        starts = np.searchsorted(log.t, np.arange(cfg.horizon + 1))
+        want = []
+        for t in range(cfg.horizon + 1):
+            if t in ticks.snap_times:
+                want.append(ring[t % sch.B1].copy())
+            if t < cfg.horizon:
+                per_event_tick(t, ring, sch, log, range(starts[t], starts[t + 1]))
+        got_comp = np.concatenate([ev.comp for ev in parts])
+        got_w = np.concatenate([ev.w_before for ev in parts])
+        assert np.array_equal(got_comp, log.comp)
+        assert got_w.tobytes() == log.w_before.tobytes()
+        assert snapshots.tobytes() == np.array(want).reshape(snapshots.shape).tobytes()
+        assert final.tobytes() == ring[cfg.horizon % sch.B1].tobytes()
+
+
+def _row_rule_schedules():
+    """Generated schedules and traces: a ring with delays (the first ticks
+    clamp them), a complete graph at merge period 2 (identity ticks, B1 =
+    1), slow gossip, the dense traces of the three, and a dense custom trace
+    whose decimal rows miss 1."""
+    specs = [(ScheduleSpec(topology="ring", merge_period=2, delay_law="uniform",
+                           delay_value=3, activity="random-subset", base_window=8), 4, 30),
+             (ScheduleSpec(topology="complete", merge_period=2), 3, 12),
+             (ScheduleSpec(topology="random-symmetric-gossip", merge_period=2,
+                           delay_law="uniform", delay_value=4, activity="random-subset",
+                           base_window=60), 5, 60)]
+    out = [generate(spec, M, T, 1) for spec, M, T in specs]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, sch in enumerate(list(out)):
+            path = os.path.join(tmp, f"trace-{k}.jsonl")
+            write_trace(sch, path)
+            out.append(read_trace(path))
+    rng = np.random.default_rng(3)
+    coeff = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], (9, 4, 4))
+    coeff[::4] = np.eye(4)
+    delay = rng.integers(0, 3, (9, 4, 4))
+    delay[::4] = 0
+    out.append(CommSchedule(M=4, horizon=9, alpha=0.1, B1=3, B2=1, B3=1, coeff_table=coeff,
+                            delay_table=delay, active_table=np.ones((9, 4), dtype=bool)))
+    return out
+
+
+class TestOneRowRule:
+    """The engine's planned merge and merged_versions read the same rows."""
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_planned_merge_is_merged_versions(self, k, width):
+        # windows from tick 0 (delays clamped) over a whole cycle, from the
+        # horizon over a cycle (the tables repeat), and far past it; each is
+        # planned once at its start, as Ticks.chunks does, and advanced
+        sch = _row_rule_schedules()[k]
+        merge, B = _merge_plan(sch), sch.B1
+        span = sch.cycle + merge.max_delay + 2
+        rng = np.random.default_rng(k)
+        no_events = EventLog(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), np.zeros(0), 1, width)
+        identity = 0
+        for t0 in (0, sch.horizon, 10**6 + 7):
+            ring = rng.standard_normal((B, sch.M, width))
+            plan = engine._plan(sch, ring, t0, t0 + span, no_events, 0, 0)
+            rows = _merge_rows(merge, np.arange(t0, t0 + span), B)
+            for t in range(t0, t0 + span):
+                assert np.array_equal(rows[t - t0], _merge_rows(merge, t, B))
+                want = merged_versions(sch, ring, t).tobytes()
+                assert want == dense_merge(sch, ring, t).tobytes()
+                dalvq_tick(t, ring, sch, no_events, range(0), plan)
+                assert ring[(t + 1) % B].tobytes() == want
+                identity += bool(merge.identity[t % sch.cycle])
+        assert identity > 0 or not merge.identity.any()
