@@ -34,6 +34,7 @@ class _MergePlan:
     coeff: np.ndarray      # (P, M, K) each receiver's terms in sender order, 0.0-padded
     offset: np.ndarray     # (P, M, K) flat ring row of each term's version: j - d * M
     identity: np.ndarray   # (P,) the row is the identity with zero delay
+    copy: np.ndarray       # (P, M) the receiver's row is 1.0 on itself at delay 0, nothing else
     max_delay: int         # the largest stored delay
 
 
@@ -54,9 +55,8 @@ def _merge_plan(schedule: CommSchedule) -> _MergePlan:
         cols = np.argsort(~keep, axis=-1, kind="stable")[..., :K]   # kept first, in order
         coeff = np.where(np.take_along_axis(keep, cols, -1), np.take_along_axis(c, cols, -1), 0.0)
         offset = cols - np.take_along_axis(d, cols, -1) * M
-        identity = np.all(c == np.eye(M), axis=(1, 2)) \
-            & ~np.any(np.diagonal(d, axis1=1, axis2=2), axis=1)
-        plan = schedule._plans["merge"] = _MergePlan(coeff, offset, identity,
+        copy = np.all(c == np.eye(M), axis=2) & (np.diagonal(d, axis1=1, axis2=2) == 0)
+        plan = schedule._plans["merge"] = _MergePlan(coeff, offset, copy.all(axis=1), copy,
                                                      int(np.max(d, initial=0)))
     return plan
 
@@ -118,6 +118,9 @@ def merged_versions(schedule: CommSchedule, ring: np.ndarray, t: int,
 # impulse responses
 
 
+_WINDOW = 64   # ticks of the envelope pass per window
+
+
 def _impulse_blocks(schedule: CommSchedule, limits: np.ndarray):
     """The envelope pass: the impulse injected at tick tau = k - 1 is column
     block k of one joint merge iteration, entering as the identity at time k.
@@ -127,36 +130,104 @@ def _impulse_blocks(schedule: CommSchedule, limits: np.ndarray):
     delta per tick. A merge never mixes columns, so each block follows exactly
     the arithmetic of a run on its own; past the horizon the schedule repeats.
 
-    Yields (t, lo, live, resid) until every block has stopped: whether each
-    of blocks lo, lo + 1, ... (injected by t) still runs at t, and its largest
-    current-version residual; stopped blocks between running ones ride along.
-    hist[u % depth] keeps ring slot u % depth's residuals, so a tick measures
-    one slot; a block's slots hold 0 until it enters, residual max |limits[k]|.
+    Yields one window of _WINDOW times at a time, (t0, base, lo, live,
+    resid), until every block has stopped: row k is time t0 + k and column b
+    block base + b; lo[k] is the oldest block still running, live[k] which
+    entered blocks still run (stopped blocks between running ones ride
+    along), resid[k] each block's largest current-version residual. A block
+    residual before it enters is max |limits[k]|, its zero columns'. The
+    last window ends at the time the pass stops.
+
+    Only the receivers a tick changes are merged and measured. A row of 1.0
+    on the receiver itself at delay 0 and nothing else keeps its version bit
+    for bit (the weights are nonnegative, and 0.0 + 1.0 * x = x), so its
+    next time reads the same stored row and its residuals carry forward; on
+    a block's entry tick every receiver takes a fresh row, so a delayed read
+    never sees the entering identity. A window's store holds the depth * M
+    versions it inherits, then each changed row in tick order, over the
+    columns of blocks lo .. hi - 1 (one buffer, reused); V[u, i] is the row
+    of receiver i's version at time t0 - depth + u, which the merges read as
+    a ring of depth + _WINDOW times (_merge_rows). The merges go tick by
+    tick, over the blocks entered so far; the residuals, the carry-forward,
+    the stop test and the live flags are a few array calls a window.
     """
-    M, depth, n = schedule.M, schedule.B1, len(limits)
-    delta = _row_delta(schedule)
+    M, depth, n, K = schedule.M, schedule.B1, len(limits), _WINDOW
+    plan = _merge_plan(schedule)
+    _check_depth(plan, depth)
+    delta, P, D, old = _row_delta(schedule), len(plan.copy), depth + K, depth * M
     eye = np.eye(M)
-    ring = np.zeros((depth, M, n * M))
-    ring[0, :, :M] = eye
-    hist = np.tile(np.abs(limits).max(axis=1), (depth, 1))
+    zero = np.abs(limits).max(axis=1)
+    rr = np.tile(zero, (M, 1))               # each receiver's residuals at time t0 - 1
+    hist = np.tile(zero, (depth - 1, 1))     # each block's at times t0 - depth + 1 .. t0 - 1
     live = np.ones(n, dtype=bool)
-    lo, hi, t = 0, 1, 0
+    carry, base = np.zeros((old, M)), 0      # the versions at times t0 - depth .. t0 - 1
+    buf, t0 = np.empty(0), 0
     while True:
-        cur = ring[t % depth, :, lo * M:hi * M]
-        resid = np.abs(cur - limits[lo:hi].ravel()).max(axis=0).reshape(-1, M).max(axis=1)
-        hist[t % depth, lo:hi] = resid
-        done = hist[:, lo:hi].max(axis=0) < 1e-14 + delta * (t + 1 - np.arange(lo, hi))
-        yield t, lo, live[lo:hi].copy(), resid
-        live[lo:hi] &= ~done
-        if not live.any():
+        lo, hi = int(np.argmax(live)), min(t0 + K, n)
+        ticks = np.arange(t0 - 1, t0 + K - 1)   # tick t makes time t + 1; time 0 enters
+        r = ticks % P
+        ch = ~plan.copy[r] | (ticks < n - 1)[:, None]
+        E, w = int(ch.sum()), (hi - lo) * M
+        if buf.size < (old + E) * w:
+            buf = np.empty((old + E) * w)
+        store = buf[:(old + E) * w].reshape(old + E, w)
+        keep = min(base * M + carry.shape[1], hi * M) - lo * M
+        store[:old, :keep] = carry[:, (lo - base) * M:(lo - base) * M + keep]
+        store[:old, keep:] = 0.0
+        store[old:, min(t0 + 1 - lo, hi - lo) * M:] = 0.0   # blocks not yet entered
+        ids = np.vstack([np.arange(old).reshape(depth, M), old - 1 + np.cumsum(ch).reshape(K, M)])
+        at = np.where(np.vstack([np.ones((depth, M), dtype=bool), ch]), np.arange(D)[:, None], 0)
+        V = np.take_along_axis(ids, np.maximum.accumulate(at, axis=0), axis=0)
+        ring = np.roll(V, (t0 - depth) % D, axis=0).ravel()   # time u's rows at u % D
+        src, coeff = ring.take(_merge_rows(plan, np.maximum(ticks, 0), D)[ch]), plan.coeff[r][ch]
+        a = 0
+        for k, b in enumerate(np.cumsum(ch.sum(axis=1)).tolist()):
+            t = t0 - 1 + k
+            if b > a:
+                c = min(t + 2 - lo, hi - lo) * M   # the blocks entered by time t + 1
+                if t >= 0:
+                    _combine(coeff[a:b], store[src[a:b], :c], store[old + a:old + b, :c])
+                if t < n - 1:
+                    store[old + a:old + b, c - M:c] = eye
+            a = b
+        carry, base = store[V[K:].ravel()], lo
+        x, lim = store[old:], limits[lo:hi].ravel()
+        if E == K * M:   # every receiver changes every tick: a time's M rows at once
+            top, low = x.reshape(K, M, w).max(axis=1), x.reshape(K, M, w).min(axis=1)
+            np.subtract(top, lim, out=top)   # max_i |x_i - l| = max(max x - l, l - min x)
+            np.subtract(lim, low, out=low)
+            resid = _block_max(np.maximum(top, low, out=top), M)
+            last = _block_max(np.abs(x[-M:] - lim), M)
+        else:
+            np.subtract(x, lim, out=x)
+            per = np.vstack([rr[:, lo:hi], _block_max(np.abs(x, out=x), M)])
+            per = per[V[depth:] - (depth - 1) * M]   # (K, M, blocks): the carry-forward
+            resid, last = per.max(axis=1), per[-1]
+        hist_w = np.vstack([hist[:, lo:hi], resid])
+        over = np.lib.stride_tricks.sliding_window_view(hist_w, depth, axis=0).max(axis=2)
+        times, blocks = np.arange(t0, t0 + K)[:, None], np.arange(lo, hi)
+        entered = blocks <= times
+        done = entered & (over < 1e-14 + delta * (times + 1 - blocks))
+        after = live[lo:hi] & ~np.logical_or.accumulate(done, axis=0)
+        before = np.vstack([live[lo:hi], after[:-1]])
+        ends = np.flatnonzero(~after.any(axis=1)) if hi == n else ()
+        rows = int(ends[0]) + 1 if len(ends) else K
+        yield t0, lo, lo + np.argmax(before[:rows], axis=1), (before & entered)[:rows], resid[:rows]
+        if len(ends):
             return
-        lo, hi = int(np.argmax(live)), min(t + 2, n)
-        cols = slice(lo * M, hi * M)
-        x = merged_versions(schedule, ring[:, :, cols], t)
-        if t + 1 < n:  # block t + 1 enters at time t + 1
-            x[:, (t + 1 - lo) * M:] = eye
-        ring[(t + 1) % depth, :, cols] = x
-        t += 1
+        live[lo:hi], rr[:, lo:hi], hist[:, lo:hi] = after[-1], last, hist_w[K:]
+        t0 += K
+
+
+def _block_max(x: np.ndarray, M: int) -> np.ndarray:
+    """(E, nb * M) -> (E, nb): the largest entry of each block of M columns,
+    with numpy's inner loop along the longer of the two axes."""
+    if 2 * M > x.shape[1] // M:
+        return x.reshape(len(x), x.shape[1] // M, M).max(axis=2)
+    out = x[:, ::M].copy()
+    for j in range(1, M):
+        np.maximum(out, x[:, j::M], out=out)
+    return out
 
 
 def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
@@ -245,6 +316,43 @@ class PhiLimitSeries:
         return self.phi_init if tau == -1 else self.phi[tau]
 
 
+def _base_limits(schedule: CommSchedule, horizon: int) -> tuple[np.ndarray, Optional[float]]:
+    """The limit rows of the impulses at ticks -1 .. min(tau0 + P, horizon) - 1,
+    and rho_hat when eigenvalue 1 of the period product is simple and
+    |lambda_2| < 1, up to rounding (None otherwise); see phi_limit_series."""
+    n, P = schedule.B1 * schedule.M, schedule.cycle
+    tau0 = P * math.ceil(schedule.B1 / P)
+    prod = np.eye(n)
+    for s in range(tau0, tau0 + P):
+        prod = _step_matrix(schedule, s) @ prod
+    # moduli, largest first; the appended 0 gives a 1 x 1 product a lambda_2
+    lam = np.sort(np.abs(np.append(np.linalg.eigvals(prod), 0.0)))[::-1]
+    # pi (prod - I) = 0 bordered by sum(pi) = 1; least squares takes the
+    # smallest such pi when eigenvalue 1 is not simple
+    pi = np.linalg.lstsq(np.vstack([prod.T - np.eye(n), np.ones(n)]), np.eye(n + 1)[-1],
+                         rcond=None)[0]
+    limits = _backward(schedule, pi, tau0 + P)[:min(tau0 + P, horizon) + 1]
+    if abs(lam[0] - 1.0) < 1e-9 and lam[1] < 1.0 - 1e-9:
+        return limits, max(float(lam[1]), float(np.finfo(float).eps)) ** (1.0 / P)
+    return limits, None
+
+
+def _envelope(schedule: CommSchedule, limits: np.ndarray, rho: float) -> Optional[float]:
+    """log A_hat over the envelope pass: the largest log residual - gap * log rho
+    of a running block, or None once the oldest running block's gap passes
+    the cap, a window of ticks at a time."""
+    cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + schedule.B1 + schedule.cycle
+    log_a = -math.inf
+    for t0, base, lo, live, resid in _impulse_blocks(schedule, limits):
+        times = np.arange(t0, t0 + len(lo))[:, None]
+        if np.any(times[:, 0] + 1 - lo > cap):
+            return None
+        keep = live & (resid > 1e-14)
+        gaps = (times + 1 - base - np.arange(resid.shape[1]))[keep]
+        log_a = np.max(np.log(resid[keep]) - gaps * math.log(rho), initial=log_a)
+    return log_a
+
+
 def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> PhiLimitSeries:
     """Limit weights for all injection ticks tau in [-1, horizon), exactly.
 
@@ -254,49 +362,25 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     The limit row of the products from tau0 on is the left Perron vector pi of
     one period's product; backwards pi_s = pi_{s+1} A(s), and the impulse
     injected at tau tends to slot 0 of pi_{tau + 1} at every receiver. Ticks
-    below tau0 + P are solved, the rest tiled.
+    below tau0 + P are solved, the rest tiled (_base_limits).
 
     The limits are resolved when, up to rounding (1e-9), eigenvalue 1 of the
     period product is simple and |lambda_2| < 1, and every base-block impulse
     is within 1e-14 of its limit by gap 2 log(1e-14) / log(rho_hat) + B1 + P,
     where any A * rho_hat ** gap with A < 1e14 is below 1e-14; rho_hat is
     |lambda_2| ** (1 / P), floored at rounding level. A_hat is then the least A
-    with A * rho_hat ** gap above every residual of those impulses over 1e-14.
-    Otherwise A_hat = rho_hat = 1, which holds since every weight is in [0, 1].
+    with A * rho_hat ** gap above every residual of those impulses over 1e-14
+    (_envelope). Otherwise A_hat = rho_hat = 1, which holds since every weight
+    is in [0, 1].
     """
     T = schedule.horizon if horizon is None else horizon
-    n, P = schedule.B1 * schedule.M, schedule.cycle
+    P = schedule.cycle
     tau0 = P * math.ceil(schedule.B1 / P)
-    direct_hi = min(tau0 + P, T)
-
-    prod = np.eye(n)
-    for s in range(tau0, tau0 + P):
-        prod = _step_matrix(schedule, s) @ prod
-    # moduli, largest first; the appended 0 gives a 1 x 1 product a lambda_2
-    lam = np.sort(np.abs(np.append(np.linalg.eigvals(prod), 0.0)))[::-1]
-    resolved = bool(abs(lam[0] - 1.0) < 1e-9 and lam[1] < 1.0 - 1e-9)
-    # pi (prod - I) = 0 bordered by sum(pi) = 1; least squares takes the
-    # smallest such pi when eigenvalue 1 is not simple
-    pi = np.linalg.lstsq(np.vstack([prod.T - np.eye(n), np.ones(n)]), np.eye(n + 1)[-1],
-                         rcond=None)[0]
-    limits = _backward(schedule, pi, tau0 + P)[:direct_hi + 1]
-
-    a_hat, rho_hat = 1.0, 1.0
-    if resolved:
-        rho = max(float(lam[1]), float(np.finfo(float).eps)) ** (1.0 / P)
-        log_a = -math.inf
-        cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + schedule.B1 + P
-        for t, lo, live, resid in _impulse_blocks(schedule, limits):
-            if t + 1 - lo > cap:  # the oldest live block's gap
-                resolved = False
-                break
-            keep = live & (resid > 1e-14)
-            gaps = t + 1 - lo - np.flatnonzero(keep)
-            log_a = np.max(np.log(resid[keep]) - gaps * math.log(rho), initial=log_a)
-        else:
-            a_hat, rho_hat = float(np.exp(log_a)), rho
+    limits, rho = _base_limits(schedule, T)
+    log_a = None if rho is None else _envelope(schedule, limits, rho)
+    a_hat, rho_hat = (1.0, 1.0) if log_a is None else (float(np.exp(log_a)), rho)
 
     ticks = np.arange(T)   # past the base block its last period repeats
     phi = limits[1:][np.where(ticks < tau0, ticks, tau0 + (ticks - tau0) % P)]
     return PhiLimitSeries(phi_init=limits[0], phi=phi, A_hat=a_hat, rho_hat=rho_hat,
-                          eta_hat=float(np.min(limits)), resolved=resolved)
+                          eta_hat=float(np.min(limits)), resolved=log_a is not None)

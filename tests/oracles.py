@@ -6,6 +6,7 @@ library computes at one (``phi_family``).
 """
 
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -287,10 +288,11 @@ def phi_family(schedule, t_end: int) -> np.ndarray:
 
 
 def envelope_blocks(schedule, limits: np.ndarray):
-    """The envelope pass of ``_impulse_blocks(schedule, limits)`` with every
-    residual taken afresh: each tick measures every ring slot of every block
-    in the window against its limit. Yields (t, lo, live, resid), as the
-    library does."""
+    """The envelope pass of ``_impulse_blocks(schedule, limits)`` one tick at
+    a time, with every receiver merged and every residual taken afresh: each
+    tick measures every ring slot of every block from lo on against its
+    limit. Yields (t, lo, live, resid) over blocks lo .. min(t + 1, n) - 1,
+    one row of the library's windows each."""
     M, depth, n = schedule.M, schedule.B1, len(limits)
     delta = float(np.max(np.abs(schedule.coeff_table.sum(axis=-1) - 1.0)))
     eye = np.eye(M)
@@ -312,3 +314,19 @@ def envelope_blocks(schedule, limits: np.ndarray):
             x[:, (t + 1 - lo) * M:] = eye
         ring[(t + 1) % depth, :, cols] = x
         t += 1
+
+
+def envelope_log_a(schedule, limits: np.ndarray, rho: float) -> Optional[float]:
+    """``phi_limit_series``' certificate over ``envelope_blocks``, one tick at
+    a time: log A_hat, the largest log residual - gap * log rho of a live
+    block over 1e-14, or None once the oldest live block's gap passes the
+    cap 2 ceil(log(1e-14) / log(rho)) + B1 + P."""
+    cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + schedule.B1 + schedule.cycle
+    log_a = -math.inf
+    for t, lo, live, resid in envelope_blocks(schedule, limits):
+        if t + 1 - lo > cap:  # the oldest live block's gap
+            return None
+        keep = live & (resid > 1e-14)
+        gaps = t + 1 - lo - np.flatnonzero(keep)
+        log_a = np.max(np.log(resid[keep]) - gaps * math.log(rho), initial=log_a)
+    return log_a

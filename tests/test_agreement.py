@@ -8,15 +8,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dalvq.agreement
-from dalvq.agreement import (_impulse_blocks, _step_matrix, compute_phi, merged_versions,
-                             phi_limit_series)
+from dalvq.agreement import (_WINDOW, _base_limits, _impulse_blocks, _merge_plan, _step_matrix,
+                             compute_phi, merged_versions, phi_limit_series)
 from dalvq.diagnostics import consensus_decay
 from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.errors import ConfigError
 from dalvq.measures import DistributionSpec
 from dalvq.schedule import (CommSchedule, ScheduleSpec, generate, read_trace, validate,
                             write_trace)
-from oracles import agreement_vector, dense_descent, dense_merge, envelope_blocks, phi_family
+from oracles import (agreement_vector, dense_descent, dense_merge, envelope_blocks, envelope_log_a,
+                     phi_family)
 from test_workload_bytes import WORKLOADS
 
 
@@ -471,16 +472,79 @@ class TestImpulseOracle:
         assert series.eta_hat == min(np.min(series.phi_init), np.min(series.phi))
 
 
+def window_rows(sch, limits):
+    """_impulse_blocks' windows row by row, as envelope_blocks yields them:
+    (t, lo, live, resid) over blocks lo .. min(t + 1, n) - 1. No block
+    outside that range is live in a window's row."""
+    n = len(limits)
+    for t0, base, lo, live, resid in _impulse_blocks(sch, limits):
+        assert len(lo) == len(live) == len(resid) <= _WINDOW
+        for k, first in enumerate(lo.tolist()):
+            cols = slice(first - base, min(t0 + k + 1, n) - base)
+            assert live[k, cols].sum() == live[k].sum()
+            yield t0 + k, first, live[k, cols], resid[k, cols]
+
+
+def weakly_coupled_trace(path, w=2.0 ** -10):
+    # off-diagonal weights of w and 2 w, read back from a trace file, so
+    # every row sums to 1 exactly
+    M, T = 3, 2
+    coeff = np.full((T, M, M), w)
+    for t in range(T):
+        for i in range(M):
+            coeff[t, i, (i + 1 + t) % M] = 2 * w
+            coeff[t, i, i] = 1 - 3 * w
+    delay = np.zeros((T, M, M), dtype=np.int64)
+    write_trace(CommSchedule(M=M, horizon=T, alpha=w, B1=1, B2=1, B3=1,
+                             coeff_table=coeff, delay_table=delay,
+                             active_table=np.ones((T, M), dtype=bool)), str(path))
+    sch = read_trace(str(path))
+    assert np.array_equal(sch.coeff_table.sum(axis=-1), np.ones((T, M)))
+    return sch
+
+
+# random dense traces: rows of 1.0 on the receiver at delay 0 (a share
+# `copies` of them), now and then 1.0 on it at a delay, the rest random
+# weights on the receiver and some senders at random delays
+TRACES = dict(M=st.integers(1, 5), horizon=st.integers(1, 9), B1=st.integers(1, 4),
+              copies=st.floats(0.0, 0.9), seed=st.integers(0, 2**20))
+
+
+def random_trace(M, horizon, B1, copies, seed):
+    rng = np.random.default_rng(seed)
+    coeff = np.zeros((horizon, M, M))
+    delay = np.zeros((horizon, M, M), dtype=np.int64)
+    for t, i in itertools.product(range(horizon), range(M)):
+        u = rng.uniform()
+        if u < copies + 0.05:
+            coeff[t, i, i] = 1.0
+            delay[t, i, i] = 0 if u < copies else rng.integers(0, B1)
+        else:
+            w = rng.integers(1, 5, size=M) * (rng.uniform(size=M) < 0.6)
+            w[i] += 1
+            coeff[t, i], delay[t, i] = w / w.sum(), rng.integers(0, B1, size=M) * (w > 0)
+    return CommSchedule(M=M, horizon=horizon, alpha=float(coeff[coeff > 0].min()), B1=B1,
+                        B2=horizon, B3=1, coeff_table=coeff, delay_table=delay,
+                        active_table=np.ones((horizon, M), dtype=bool), period=None)
+
+
+# a draw whose pass stops on the last tick of a window
+ENDS_ON_A_WINDOW_EDGE = dict(M=4, horizon=7, topology="complete", activity="random-subset",
+                             law="uniform", value=2, period=1, window=4, seed=65536, deeper=2)
+
+
 class TestEnvelopePass:
-    """The envelope pass, which measures only the current ring slot each
-    tick, against the oracle that measures every slot afresh: the same
-    (t, lo, live, resid) at every tick, and the same last tick."""
+    """The envelope pass, which merges and measures only the receivers a tick
+    changes, a window of ticks at a time, against the oracle that merges
+    every receiver and measures every slot afresh each tick: the same
+    (t, lo, live, resid) at every tick, each window expanded row by row, and
+    the same last tick."""
 
     @staticmethod
     def assert_same_pass(sch, max_ticks=20_000):
         series = phi_limit_series(sch)
         limits = np.vstack([series.phi_init, series.phi[:len(base_taus(sch)) - 1]])
-        got = itertools.islice(_impulse_blocks(sch, limits), max_ticks)
+        got = itertools.islice(window_rows(sch, limits), max_ticks)
         want = itertools.islice(envelope_blocks(sch, limits), max_ticks)
         ticks = 0
         for a, b in itertools.zip_longest(got, want):
@@ -502,12 +566,106 @@ class TestEnvelopePass:
     @given(**GENERATED)
     @example(M=1, horizon=2, topology="ring", activity="all-active", law="fixed", value=1,
              period=1, window=4, seed=0, deeper=1)
+    @example(**ENDS_ON_A_WINDOW_EDGE)
     def test_generated_schedules(self, **draw):
         # with M = 1 a deeper ring is what keeps slots from before a block's
         # entry in view once the block has reached its limit
         sch = generated_schedule(**draw)
         assume(sch.B1 >= 2)
         self.assert_same_pass(sch, max_ticks=3000)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**TRACES)
+    def test_random_traces(self, **draw):
+        self.assert_same_pass(random_trace(**draw), max_ticks=2000)
+
+
+def self_delay_trace():
+    # receiver 0 reads only its own version of the tick before at tick 0:
+    # weight 1.0 on itself, but at delay 1, so its row changes its version
+    M, T = 3, 4
+    coeff = np.tile([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], (T, 1, 1))
+    coeff[0, 0] = [1.0, 0.0, 0.0]
+    delay = np.tile([[0, 1, 0], [1, 0, 1], [0, 1, 0]], (T, 1, 1))
+    delay[0, 0] = [1, 0, 0]
+    return CommSchedule(M=M, horizon=T, alpha=0.25, B1=2, B2=T, B3=1, coeff_table=coeff,
+                        delay_table=delay, active_table=np.ones((T, M), dtype=bool),
+                        period=None)
+
+
+class TestEnvelopeCertificate:
+    """phi_limit_series' resolved, A_hat, rho_hat and eta_hat against the
+    certificate of tests/oracles.py (envelope_log_a), which reads the
+    per-tick pass of envelope_blocks: equal bit for bit."""
+
+    @staticmethod
+    def assert_same_certificate(sch):
+        series = phi_limit_series(sch)
+        limits, rho = _base_limits(sch, sch.horizon)
+        log_a = None if rho is None else envelope_log_a(sch, limits, rho)
+        want = (False, 1.0, 1.0) if log_a is None else (True, float(np.exp(log_a)), rho)
+        assert (series.resolved, series.A_hat, series.rho_hat) == want
+        assert series.eta_hat == float(np.min(limits))
+        return series
+
+    @staticmethod
+    def ticks(sch):
+        limits, _ = _base_limits(sch, sch.horizon)
+        return sum(len(lo) for _, _, lo, _, _ in _impulse_blocks(sch, limits))
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_schedules(self, name):
+        cfg = WORKLOADS[name].config
+        sch = generate(ScheduleSpec.from_dict(cfg["sched"]), cfg["M"], cfg["horizon"],
+                       cfg["seed"])
+        assert self.assert_same_certificate(sch).resolved
+
+    @settings(max_examples=40, deadline=None)
+    @given(**GENERATED)
+    def test_generated_schedules(self, **draw):
+        self.assert_same_certificate(generated_schedule(**draw))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**TRACES)
+    def test_random_traces(self, **draw):
+        self.assert_same_certificate(random_trace(**draw))
+
+    def test_self_row_at_a_delay_is_merged(self):
+        sch = self_delay_trace()
+        assert not _merge_plan(sch).copy[0, 0] and _merge_plan(sch).copy.sum() == 0
+        assert self.assert_same_certificate(sch).resolved
+
+    def test_identity_ticks(self):
+        # merge period 3: two ticks in three copy every receiver
+        sch = generate(ScheduleSpec(topology="ring", merge_period=3, delay_law="fixed",
+                                    delay_value=2, activity="all-active"), 4, 60, seed=1)
+        assert _merge_plan(sch).identity.sum() == 2
+        assert self.assert_same_certificate(sch).resolved
+
+    def test_one_processor_deeper_ring(self):
+        spec = ScheduleSpec(topology="ring", merge_period=1, delay_law="fixed", delay_value=1,
+                            activity="all-active")
+        sch = dataclasses.replace(generate(spec, 1, 5, seed=0), B1=3)
+        assert _merge_plan(sch).copy.all()
+        assert self.assert_same_certificate(sch).resolved
+
+    def test_pass_ends_mid_window(self):
+        sch = ring_schedule(M=3, horizon=60, delay=2)
+        assert self.ticks(sch) % _WINDOW not in (0, _WINDOW - 1)
+        assert self.assert_same_certificate(sch).resolved
+
+    def test_pass_ends_on_a_window_edge(self):
+        sch = generated_schedule(**ENDS_ON_A_WINDOW_EDGE)
+        assert self.ticks(sch) % _WINDOW == 0
+        assert self.assert_same_certificate(sch).resolved
+
+    def test_weakly_coupled_trace_hits_the_cap_mid_window(self, tmp_path):
+        sch = weakly_coupled_trace(tmp_path / "trace.jsonl")
+        limits, rho = _base_limits(sch, sch.horizon)
+        cap = 2 * math.ceil(math.log(1e-14) / math.log(rho)) + sch.B1 + sch.cycle
+        last = next(t for t, lo, _, _ in envelope_blocks(sch, limits) if t + 1 - lo > cap)
+        assert last % _WINDOW not in (0, _WINDOW - 1)
+        assert not self.assert_same_certificate(sch).resolved
 
 
 class TestPhiLimits:
@@ -539,6 +697,21 @@ class TestPhiLimits:
         # and no larger than it needs to be
         assert series.A_hat == pytest.approx(tightest, rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(**GENERATED)
+    def test_envelope_covers_generated_residuals(self, **draw):
+        # on every schedule that passes validation and resolves, the
+        # certificate covers each base-block impulse run on its own
+        sch = generated_schedule(**draw)
+        assume(validate(sch).passed)
+        series = phi_limit_series(sch)
+        assume(series.resolved)
+        for tau in base_taus(sch):
+            traj = response_series(sch, tau, 10**6, limit=series.weights_at(tau))
+            resid = np.abs(traj - series.weights_at(tau)).max(axis=(1, 2))
+            gaps = np.arange(1, len(traj) + 1)
+            assert np.all(resid <= series.A_hat * series.rho_hat ** gaps + 1e-14), tau
+
     @pytest.mark.parametrize("delay_law", ["fixed", "uniform"])
     def test_delayed_complete_matches_exact_weights(self, delay_law):
         # the current versions' spread dips below 1e-12 long before the
@@ -560,8 +733,8 @@ class TestPhiLimits:
         sch = dataclasses.replace(exact, coeff_table=exact.coeff_table * (1 - 1e-15))
         want = phi_limit_series(exact)
         limits = np.vstack([want.phi_init, want.phi[:len(base_taus(sch)) - 1]])
-        for t, *_ in _impulse_blocks(sch, limits):
-            assert t < 5000, "impulse blocks never stopped"
+        for t0, _, lo, *_ in _impulse_blocks(sch, limits):
+            assert t0 + len(lo) <= 5000, "impulse blocks never stopped"
         series = phi_limit_series(sch)
         assert series.resolved
         np.testing.assert_allclose(series.phi, want.phi, rtol=0, atol=1e-12)
@@ -572,24 +745,12 @@ class TestPhiLimits:
         # keeps both the limits and the impulse runs about 1e-14 apart: no
         # run gets within 1e-14 of its limit, and the pass ends at its
         # derived gap instead
-        w, M, T = 2.0 ** -10, 3, 2
-        coeff = np.full((T, M, M), w)
-        for t in range(T):
-            for i in range(M):
-                coeff[t, i, (i + 1 + t) % M] = 2 * w
-                coeff[t, i, i] = 1 - 3 * w
-        delay = np.zeros((T, M, M), dtype=np.int64)
-        path = tmp_path / "trace.jsonl"
-        write_trace(CommSchedule(M=M, horizon=T, alpha=w, B1=1, B2=1, B3=1,
-                                 coeff_table=coeff, delay_table=delay,
-                                 active_table=np.ones((T, M), dtype=bool)), str(path))
-        sch = read_trace(str(path))
-        assert np.array_equal(sch.coeff_table.sum(axis=-1), np.ones((T, M)))
+        sch = weakly_coupled_trace(tmp_path / "trace.jsonl")
 
         def counted(*args, **kwargs):
-            for item in _impulse_blocks(*args, **kwargs):
-                assert item[0] < 100_000, "envelope pass did not end"
-                yield item
+            for window in _impulse_blocks(*args, **kwargs):
+                assert window[0] + len(window[2]) <= 100_000, "envelope pass did not end"
+                yield window
 
         monkeypatch.setattr(dalvq.agreement, "_impulse_blocks", counted)
         series = phi_limit_series(sch)
