@@ -184,7 +184,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> _Swept:
 
     # martingale increment sampling: evenly spaced over the event log, each
     # sampled event once
-    n_ev = art.events.n
+    n_ev = art.n_events
     mart_at = np.linspace(0, n_ev - 1, min(_MART_SAMPLES, n_ev)).astype(int)
     mart_rows = np.empty((len(mart_at), D))
     mart_cursor = 0
@@ -563,7 +563,7 @@ def summarize(art: RunArtifacts, metrics: RunMetrics) -> ConvergenceReport:
     slope = _log_slope(times[half:], metrics.consensus_gap[half:], 1e-300)
 
     return ConvergenceReport(
-        horizon=T, n_events=int(art.events.n),
+        horizon=T, n_events=art.n_events,
         final_consensus_gap=float(metrics.consensus_gap[-1]),
         consensus_slope=0.0 if slope is None else slope,
         final_agreement_gap=float(gaps[-1]),

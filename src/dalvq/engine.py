@@ -15,13 +15,13 @@ events scores and steps them together. Within a chunk the ticks go in windows
 of _WINDOW ticks: at each window start, every event of the window is scored
 against its processor's version there in one stacked call, and a drift bound
 certifies most winners, whose ticks then skip nearest_cell (see dalvq_tick),
-and then plans the window's ticks (_plan). A consumer of the chunks, such as
-the metrics sweep, holds one chunk of the event log at a time.
+and then plans the window's ticks (_plan). The chunks are the only source of a
+run's events: a consumer, such as the metrics sweep, holds one chunk of them at
+a time, and no whole log is kept.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
@@ -174,44 +174,20 @@ class EventLog:
         self.z = np.zeros((self.n, dim))
         self.w_before = np.zeros((self.n, width))
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return self.t, self.proc, self.draw, self.eps, self.comp, self.z, self.w_before
-
     def finish(self) -> None:
-        for arr in self._arrays():
+        for arr in (self.t, self.proc, self.draw, self.eps, self.comp, self.z, self.w_before):
             arr.flags.writeable = False
-
-    def rows(self, e0: int, e1: int) -> "EventLog":
-        """Events e0 .. e1 - 1, as views of this log's arrays."""
-        part = copy.copy(self)
-        part.t, part.proc, part.draw, part.eps, part.comp, part.z, part.w_before = \
-            (arr[e0:e1] for arr in self._arrays())
-        part.n = e1 - e0
-        return part
 
 
 class Chunk(NamedTuple):
-    """Ticks b0 .. b1 - 1 of a run and their descents, events e0 onwards of
-    the run's log: tick t's are events[starts[t - b0]:starts[t - b0 + 1]]."""
+    """Ticks b0 .. b1 - 1 of a run and their descents, the run's events e0
+    onwards: tick t's are events[starts[t - b0]:starts[t - b0 + 1]]."""
 
     b0: int
     b1: int
     e0: int
     starts: np.ndarray       # (b1 - b0 + 1,) offsets into events
     events: EventLog
-
-
-def _split(log: EventLog, schedule: CommSchedule) -> Iterator[Chunk]:
-    """A whole log of the schedule's descents, by the kernel's anchor chunk."""
-    t_plan, proc_plan, _ = schedule.descents()
-    if not (np.array_equal(log.t, t_plan) and np.array_equal(log.proc, proc_plan)):
-        raise ValueError("metrics need the run's event log of every planned descent")
-    T, size = schedule.horizon, geometry._STACK_CHUNK
-    starts = np.searchsorted(log.t, np.arange(T + 1))
-    for b0 in range(0, T, size):
-        b1 = min(b0 + size, T)
-        e0 = int(starts[b0])
-        yield Chunk(b0, b1, e0, starts[b0:b1 + 1] - e0, log.rows(e0, int(starts[b1])))
 
 
 class Ticks:
@@ -222,8 +198,8 @@ class Ticks:
     the chunk runs its ticks and is handed on, and nothing of it is kept.
     The run is a pure function of its config, so every pass gives the same
     chunks. The first pass to reach the horizon keeps the snapshots, the
-    final versions and the step constants (K1, K2); collect() keeps the
-    whole log.
+    final versions and the step constants (K1, K2); no pass keeps the events.
+    n, the number of planned descents, is known before any tick.
     """
 
     def __init__(self, config: RunConfig, schedule: CommSchedule, batch: SampleBatch,
@@ -231,7 +207,6 @@ class Ticks:
         self.config, self.schedule, self.batch = config, schedule, batch
         self.x0, self.snap_times = x0, snap_times
         self.n = int(schedule.active_count(config.horizon).sum())
-        self._log: Optional[EventLog] = None
         self._end: Optional[tuple] = None
 
     def _planned(self) -> Iterator[tuple]:
@@ -317,33 +292,6 @@ class Ticks:
                 pass
         return self._end
 
-    def collect(self) -> EventLog:
-        """The whole log, from a pass that keeps every chunk's events."""
-        if self._log is None:
-            cfg = self.config
-            t, proc, n = self.schedule.descents()
-            log = EventLog(t, proc, n - 1, cfg.step.steps(t, n)[0], cfg.dim, cfg.width)
-            for ch in self.chunks():
-                rows = slice(ch.e0, ch.e0 + ch.events.n)
-                log.z[rows], log.comp[rows], log.w_before[rows] = \
-                    ch.events.z, ch.events.comp, ch.events.w_before
-            log.finish()
-            self._log = log
-        return self._log
-
-
-class _PendingLog:
-    """A run's EventLog before its ticks are kept: the length n from the
-    plan at once, and the arrays of Ticks.collect() once one is read."""
-
-    def __init__(self, ticks: Ticks):
-        self.n, self._ticks = ticks.n, ticks
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._ticks.collect(), name)
-
 
 @dataclass(frozen=True)
 class RunArtifacts:
@@ -351,25 +299,26 @@ class RunArtifacts:
 
     run() stops before the first tick. chunks() takes the ticks one chunk at
     a time, so a consumer such as the metrics sweep holds one chunk of the
-    event log at a time. Reading events, snapshots, final, K1 or K2 before
-    that runs the ticks too: events keeps the whole log, the others only
-    the versions they report.
+    events at a time; they are exposed no other way. n_events, the plan's
+    count, is known at once. Reading snapshots, final, K1 or K2 before a
+    pass has reached the horizon runs the ticks too, keeping only the
+    versions they report.
     """
 
     config: RunConfig
     schedule: CommSchedule
     batch: SampleBatch
     x0: np.ndarray                     # (M, width) initial versions
-    events: EventLog
     snap_times: np.ndarray             # (n_snap,) recorded ticks
     ticks: Ticks = field(repr=False, compare=False)
 
     def chunks(self) -> Iterator[Chunk]:
-        """The run's ticks, or the log given in place of its own, by the
-        kernel's anchor chunk."""
-        if isinstance(self.events, _PendingLog):
-            return self.ticks.chunks()
-        return _split(self.events, self.schedule)
+        """The run's ticks, by the kernel's anchor chunk."""
+        return self.ticks.chunks()
+
+    n_events = property(lambda self: self.ticks.n, doc="the number of planned descents")
+    # read only by perfbench's tracer (events.n); goes with its seams, ROADMAP item 3B
+    events = property(lambda self: self.ticks)
 
     # what the first pass to reach the horizon keeps (Ticks.end)
     snapshots = property(lambda self: self.ticks.end()[0],
@@ -536,7 +485,7 @@ def initial_versions(config: RunConfig) -> np.ndarray:
 def run(config: RunConfig) -> RunArtifacts:
     """Set up a run: its schedule, reference batch and start versions.
     Byte-deterministic in the config. The ticks run when the artifacts'
-    chunks, events or versions are first read (see RunArtifacts)."""
+    chunks or versions are first read (see RunArtifacts)."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
     x0 = initial_versions(config)
@@ -546,4 +495,4 @@ def run(config: RunConfig) -> RunArtifacts:
         arr.flags.writeable = False
     ticks = Ticks(config, schedule, batch, x0, snap_times)
     return RunArtifacts(config=config, schedule=schedule, batch=batch, x0=x0,
-                        events=_PendingLog(ticks), snap_times=snap_times, ticks=ticks)
+                        snap_times=snap_times, ticks=ticks)

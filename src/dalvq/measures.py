@@ -271,11 +271,6 @@ class DistributionSpec:
             return float(np.max(gaps + self.radii[:, None] + self.radii[None, :]))
         return float(np.linalg.norm(self.high - self.low))
 
-    @property
-    def convex_support(self) -> bool:
-        # a lone disk is convex; a union of several generally is not
-        return self.kind != _DISK_UNION or len(self.radii) == 1
-
     def _strictly_interior(self, z) -> bool:
         z = np.asarray(z, dtype=float)
         if self.kind == _DISK_UNION:

@@ -5,13 +5,16 @@ fast paths compute, in the plainest form, or records at every time what the
 library computes at one (``phi_family``).
 """
 
+import copy
 import json
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
+from dalvq import geometry
 from dalvq.agreement import merged_versions
+from dalvq.engine import Chunk, EventLog
 from dalvq.errors import ConfigError
 from dalvq.geometry import min_component_separation, nearest_cell
 from dalvq.measures import StreamHandle, init_quantizer, make_batch
@@ -173,6 +176,44 @@ def is_parted(q, delta: float) -> bool:
     return min_component_separation(q) >= delta
 
 
+_LOG_FIELDS = ("t", "proc", "draw", "eps", "comp", "z", "w_before")
+
+
+def collect(art) -> EventLog:
+    """The whole event log of a run (its RunArtifacts or Ticks): the arrays
+    of one pass of its chunks, concatenated, read-only like each chunk's.
+    The parts start with an empty log of the plan's dtypes, since a run of
+    horizon 0 has no chunk."""
+    cfg = art.config
+    t, proc, n = art.schedule.descents(0, 0)
+    parts = [EventLog(t, proc, n - 1, np.zeros(0), cfg.dim, cfg.width)]
+    parts += [ch.events for ch in art.chunks()]
+    cols = [np.concatenate([getattr(ev, name) for ev in parts]) for name in _LOG_FIELDS]
+    log = EventLog(*cols[:4], cfg.dim, cfg.width)
+    log.comp, log.z, log.w_before = cols[4:]
+    log.finish()
+    return log
+
+
+def split(log: EventLog, schedule) -> Iterator[Chunk]:
+    """A whole log of the schedule's planned descents, by the kernel's anchor
+    chunk, each chunk's events views of the log's rows: the chunks a pass of
+    the run's ticks gives, from the log instead."""
+    t_plan, proc_plan, _ = schedule.descents()
+    if not (np.array_equal(log.t, t_plan) and np.array_equal(log.proc, proc_plan)):
+        raise ValueError("metrics need the run's event log of every planned descent")
+    T, size = schedule.horizon, geometry._STACK_CHUNK
+    starts = np.searchsorted(log.t, np.arange(T + 1))
+    for b0 in range(0, T, size):
+        b1 = min(b0 + size, T)
+        e0, e1 = int(starts[b0]), int(starts[b1])
+        part = copy.copy(log)
+        for name in _LOG_FIELDS:
+            setattr(part, name, getattr(log, name)[e0:e1])
+        part.n = e1 - e0
+        yield Chunk(b0, b1, e0, starts[b0:b1 + 1] - e0, part)
+
+
 def dense_descent(art, max_entries: int = 2**22) -> np.ndarray:
     """Descent history as a dense (horizon, M, width) array; small runs only."""
     cfg = art.config
@@ -181,7 +222,7 @@ def dense_descent(art, max_entries: int = 2**22) -> np.ndarray:
         raise ValueError(f"dense descent history would hold {total} floats; "
                          "use the event log directly for long runs")
     out = np.zeros((cfg.horizon, cfg.M, cfg.width))
-    ev = art.events
+    ev = collect(art)
     wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
     for k in range(ev.n):
         comp = int(ev.comp[k])
@@ -222,7 +263,7 @@ def agreement_trajectory(art, limits) -> np.ndarray:
     loop: w*(0) = phi_init @ x0, and each descent event, in log order, adds
     phi[t, proc] times its descent term to its winning component's slice.
     w*(t) is read before tick t's events."""
-    cfg, ev = art.config, art.events
+    cfg, ev = art.config, collect(art)
     wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
     s_evt = -ev.eps[:, None] * (wb[np.arange(ev.n), ev.comp] - ev.z)
     phi_evt = limits.phi[ev.t, ev.proc]

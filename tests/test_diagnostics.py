@@ -14,11 +14,12 @@ from dalvq import cli, diagnostics, engine, geometry
 from dalvq.diagnostics import (CSV_COLUMNS, _BOUND_SAFETY, compute_metrics,
                                consensus_decay, estimate_lipschitz,
                                summarize, theta_series)
-from dalvq.engine import EventLog, RunConfig, StepPolicy, run
+from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate, write_trace
-from oracles import agreement_trajectory, agreement_vector, dense_descent, theta
+from oracles import (agreement_trajectory, agreement_vector, collect, dense_descent, split,
+                     theta)
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -121,7 +122,7 @@ class TestDenseDescent:
     def test_matches_event_log(self, small):
         art, _, _ = small
         s = dense_descent(art)
-        ev = art.events
+        ev = collect(art)
         cfg = art.config
         expect = np.zeros_like(s)
         wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
@@ -142,18 +143,6 @@ class TestDenseDescent:
 
 
 class TestComputeMetrics:
-    def test_requires_events(self):
-        # an empty log, and one of the right length whose processors are not
-        # the schedule's
-        cfg = make_config(horizon=10)
-        art = run(cfg)
-        ev = art.events
-        none = np.zeros(0, dtype=np.int64)
-        for log in (EventLog(none, none, none, np.zeros(0), cfg.dim, cfg.width),
-                    EventLog(ev.t, ev.proc[::-1], ev.draw, ev.eps, cfg.dim, cfg.width)):
-            with pytest.raises(ValueError):
-                compute_metrics(replace(art, events=log))
-
     def test_limits_are_the_schedules(self, small):
         art, limits, _ = small
         assert field_bytes(limits) == field_bytes(phi_limit_series(art.schedule))
@@ -175,7 +164,7 @@ class TestComputeMetrics:
         cfg = art.config
         batch = art.batch
         s = dense_descent(art)
-        ev = art.events
+        ev = collect(art)
         for k, t in enumerate(met.times):
             t = int(t)
             w = met.w_star_rec[k].reshape(cfg.kappa, cfg.dim)
@@ -206,7 +195,7 @@ class TestComputeMetrics:
         cfg = art.config
         batch = art.batch
         s = dense_descent(art)
-        ev = art.events
+        ev = collect(art)
         wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
         # per-tick agreement trajectory and its gradient, once
         w_all = [agreement_vector(limits, art.x0, s, t) for t in range(cfg.horizon)]
@@ -239,7 +228,7 @@ class TestComputeMetrics:
     def test_envelope_formula(self, small):
         art, _, met = small
         cfg = art.config
-        ev = art.events
+        ev = collect(art)
         n_active = np.bincount(ev.t, minlength=cfg.horizon).astype(float)
         for k, t in enumerate(met.times):
             t = int(t)
@@ -254,7 +243,7 @@ class TestComputeMetrics:
     def test_step_weight_ratio_bounds(self, small):
         art, limits, met = small
         cfg = art.config
-        ev = art.events
+        ev = collect(art)
         eps_star_all = np.zeros(cfg.horizon)
         np.add.at(eps_star_all, ev.t, limits.phi[ev.t, ev.proc] * ev.eps)
         active = np.flatnonzero(np.bincount(ev.t, minlength=cfg.horizon) > 0)
@@ -269,7 +258,7 @@ class TestComputeMetrics:
         art, limits, met = small
         cfg = art.config
         batch = art.batch
-        ev = art.events
+        ev = collect(art)
         assert met.mart_n == ev.n  # default cap far exceeds this log
         wb = ev.w_before.reshape(ev.n, cfg.kappa, cfg.dim)
         incs = np.empty((ev.n, cfg.kappa, cfg.dim))
@@ -301,15 +290,17 @@ class TestComputeMetrics:
 
     @pytest.mark.parametrize("chunk", [256, 7])
     def test_streamed_run_is_the_collected_log(self, chunk, monkeypatch):
-        # the sweep over a pass of the ticks and over the split of the kept
-        # log agree in every bit
+        # the sweep over a pass of the ticks and over the split of the
+        # collected log agree in every bit
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
         cfg = make_config(horizon=100, cadence=3)
         streamed = run(cfg)
         a = compute_metrics(streamed)
         kept = run(cfg)
-        assert len(kept.events.z) == streamed.events.n       # the log, kept
-        b = compute_metrics(replace(kept, events=kept.ticks.collect()))
+        log = collect(kept)          # its pass keeps the versions at the horizon
+        assert len(log.z) == streamed.n_events
+        kept.ticks.chunks = lambda: split(log, kept.schedule)
+        b = compute_metrics(kept)
         assert field_bytes(a) == field_bytes(b)
 
     def test_csv_round_trip(self, small, tmp_path):
@@ -383,7 +374,7 @@ class TestAgreementTrajectoryBits:
                             active_table=active, period=None), path)
         art = run(make_config(horizon=T, cadence=1,
                               sched=ScheduleSpec(topology="custom-trace", trace_path=path)))
-        assert not np.isin(edges, art.events.t).any()
+        assert not np.isin(edges, collect(art).t).any()
         monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
         self.check(art)
 
@@ -649,7 +640,7 @@ class TestSummarize:
         art, limits, met = small
         rep = summarize(art, met)
         assert rep.horizon == art.config.horizon
-        assert rep.n_events == art.events.n
+        assert rep.n_events == art.n_events
         assert rep.final_consensus_gap == float(met.consensus_gap[-1])
         assert rep.final_agreement_gap == float(met.agreement_gap[-1])
         ratios = met.agreement_gap / met.bound_normmaj

@@ -17,8 +17,8 @@ from dalvq.geometry import nearest_cell
 from dalvq.measures import DistributionSpec, StreamHandle, sample
 from dalvq.schedule import CommSchedule, ScheduleSpec, generate, read_trace, write_trace
 from bench_workloads import WORKLOADS
-from oracles import (dense_merge, descent_term, generator_index, generator_sample,
-                     gradient_observation, per_event_tick)
+from oracles import (collect, dense_merge, descent_term, generator_index, generator_sample,
+                     gradient_observation, per_event_tick, split)
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -200,7 +200,7 @@ class TestRunDynamics:
                 rows.append((t, i, eps, comp, z, hist[t][i]))
                 merged[i] += descent_term(z, w_cur, eps).reshape(-1)
             hist[t + 1] = merged
-        ev = art.events
+        ev = collect(art)
         assert ev.n == len(rows)
         for name, col in zip(("t", "proc", "eps", "comp", "z", "w_before"), zip(*rows)):
             assert np.array_equal(getattr(ev, name), np.array(col)), name
@@ -211,12 +211,12 @@ class TestRunDynamics:
     def test_deterministic(self):
         a, b = run(make_config()), run(make_config())
         assert np.array_equal(a.final, b.final)
-        assert np.array_equal(a.events.z, b.events.z)
+        assert np.array_equal(collect(a).z, collect(b).z)
         assert np.array_equal(a.snapshots, b.snapshots)
 
     def test_event_log_complete_and_ordered(self):
         art = run(make_config(horizon=40))
-        ev = art.events
+        ev = collect(art)
         expect = [(t, i) for t in range(40) for i in art.schedule.active(t)]
         assert list(zip(ev.t.tolist(), ev.proc.tolist())) == expect
         for arr in (ev.t, ev.z, ev.w_before):
@@ -228,7 +228,7 @@ class TestRunDynamics:
         expect = np.zeros(3, dtype=int)
         for t in range(31):
             expect[list(art.schedule.active(t))] += 1
-        ev = art.events
+        ev = collect(art)
         assert np.array_equal(np.bincount(ev.proc, minlength=3), expect)
         for i in range(3):  # each processor's draws take counters 0, 1, 2, ...
             assert ev.draw[ev.proc == i].tolist() == list(range(expect[i]))
@@ -250,22 +250,23 @@ class TestReplay:
         dense_sched = ScheduleSpec(topology="ring", merge_period=2, delay_law="fixed",
                                    delay_value=2, activity="all-active")
         dense = run(make_config(horizon=30, sched=dense_sched))
-        z_robin = robin.events.z[robin.events.proc == 0]
-        z_dense = dense.events.z[dense.events.proc == 0]
+        robin_log, dense_log = collect(robin), collect(dense)
+        z_robin = robin_log.z[robin_log.proc == 0]
+        z_dense = dense_log.z[dense_log.proc == 0]
         assert len(z_robin) < len(z_dense)
         assert np.array_equal(z_robin, z_dense[:len(z_robin)])
 
     def test_replay_from_batch_draws_batch_rows(self):
         art = run(make_config(horizon=30, replay_from_batch=True, n_ref=17))
         pts = art.batch.points
-        for z in art.events.z:
+        for z in collect(art).z:
             assert np.any(np.all(pts == z, axis=1))
 
     def test_seed_changes_everything(self):
         a = run(make_config(seed=1))
         b = run(make_config(seed=2))
         assert not np.array_equal(a.x0, b.x0)
-        assert not np.array_equal(a.events.z, b.events.z)
+        assert not np.array_equal(collect(a).z, collect(b).z)
 
 
 # ---- direct tick use ----
@@ -286,10 +287,11 @@ class TestDalvqTick:
         for t in range(6):
             dalvq_tick(t, ring, sch, log, np.flatnonzero(t_ev == t))
         art = run(cfg)
+        kept = collect(art)
         assert np.array_equal(ring[6 % depth], art.final)
-        assert np.array_equal(log.z, art.events.z)
-        assert np.array_equal(log.comp, art.events.comp)
-        assert np.array_equal(log.w_before, art.events.w_before)
+        assert np.array_equal(log.z, kept.z)
+        assert np.array_equal(log.comp, kept.comp)
+        assert np.array_equal(log.w_before, kept.w_before)
 
     def test_non_contiguous_ring_is_refused(self):
         # a tick of several events scatters through a flat view of the next
@@ -622,14 +624,14 @@ class TestChunks:
         chunks = [(b0, b1, e0, starts.copy(), ev) for b0, b1, e0, starts, ev
                   in live.chunks()]
         art = run(cfg)
-        log = art.events
+        log = collect(art)
         assert [c[:2] for c in chunks] == [(b0, min(b0 + size, 45)) for b0 in range(0, 45, size)]
-        for (b0, b1, e0, starts, ev), again in zip(chunks, replace(art, events=log).chunks()):
+        for (b0, b1, e0, starts, ev), again in zip(chunks, split(log, art.schedule)):
             assert np.array_equal(starts, np.searchsorted(log.t, np.arange(b0, b1 + 1)) - e0)
             assert ev.n == starts[-1] == again.events.n
             for name in ("t", "proc", "draw", "eps", "comp", "z", "w_before"):
                 assert getattr(ev, name).tobytes() == getattr(log, name)[e0:e0 + ev.n].tobytes()
-        assert sum(c[4].n for c in chunks) == log.n == live.events.n
+        assert sum(c[4].n for c in chunks) == log.n == live.n_events
         for name in ("snapshots", "final", "K1", "K2"):
             assert np.array_equal(getattr(live, name), getattr(art, name))
 
@@ -646,21 +648,20 @@ class TestChunks:
         assert (art.K1, art.K2) == StepPolicy("local-clock", 0.45).steps(t, n)[1:]
 
     def test_ticks_run_once_per_reader(self, monkeypatch):
-        # run() takes no tick; one pass serves the versions; reading the log
-        # takes a second pass, which keeps it
-        from dalvq import engine
+        # run() takes no tick and knows the plan's count; one pass serves the versions
         calls = []
         tick = engine.dalvq_tick
         monkeypatch.setattr(engine, "dalvq_tick", lambda t, *a: calls.append(t) or tick(t, *a))
         monkeypatch.setattr(geometry, "_STACK_CHUNK", 6)
-        art = run(make_config(horizon=20))
-        assert calls == [] and art.events.n == 20
-        list(art.chunks())
-        assert calls == list(range(20))
-        art.final, art.snapshots, art.K1, art.K2
-        assert len(calls) == 20
-        art.events.z, art.events.w_before
-        assert len(calls) == 40
+        for sch in _schedules():
+            calls.clear()
+            monkeypatch.setattr("dalvq.engine.generate", lambda *a: sch)
+            art = run(make_config(M=sch.M, horizon=sch.horizon))
+            assert calls == [] and art.n_events == len(sch.descents()[0])
+            list(art.chunks())
+            assert calls == list(range(sch.horizon))
+            art.final, art.snapshots, art.K1, art.K2
+            assert len(calls) == sch.horizon
 
     def test_first_chunk_is_drawn_alone(self, monkeypatch):
         # a consumer beside the ticks waits for the first chunk, so its
@@ -692,12 +693,10 @@ class TestChunks:
         monkeypatch.setattr("dalvq.engine.generate", lambda *a: dense)
         art = run(make_config(M=dense.M, horizon=T, cadence=T))
         ends = [(ch.b0, ch.events.n) for ch in art.chunks()]
-        assert len(ends) == -(-T // 256) and sum(n for _, n in ends) == art.events.n
+        assert len(ends) == -(-T // 256) and sum(n for _, n in ends) == art.n_events
         assert sum(rows) <= T, len(rows)
 
-    def test_versions_alone_keep_no_log(self, monkeypatch):
-        from dalvq import engine
-        monkeypatch.setattr(engine.Ticks, "collect", None)
+    def test_versions_alone_keep_no_log(self):
         art = run(make_config())
         assert art.final.shape == (3, 4) and art.snapshots.shape == (4, 3, 4)
 
@@ -769,12 +768,11 @@ class TestPlannedWindows:
         ticks, window, size = case
         with mock.patch.object(engine, "_WINDOW", window), \
                 mock.patch.object(geometry, "_STACK_CHUNK", size):
-            parts = [ch.events for ch in ticks.chunks()]
+            got = collect(ticks)
         snapshots, final = ticks.end()[:2]
         sch, cfg = ticks.schedule, ticks.config
-        log = EventLog(*(np.concatenate([getattr(ev, name) for ev in parts])
-                         for name in ("t", "proc", "draw", "eps")), cfg.dim, cfg.width)
-        log.z[:] = np.concatenate([ev.z for ev in parts])
+        log = EventLog(got.t, got.proc, got.draw, got.eps, cfg.dim, cfg.width)
+        log.z[:] = got.z
         ring = np.zeros((sch.B1, cfg.M, cfg.width))
         ring[0] = ticks.x0
         starts = np.searchsorted(log.t, np.arange(cfg.horizon + 1))
@@ -784,10 +782,8 @@ class TestPlannedWindows:
                 want.append(ring[t % sch.B1].copy())
             if t < cfg.horizon:
                 per_event_tick(t, ring, sch, log, range(starts[t], starts[t + 1]))
-        got_comp = np.concatenate([ev.comp for ev in parts])
-        got_w = np.concatenate([ev.w_before for ev in parts])
-        assert np.array_equal(got_comp, log.comp)
-        assert got_w.tobytes() == log.w_before.tobytes()
+        assert np.array_equal(got.comp, log.comp)
+        assert got.w_before.tobytes() == log.w_before.tobytes()
         assert snapshots.tobytes() == np.array(want).reshape(snapshots.shape).tobytes()
         assert final.tobytes() == ring[cfg.horizon % sch.B1].tobytes()
 

@@ -355,7 +355,7 @@ class TestPrunedKernel:
         diagnostics.compute_metrics(art)
         # w* at each tick, the events' pre-merge versions, w* at the horizon
         # and every processor's recorded version
-        assert sum(evaluated) == cfg.horizon + art.events.n + 1 + len(art.snap_times) * cfg.M
+        assert sum(evaluated) == cfg.horizon + art.n_events + 1 + len(art.snap_times) * cfg.M
 
 
 def box_batch(pts):

@@ -239,13 +239,6 @@ class TestDistributionSpec:
         with pytest.raises(ConfigError):
             DistributionSpec.from_dict(d)
 
-    def test_convex_support_flag(self):
-        assert BOX.convex_support
-        assert MIX.convex_support
-        assert not DISKS.convex_support
-        one_disk = DistributionSpec.disk_union(centers=[[0.0, 0.0]], radii=[1.0])
-        assert one_disk.convex_support
-
     def test_diameter(self):
         assert BOX.diameter == pytest.approx(np.sqrt(4.0 + 4.0))
         assert DISKS.diameter == pytest.approx(5.0 + 1.0 + 0.5)
