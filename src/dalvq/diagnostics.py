@@ -142,21 +142,8 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ijd,...ijd->...ij", d, d)).max(axis=(-2, -1))
 
 
-# Plain classes: a NamedTuple or dataclass would cost every import of this
+# A plain class: a NamedTuple or dataclass would cost every import of this
 # module, validate-schedule's included, a tenth of a millisecond or more.
-class _Swept:
-    """What the chunk loop reads from the event stream: the stream's CSV
-    columns by name (cols), w* at the recorded ticks (n_rec, width), the
-    envelope's sum of n_active / (tau or 1)**2 over tau < t at each recorded
-    t (env_sum), and RunMetrics' step-weight, martingale and limits fields
-    (scalars)."""
-
-    def __init__(self, cols: dict, w_star_rec: np.ndarray, env_sum: np.ndarray,
-                 scalars: dict):
-        self.cols, self.w_star_rec, self.env_sum, self.scalars = \
-            cols, w_star_rec, env_sum, scalars
-
-
 class _Failure:
     """An exception that stopped the sweep child, with the child's traceback."""
 
@@ -164,8 +151,11 @@ class _Failure:
         self.exc, self.traceback = exc, traceback
 
 
-def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> _Swept:
+def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     """The run's impulse limits, then the sweep over its chunks, in tick order.
+
+    Returns the RunMetrics fields the stream decides, by name, and env_sum,
+    the sum of n_active / (tau or 1)**2 over tau < t at each recorded t.
 
     The limits depend on the schedule alone, so they come first, before the
     first chunk is read. In each chunk the agreement trajectory w*(t) and
@@ -291,12 +281,12 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> _Swept:
     else:
         mart_mean_norm = mart_sigma = 0.0
 
-    return _Swept(out, w_star_rec, env_sum, dict(
-        eps_ratio_min=r_min, eps_ratio_min_t=t_min,
-        eps_ratio_max=r_max, eps_ratio_max_t=t_max,
-        eps_star_total=float(np.sum(eps_star_all[:T])),
-        mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart),
-        limits=limits))
+    return dict(out, w_star_rec=w_star_rec, env_sum=env_sum,
+                eps_ratio_min=r_min, eps_ratio_min_t=t_min,
+                eps_ratio_max=r_max, eps_ratio_max_t=t_max,
+                eps_star_total=float(np.sum(eps_star_all[:T])),
+                mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart),
+                limits=limits)
 
 
 def _snapshot_grads(art: RunArtifacts) -> np.ndarray:
@@ -341,7 +331,7 @@ def _sweep_child(art: RunArtifacts, chunk_r: int, result_w: int) -> None:
     _send(result_w, msg)
 
 
-def _forked_loop(art: RunArtifacts) -> tuple[_Swept, np.ndarray]:
+def _forked_loop(art: RunArtifacts) -> tuple[dict, np.ndarray]:
     """The chunk loop in a forked child, fed through a pipe, and the
     snapshots' gradients (_snapshot_grads) scored here while it finishes.
 
@@ -409,7 +399,7 @@ def _forked_loop(art: RunArtifacts) -> tuple[_Swept, np.ndarray]:
     if isinstance(msg, _Failure):
         raise msg.exc from RuntimeError(f"in the metrics sweep child:\n{msg.traceback}")
     code = os.waitstatus_to_exitcode(status)
-    if not isinstance(msg, _Swept) or code:
+    if not isinstance(msg, dict) or code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise ChildProcessError(f"the metrics sweep child {how} without a result")
     return msg, h_snap
@@ -431,7 +421,7 @@ def compute_metrics(art: RunArtifacts) -> RunMetrics:
     else:
         swept = _chunk_loop(art, art.chunks())
         h_snap = _snapshot_grads(art)
-    limits = swept.scalars["limits"]
+    limits, env_sum = swept["limits"], swept.pop("env_sum")
     cfg = art.config
     T, M, kappa = cfg.horizon, cfg.M, cfg.kappa
     diam = art.batch.diameter
@@ -440,14 +430,12 @@ def compute_metrics(art: RunArtifacts) -> RunMetrics:
     theta_all = theta_series(T + 1, limits.rho_hat)
     bound_coef = math.sqrt(kappa) * M * diam * (_BOUND_SAFETY * limits.A_hat) * art.K2
     env_coef = 4.0 * kappa * diam**2 * art.K2**2
-    dev = snaps - swept.w_star_rec[:, None, :]
-    return RunMetrics(times=times, w_star_rec=swept.w_star_rec,
-                      consensus_gap=_spread(snaps),
+    dev = snaps - swept["w_star_rec"][:, None, :]
+    return RunMetrics(times=times, consensus_gap=_spread(snaps),
                       agreement_gap=np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1),
                       bound_normmaj=bound_coef * theta_all[times],
-                      dm2_envelope=np.sqrt(env_coef * swept.env_sum),
-                      theta_final=float(theta_all[T]), h_snap=h_snap,
-                      **swept.cols, **swept.scalars)
+                      dm2_envelope=np.sqrt(env_coef * env_sum),
+                      theta_final=float(theta_all[T]), h_snap=h_snap, **swept)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,18 @@ events scores and steps them together. Within a chunk the ticks go in windows
 of _WINDOW ticks: at each window start, every event of the window is scored
 against its processor's version there in one stacked call, and a drift bound
 certifies most winners, whose ticks then skip nearest_cell (see dalvq_tick),
-and then plans the window's ticks (_plan). The chunks are the only source of a
-run's events: a consumer, such as the metrics sweep, holds one chunk of them at
-a time, and no whole log is kept.
+and then plans the window's ticks (_plan). One object is the run:
+RunArtifacts holds the only copy of what fixes it and takes its ticks
+(RunArtifacts.chunks). The chunks are the only source of a run's events: a
+consumer, such as the metrics sweep, holds one chunk of them at a time, and no
+whole log is kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +50,7 @@ __all__ = [
 ]
 
 _STEP_KINDS = ("global-clock", "local-clock")
-# Ticks.chunks certifies the winners of a window of this many ticks at once
+# RunArtifacts.chunks certifies the winners of a window of this many ticks at once
 # (_certify): a longer window shares its scoring call among more events, a
 # shorter one keeps the drift bound tighter.
 _WINDOW = 64
@@ -190,24 +193,26 @@ class Chunk(NamedTuple):
     events: EventLog
 
 
-class Ticks:
-    """The ticks of one run, taken a chunk at a time.
+@dataclass(frozen=True)
+class RunArtifacts:
+    """One run: what fixes it, and its ticks, taken a chunk at a time.
 
-    A pass starts at tick 0 with a fresh version ring. Each chunk's
-    descents are planned and their samples drawn a table ahead (_planned);
-    the chunk runs its ticks and is handed on, and nothing of it is kept.
-    The run is a pure function of its config, so every pass gives the same
-    chunks. The first pass to reach the horizon keeps the snapshots, the
-    final versions and the step constants (K1, K2); no pass keeps the events.
-    n, the number of planned descents, is known before any tick.
+    run() stops before the first tick. Each pass of chunks() starts at tick 0
+    with a fresh version ring; each chunk's descents are planned and their
+    samples drawn a table ahead (_planned), and the chunk runs its ticks and
+    is handed on, kept nowhere: the events are exposed no other way. Every
+    pass gives the same chunks. n_events, the plan's count, is known at once.
+    The first pass to reach the horizon keeps the snapshots, the final
+    versions and K1, K2; reading one of them first runs such a pass. That
+    cache is no constructor field, so dataclasses.replace starts afresh.
     """
 
-    def __init__(self, config: RunConfig, schedule: CommSchedule, batch: SampleBatch,
-                 x0: np.ndarray, snap_times: np.ndarray):
-        self.config, self.schedule, self.batch = config, schedule, batch
-        self.x0, self.snap_times = x0, snap_times
-        self.n = int(schedule.active_count(config.horizon).sum())
-        self._end: Optional[tuple] = None
+    config: RunConfig
+    schedule: CommSchedule
+    batch: SampleBatch
+    x0: np.ndarray                     # (M, width) initial versions
+    snap_times: np.ndarray             # (n_snap,) recorded ticks
+    _end: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _planned(self) -> Iterator[tuple]:
         """Each chunk's ticks b0 .. b1 - 1, its descents (t, proc, n) as
@@ -279,53 +284,31 @@ class Ticks:
             yield Chunk(b0, b1, e0, starts, events)
             e0 += events.n
         snapshots[snap_at[T]] = ring[T % depth]
-        if self._end is None:
+        if not self._end:
             final = ring[T % depth].copy()
             for arr in (snapshots, final):
                 arr.flags.writeable = False
-            self._end = (snapshots, final, K1 if self.n else cfg.step.c, K2)
+            self._end.update(snapshots=snapshots, final=final,
+                             K1=K1 if self.n_events else cfg.step.c, K2=K2)
 
-    def end(self) -> tuple:
-        """(snapshots, final, K1, K2), after a pass if none has reached the horizon."""
-        if self._end is None:
+    n_events = property(lambda self: int(self.schedule.active_count(self.config.horizon).sum()),
+                        doc="the number of planned descents")
+
+    # read only by perfbench's tracer (events.n); goes with its seams, ROADMAP item 3B
+    events = property(lambda self: SimpleNamespace(n=self.n_events))
+
+    def _ended(self, name: str):
+        """What the first pass to reach the horizon kept, after one if none has."""
+        if not self._end:
             for _ in self.chunks():
                 pass
-        return self._end
+        return self._end[name]
 
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Everything a run exposes to diagnostics and reports.
-
-    run() stops before the first tick. chunks() takes the ticks one chunk at
-    a time, so a consumer such as the metrics sweep holds one chunk of the
-    events at a time; they are exposed no other way. n_events, the plan's
-    count, is known at once. Reading snapshots, final, K1 or K2 before a
-    pass has reached the horizon runs the ticks too, keeping only the
-    versions they report.
-    """
-
-    config: RunConfig
-    schedule: CommSchedule
-    batch: SampleBatch
-    x0: np.ndarray                     # (M, width) initial versions
-    snap_times: np.ndarray             # (n_snap,) recorded ticks
-    ticks: Ticks = field(repr=False, compare=False)
-
-    def chunks(self) -> Iterator[Chunk]:
-        """The run's ticks, by the kernel's anchor chunk."""
-        return self.ticks.chunks()
-
-    n_events = property(lambda self: self.ticks.n, doc="the number of planned descents")
-    # read only by perfbench's tracer (events.n); goes with its seams, ROADMAP item 3B
-    events = property(lambda self: self.ticks)
-
-    # what the first pass to reach the horizon keeps (Ticks.end)
-    snapshots = property(lambda self: self.ticks.end()[0],
+    snapshots = property(lambda self: self._ended("snapshots"),
                          doc="(n_snap, M, width) versions at the recorded ticks")
-    final = property(lambda self: self.ticks.end()[1], doc="(M, width) versions at the horizon")
-    K1 = property(lambda self: self.ticks.end()[2], doc="least step * (t or 1) of a descent")
-    K2 = property(lambda self: self.ticks.end()[3], doc="largest step * (t or 1), at least 1")
+    final = property(lambda self: self._ended("final"), doc="(M, width) versions at the horizon")
+    K1 = property(lambda self: self._ended("K1"), doc="least step * (t or 1) of a descent")
+    K2 = property(lambda self: self._ended("K2"), doc="largest step * (t or 1), at least 1")
 
 
 def _plan(schedule: CommSchedule, ring: np.ndarray, t0: int, t1: int, events: EventLog,
@@ -351,15 +334,15 @@ def dalvq_tick(t: int, ring: np.ndarray, schedule: CommSchedule, events: EventLo
 
     An event whose comp is still -1, the value EventLog starts it at, is
     scored by nearest_cell, so a direct caller gets nearest_cell's rule for
-    every event. Ticks.chunks records the winners it can certify before the
-    tick (_certify), and the tick keeps them. A tick's events belong to
-    distinct processors, and each reads only its own processor's pre-merge
-    version, so several events are scored in one stacked nearest_cell call
-    and stepped together; a lone event takes the scalar step, which costs
-    less than a stack of one.
+    every event. RunArtifacts.chunks records the winners it can certify
+    before the tick (_certify), and the tick keeps them. A tick's events
+    belong to distinct processors, and each reads only its own processor's
+    pre-merge version, so several events are scored in one stacked
+    nearest_cell call and stepped together; a lone event takes the scalar
+    step, which costs less than a stack of one.
 
-    Ticks.chunks plans each window after _certify (_plan); a direct call
-    plans its own tick. A tick of several events is then a take, a gather,
+    RunArtifacts.chunks plans each window after _certify (_plan); a direct
+    call plans its own tick. A tick of several events is then a take, a gather,
     the merge (a take and an einsum, or + 0.0 on an identity tick) and a
     scatter through a flat view of the next slot, so a direct call refuses
     a ring without one before it writes.
@@ -483,9 +466,9 @@ def initial_versions(config: RunConfig) -> np.ndarray:
 
 
 def run(config: RunConfig) -> RunArtifacts:
-    """Set up a run: its schedule, reference batch and start versions.
-    Byte-deterministic in the config. The ticks run when the artifacts'
-    chunks or versions are first read (see RunArtifacts)."""
+    """Set up a run: its schedule, reference batch and start versions, in
+    the one RunArtifacts that holds them. Byte-deterministic in the config.
+    The ticks run when the artifacts' chunks or versions are first read."""
     schedule = generate(config.sched, config.M, config.horizon, config.seed)
     batch = make_batch(config.dist, config.seed, config.n_ref)
     x0 = initial_versions(config)
@@ -493,6 +476,5 @@ def run(config: RunConfig) -> RunArtifacts:
                                  | {config.horizon}), dtype=np.int64)
     for arr in (x0, snap_times):
         arr.flags.writeable = False
-    ticks = Ticks(config, schedule, batch, x0, snap_times)
     return RunArtifacts(config=config, schedule=schedule, batch=batch, x0=x0,
-                        snap_times=snap_times, ticks=ticks)
+                        snap_times=snap_times)

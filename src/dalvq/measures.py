@@ -290,13 +290,8 @@ class DistributionSpec:
     # ---- serialization (JSON-safe dicts) ----
 
     def to_dict(self) -> dict:
-        if self.kind == _UNIFORM_BOX:
-            return {"kind": self.kind, "low": self.low.tolist(), "high": self.high.tolist()}
-        if self.kind == _GAUSS_MIX:
-            return {"kind": self.kind, "weights": self.weights.tolist(),
-                    "means": self.means.tolist(), "covs": self.covs.tolist(),
-                    "low": self.low.tolist(), "high": self.high.tolist()}
-        return {"kind": self.kind, "centers": self.centers.tolist(), "radii": self.radii.tolist()}
+        return {"kind": self.kind,
+                **{name: getattr(self, name).tolist() for name in _FIELDS[self.kind][1:]}}
 
     @staticmethod
     def from_dict(data: dict) -> "DistributionSpec":

@@ -238,10 +238,12 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
             raise ConfigError(f"trace {spec.trace_path} has M={trace.M} and horizon "
                               f"{trace.horizon}, the config M={M} and horizon {horizon}")
         return trace
-    if spec.topology == "random-symmetric-gossip":
-        separated = spec.activity in ("round-robin", "random-subset")
-        if M < 2 + (1 if separated else 0):
-            raise ConfigError("gossip needs at least 2 mergeable processors per merge tick")
+    # A processor never merges on a tick where it also descends, except in the
+    # all-active family, which deliberately runs the combined iteration (no
+    # processor descends under "none").
+    separated = spec.activity in ("round-robin", "random-subset")
+    if spec.topology == "random-symmetric-gossip" and M < (3 if separated else 2):
+        raise ConfigError("gossip needs at least 2 mergeable processors per merge tick")
 
     p = spec.merge_period
     periods = [p]
@@ -276,9 +278,6 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
         if t % p != p - 1:
             continue  # not a merge tick: identity rows everywhere
 
-        # A processor never merges on a tick where it also descends, except in
-        # the all-active family, which deliberately runs the combined iteration.
-        separated = spec.activity in ("round-robin", "random-subset", "none")
         mergers = [i for i in range(M) if not (separated and act[i])]
         if spec.topology == "complete":
             for i in mergers:

@@ -180,8 +180,8 @@ _LOG_FIELDS = ("t", "proc", "draw", "eps", "comp", "z", "w_before")
 
 
 def collect(art) -> EventLog:
-    """The whole event log of a run (its RunArtifacts or Ticks): the arrays
-    of one pass of its chunks, concatenated, read-only like each chunk's.
+    """The whole event log of a run (its RunArtifacts): the arrays of one
+    pass of its chunks, concatenated, read-only like each chunk's.
     The parts start with an empty log of the plan's dtypes, since a run of
     horizon 0 has no chunk."""
     cfg = art.config

@@ -570,8 +570,8 @@ class TestCertifiedWinners:
         monkeypatch.setattr(engine, "nearest_cell",
                             lambda z, w: scored.append(len(np.atleast_2d(z))) or scalar(z, w))
         art = run(RunConfig.from_dict({**cfg, "horizon": 2000}))
-        art.ticks.end()
-        assert 0 < sum(scored) <= ceiling * art.ticks.n
+        assert art.final.shape == (art.config.M, art.config.width)
+        assert 0 < sum(scored) <= ceiling * art.n_events
 
 
 # ---- the ticks, chunk by chunk ----
@@ -696,6 +696,20 @@ class TestChunks:
         assert len(ends) == -(-T // 256) and sum(n for _, n in ends) == art.n_events
         assert sum(rows) <= T, len(rows)
 
+    def test_replaced_run_runs_from_its_own_fields(self):
+        # dataclasses.replace gives a run of the new fields, with an end of its own
+        art = run(make_config(horizon=45, cadence=4))
+        final, snapshots = art.final, art.snapshots
+        moved = replace(art, x0=art.x0 + 0.1)
+        first = next(moved.chunks()).events
+        assert first.t[0] == 0 and first.w_before[0].tobytes() == moved.x0[first.proc[0]].tobytes()
+        again = engine.RunArtifacts(art.config, art.schedule, art.batch, moved.x0, art.snap_times)
+        assert moved.final.tobytes() == again.final.tobytes()
+        assert not np.array_equal(moved.final, final)
+        fewer = replace(art, snap_times=art.snap_times[-2:])
+        assert fewer.snapshots.tobytes() == snapshots[-2:].tobytes()
+        assert fewer.final.tobytes() == final.tobytes()
+
     def test_versions_alone_keep_no_log(self):
         art = run(make_config())
         assert art.final.shape == (3, 4) and art.snapshots.shape == (4, 3, 4)
@@ -706,7 +720,7 @@ class TestChunks:
 
 @st.composite
 def window_cases(draw):
-    """A pass of Ticks over a schedule and start versions, with the window
+    """A run's pass over a schedule and start versions, with the window
     and chunk lengths to take it by. The schedules are generated rings,
     whose delays the first ticks clamp, complete graphs (zero delays give
     B1 = 1), or periodic tables whose decimal rows miss 1, some of them the
@@ -754,31 +768,31 @@ def window_cases(draw):
                     step=step, seed=seed, n_ref=16, replay_from_batch=True)
     batch = geometry.SampleBatch(points, points.min(axis=0), points.max(axis=0), 1.0)
     snap_times = np.union1d(rng.integers(0, T + 1, 3), [T])
-    ticks = engine.Ticks(cfg, sch, batch, x0.reshape(M, -1), snap_times)
-    return ticks, draw(st.integers(1, 8)), draw(st.sampled_from([5, 256]))
+    art = engine.RunArtifacts(cfg, sch, batch, x0.reshape(M, -1), snap_times)
+    return art, draw(st.integers(1, 8)), draw(st.sampled_from([5, 256]))
 
 
 class TestPlannedWindows:
-    """Ticks.chunks, which plans each window's ticks at its start, is the
-    per-event rule bit for bit."""
+    """RunArtifacts.chunks, which plans each window's ticks at its start, is
+    the per-event rule bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=window_cases())
     def test_pass_is_the_per_event_rule(self, case):
-        ticks, window, size = case
+        art, window, size = case
         with mock.patch.object(engine, "_WINDOW", window), \
                 mock.patch.object(geometry, "_STACK_CHUNK", size):
-            got = collect(ticks)
-        snapshots, final = ticks.end()[:2]
-        sch, cfg = ticks.schedule, ticks.config
+            got = collect(art)
+        snapshots, final = art.snapshots, art.final
+        sch, cfg = art.schedule, art.config
         log = EventLog(got.t, got.proc, got.draw, got.eps, cfg.dim, cfg.width)
         log.z[:] = got.z
         ring = np.zeros((sch.B1, cfg.M, cfg.width))
-        ring[0] = ticks.x0
+        ring[0] = art.x0
         starts = np.searchsorted(log.t, np.arange(cfg.horizon + 1))
         want = []
         for t in range(cfg.horizon + 1):
-            if t in ticks.snap_times:
+            if t in art.snap_times:
                 want.append(ring[t % sch.B1].copy())
             if t < cfg.horizon:
                 per_event_tick(t, ring, sch, log, range(starts[t], starts[t + 1]))
@@ -823,7 +837,7 @@ class TestOneRowRule:
     def test_planned_merge_is_merged_versions(self, k, width):
         # windows from tick 0 (delays clamped) over a whole cycle, from the
         # horizon over a cycle (the tables repeat), and far past it; each is
-        # planned once at its start, as Ticks.chunks does, and advanced
+        # planned once at its start, as RunArtifacts.chunks does, and advanced
         sch = _row_rule_schedules()[k]
         merge, B = _merge_plan(sch), sch.B1
         span = sch.cycle + merge.max_delay + 2
