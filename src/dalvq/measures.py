@@ -165,8 +165,8 @@ class DistributionSpec:
     covs: np.ndarray = None
     centers: np.ndarray = None
     radii: np.ndarray = None
-    _chols: np.ndarray = field(repr=False, compare=False, default=None)
-    _cdf: np.ndarray = field(repr=False, compare=False, default=None)   # component choice
+    _chols: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # component choice
 
     # ---- constructors ----
 

@@ -39,8 +39,8 @@ _ACTIVITIES = ("all-active", "round-robin", "random-subset", "none")
 
 _ROW_SUM_TOL = 1e-12
 # The limits build the (B1 * M)^2 step matrix of the merge on the augmented
-# state (agreement._step_matrix); a B1 that puts it over this many bytes is
-# rejected where a schedule is built.
+# state (agreement._step_matrix); a B1 or M that puts it over this many bytes
+# is rejected where a schedule is built.
 _STEP_MATRIX_BYTES = 2**30
 
 
@@ -209,15 +209,6 @@ class CommSchedule:
 # generation
 
 
-def _merge_row(M: int, i: int, neighbors: list[int]) -> np.ndarray:
-    """Uniform convex row over {i} + in-neighbors."""
-    row = np.zeros(M)
-    members = [i] + [j for j in neighbors if j != i]
-    for j in members:
-        row[j] = 1.0 / len(members)
-    return row
-
-
 def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedule:
     """Build a schedule for the family; deterministic in (spec, M, horizon, seed).
 
@@ -227,9 +218,13 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
     window's edge union strongly connected and covers every recurring pair's
     occurrence gaps, and B3 the tightest symmetry slack (1 when the family is
     not symmetric at all, in which case the symmetry check simply fails).
+    An M whose step matrix is too large even at B1 = 1 is rejected before
+    any table is built.
     """
     if M < 1:
         raise ConfigError("M must be >= 1")
+    if 8 * M**2 > _STEP_MATRIX_BYTES:  # over the cap even at B1 = 1
+        raise ConfigError(f"M={M} needs a {M}^2 step matrix, over {_STEP_MATRIX_BYTES} bytes")
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
     if spec.topology == "custom-trace":
@@ -255,50 +250,42 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
     P = math.lcm(*periods)
 
     g = StreamHandle(seed, STREAM_SCHEDULE).generator()
-    coeff = np.zeros((P, M, M))
+    eye = np.eye(M, dtype=bool)
+    coeff = np.tile(np.eye(M), (P, 1, 1))
     delay = np.zeros((P, M, M), dtype=np.int64)
     active = np.zeros((P, M), dtype=bool)
-    eye = np.eye(M)
 
     for t in range(P):
+        act = active[t]  # the table's row, filled in place; "none" leaves it empty
         if spec.activity == "all-active":
-            act = np.ones(M, dtype=bool)
+            act[:] = True
         elif spec.activity == "round-robin":
-            act = np.zeros(M, dtype=bool)
             act[t % M] = True
         elif spec.activity == "random-subset":
-            act = g.random(M) < 0.5
+            act[:] = g.random(M) < 0.5
             if not act.any():
                 act[t % M] = True
-        else:  # none
-            act = np.zeros(M, dtype=bool)
-        active[t] = act
 
-        coeff[t] = eye
         if t % p != p - 1:
             continue  # not a merge tick: identity rows everywhere
 
-        mergers = [i for i in range(M) if not (separated and act[i])]
+        # heard[i, j]: receiver i averages sender j: itself, and for a merger
+        # every sender (complete), its left neighbour (ring) or its gossip partner
+        heard = eye.copy()
+        mergers = np.flatnonzero(~(act & separated))
         if spec.topology == "complete":
-            for i in mergers:
-                coeff[t, i] = _merge_row(M, i, list(range(M)))
+            heard[mergers] = True
         elif spec.topology == "ring":
-            for i in mergers:
-                coeff[t, i] = _merge_row(M, i, [(i - 1) % M])
-        elif len(mergers) >= 2:  # random-symmetric-gossip: one pair
-            pair = g.choice(len(mergers), size=2, replace=False)
-            a_, b_ = mergers[int(pair[0])], mergers[int(pair[1])]
-            coeff[t, a_] = _merge_row(M, a_, [b_])
-            coeff[t, b_] = _merge_row(M, b_, [a_])
-
-        # delays attach to positive off-diagonal entries only
-        for i in range(M):
-            for j in range(M):
-                if i != j and coeff[t, i, j] > 0.0:
-                    if spec.delay_law == "fixed":
-                        delay[t, i, j] = spec.delay_value
-                    elif spec.delay_law == "uniform":
-                        delay[t, i, j] = int(g.integers(0, spec.delay_value))
+            heard[mergers, (mergers - 1) % M] = True
+        elif len(mergers) >= 2:
+            a_, b_ = mergers[g.choice(len(mergers), size=2, replace=False)]
+            heard[a_, b_] = heard[b_, a_] = True
+        coeff[t] = heard / heard.sum(axis=1, keepdims=True)
+        # delays attach to positive off-diagonal entries only (a zero law's
+        # value is 0); a uniform law draws them in one call, in row order
+        sent = heard & ~eye
+        delay[t][sent] = (g.integers(0, spec.delay_value, size=np.count_nonzero(sent))
+                          if spec.delay_law == "uniform" else spec.delay_value)
 
     alpha, B1, B2, B3 = _measure(coeff, delay, horizon)
     return CommSchedule(M=M, horizon=horizon, alpha=alpha, B1=B1, B2=B2, B3=B3,
@@ -601,9 +588,9 @@ def read_trace(path: str) -> CommSchedule:
     the trace's largest delay + 1 is rejected: a ring sized from it would
     read overwritten versions. So is a meta record that is not an object, or
     lacks a finite number for alpha or a config integer (require_int) for any
-    of B1, B2 and B3, and a line that is not an object. Each tick needs an
-    M x M array of numbers for coeff, one of integers for delay, and a list of
-    distinct processor indices for active."""
+    of B1, B2 and B3, and a line that is not an object. Each tick needs its
+    index as a config integer t, an M x M array of numbers for coeff, one of
+    integers for delay, and a list of distinct processor indices for active."""
     records = []
     meta = None
     try:
@@ -641,6 +628,7 @@ def read_trace(path: str) -> CommSchedule:
         missing = {"t", "coeff", "delay", "active"} - set(rec)
         if missing:
             raise ConfigError(f"{path}:{line_no}: record missing field(s) {sorted(missing)}")
+        require_int(f"{path}:{line_no}: t", rec["t"])
         if rec["t"] != k:
             raise ConfigError(f"{path}:{line_no}: expected t={k}, got t={rec['t']}")
         try:  # a ragged array raises

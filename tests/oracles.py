@@ -17,7 +17,8 @@ from dalvq.agreement import merged_versions
 from dalvq.engine import Chunk, EventLog
 from dalvq.errors import ConfigError
 from dalvq.geometry import min_component_separation, nearest_cell
-from dalvq.measures import StreamHandle, init_quantizer, make_batch
+from dalvq.measures import STREAM_SCHEDULE, StreamHandle, init_quantizer, make_batch
+from dalvq.schedule import CommSchedule, _measure
 
 
 def generator_sample(spec, draw: StreamHandle) -> np.ndarray:
@@ -167,6 +168,82 @@ def trace_text(schedule) -> str:
                                  "delay": schedule.delay(t).tolist(),
                                  "active": list(schedule.active(t))}))
     return "".join(line + "\n" for line in lines)
+
+
+def generate_by_entry(spec, M: int, horizon: int, seed: int):
+    """`schedule.generate` for a generated family, one entry at a time: each
+    merger's row filled by a loop over its members, then a delay attached to
+    each positive off-diagonal entry by an i/j loop, a uniform law's delays
+    drawn one scalar call each. The library builds each tick's rows from
+    one hearing mask and draws a tick's delays in one call."""
+    if M < 1:
+        raise ConfigError("M must be >= 1")
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
+    separated = spec.activity in ("round-robin", "random-subset")
+    if spec.topology == "random-symmetric-gossip" and M < (3 if separated else 2):
+        raise ConfigError("gossip needs at least 2 mergeable processors per merge tick")
+
+    def merge_row(i, neighbors):  # uniform convex row over {i} + in-neighbors
+        row = np.zeros(M)
+        members = [i] + [j for j in neighbors if j != i]
+        for j in members:
+            row[j] = 1.0 / len(members)
+        return row
+
+    p = spec.merge_period
+    periods = [p]
+    if spec.activity == "round-robin":
+        periods.append(M)
+    if spec.activity == "random-subset" or spec.delay_law == "uniform" \
+            or spec.topology == "random-symmetric-gossip":
+        periods.append(spec.base_window)
+    P = math.lcm(*periods)
+
+    g = StreamHandle(seed, STREAM_SCHEDULE).generator()
+    coeff = np.zeros((P, M, M))
+    delay = np.zeros((P, M, M), dtype=np.int64)
+    active = np.zeros((P, M), dtype=bool)
+    for t in range(P):
+        if spec.activity == "all-active":
+            act = np.ones(M, dtype=bool)
+        elif spec.activity == "round-robin":
+            act = np.zeros(M, dtype=bool)
+            act[t % M] = True
+        elif spec.activity == "random-subset":
+            act = g.random(M) < 0.5
+            if not act.any():
+                act[t % M] = True
+        else:  # none
+            act = np.zeros(M, dtype=bool)
+        active[t] = act
+
+        coeff[t] = np.eye(M)
+        if t % p != p - 1:
+            continue  # not a merge tick: identity rows everywhere
+        mergers = [i for i in range(M) if not (separated and act[i])]
+        if spec.topology == "complete":
+            for i in mergers:
+                coeff[t, i] = merge_row(i, list(range(M)))
+        elif spec.topology == "ring":
+            for i in mergers:
+                coeff[t, i] = merge_row(i, [(i - 1) % M])
+        elif len(mergers) >= 2:  # random-symmetric-gossip: one pair
+            pair = g.choice(len(mergers), size=2, replace=False)
+            a_, b_ = mergers[int(pair[0])], mergers[int(pair[1])]
+            coeff[t, a_] = merge_row(a_, [b_])
+            coeff[t, b_] = merge_row(b_, [a_])
+        for i in range(M):
+            for j in range(M):
+                if i != j and coeff[t, i, j] > 0.0:
+                    if spec.delay_law == "fixed":
+                        delay[t, i, j] = spec.delay_value
+                    elif spec.delay_law == "uniform":
+                        delay[t, i, j] = int(g.integers(0, spec.delay_value))
+
+    alpha, B1, B2, B3 = _measure(coeff, delay, horizon)
+    return CommSchedule(M=M, horizon=horizon, alpha=alpha, B1=B1, B2=B2, B3=B3,
+                        coeff_table=coeff, delay_table=delay, active_table=active, period=P)
 
 
 def is_parted(q, delta: float) -> bool:

@@ -315,6 +315,12 @@ FAULTS = [
      lambda p: run_args(p, trace_config(p, lambda lines: lines[:21]))),
     ("trace-truncated-line", EXIT_CONFIG,
      lambda p: run_args(p, trace_config(p, lambda lines: lines[:-1] + [lines[-1][:25]]))),
+    ("trace-t-true", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: [
+         *lines[:2], lines[2].replace('"t": 1,', '"t": true,', 1), *lines[3:]]))),
+    ("trace-t-float", EXIT_CONFIG,
+     lambda p: run_args(p, trace_config(p, lambda lines: [
+         *lines[:2], lines[2].replace('"t": 1,', '"t": 1.0,', 1), *lines[3:]]))),
     ("trace-meta-B1-huge", EXIT_CONFIG,
      lambda p: run_args(p, trace_config(p, lambda lines: [
          json.dumps({"meta": {**json.loads(lines[0])["meta"], "B1": 10**18}}), *lines[1:]]))),
@@ -328,6 +334,8 @@ FAULTS = [
     ("box-bound-infinite", EXIT_CONFIG,
      lambda p: run_args(p, edited_config(p, ("dist", "high"), [1.0, math.inf]))),
     ("M-zero", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("M",), 0))),
+    # the smallest M whose step matrix is too large even at B1 = 1
+    ("M-11586", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("M",), 11_586))),
     ("trace-path-integer", EXIT_CONFIG,
      lambda p: run_args(p, edited_config(p, ("sched", "trace_path"), 5))),
     ("step-c-nan", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("step", "c"), math.nan))),

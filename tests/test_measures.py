@@ -194,6 +194,15 @@ class TestDistributionSpec:
         spec = DistributionSpec.uniform_box([0, 0], (1, 1.0))
         assert spec.low.dtype == spec.high.dtype == float
 
+    @pytest.mark.parametrize("name", ["_cdf", "_chols"])
+    def test_derived_fields_are_not_parameters(self, name):
+        # the component choice and Cholesky factors come from the spec's own
+        # fields only; a caller cannot hand them in
+        with pytest.raises(TypeError, match=name):
+            DistributionSpec(kind="uniform-box", low=[0.0], high=[1.0],
+                             **{name: np.array([0.3])})
+        assert DistributionSpec.uniform_box([0.0], [1.0])._cdf is None
+
     def test_disk_validation(self):
         with pytest.raises(ConfigError):
             DistributionSpec.disk_union(centers=[[0.0, 0.0]], radii=[0.0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 import math
@@ -15,7 +16,7 @@ import dalvq
 from dalvq.errors import ConfigError
 from dalvq.schedule import (CommSchedule, ScheduleSpec, _measure, generate, read_trace,
                             validate, write_trace)
-from oracles import communication_graph, trace_text
+from oracles import communication_graph, generate_by_entry, trace_text
 
 
 def ring_spec(**kw):
@@ -141,6 +142,40 @@ class TestGenerate:
             pairs = validate(generate(gossip, M, 60, seed=0))
             assert pairs.checks["symmetry"].passed
             assert pairs.constants["M"] == M and pairs.constants["B1"] == 2
+
+    @pytest.mark.parametrize("topology", ["complete", "ring", "random-symmetric-gossip"])
+    def test_is_the_per_entry_builder(self, topology):
+        # every activity, delay law, merge period, small M and seed: the same
+        # table bytes and constants as the per-entry builder, or its error
+        for activity, (law, value), p, M, seed in itertools.product(
+                ("all-active", "round-robin", "random-subset", "none"),
+                (("zero", 0), ("fixed", 2), ("uniform", 3)), (1, 2, 3), (1, 2, 3, 4, 8),
+                (0, 3, 11)):
+            spec = ScheduleSpec(topology=topology, merge_period=p, delay_law=law,
+                                delay_value=value, activity=activity, base_window=12)
+            got = []
+            for build in (generate, generate_by_entry):
+                try:
+                    sch = build(spec, M, 50, seed)
+                except ConfigError as exc:
+                    got.append(str(exc))
+                    continue
+                got.append((sch.coeff_table.tobytes(), sch.delay_table.tobytes(),
+                            sch.active_table.tobytes(),
+                            (sch.alpha, sch.B1, sch.B2, sch.B3, sch.period)))
+            assert got[0] == got[1], (activity, law, p, M, seed)
+
+    def test_m_bound_comes_before_any_table(self, monkeypatch):
+        # an M whose step matrix is too large even at B1 = 1 never reaches
+        # the tables' measurement; the largest M allowed does
+        def no_tables(*args):
+            raise AssertionError("tables built")
+        monkeypatch.setattr("dalvq.schedule._STEP_MATRIX_BYTES", 8 * 16**2)
+        monkeypatch.setattr("dalvq.schedule._measure", no_tables)
+        with pytest.raises(ConfigError, match="M=17"):
+            generate(ScheduleSpec(topology="complete"), 17, 20, seed=0)
+        with pytest.raises(AssertionError, match="tables built"):
+            generate(ScheduleSpec(topology="complete"), 16, 20, seed=0)
 
     def test_custom_trace_must_match_config(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -307,6 +342,17 @@ class TestTraceRoundtrip:
         lines[1], lines[2] = lines[2], lines[1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("t", [True, 1.0])
+    def test_tick_number_must_be_an_integer(self, tmp_path, t):
+        sch = generate(ring_spec(), 2, 6, seed=0)
+        path = tmp_path / "trace.jsonl"
+        write_trace(sch, str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "t": t})   # tick 1, on line 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=":3: t must be an integer"):
             read_trace(str(path))
 
     def test_under_declared_b1_rejected(self, tmp_path):
