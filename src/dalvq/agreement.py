@@ -230,30 +230,30 @@ def _block_max(x: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def _step_matrix(schedule: CommSchedule, t: int) -> np.ndarray:
-    """The merge at tick t on the augmented state, whose slot k holds the M
-    versions at time t - k: slot 0 takes the merge, the others shift back by
-    one."""
-    M, B = schedule.M, schedule.B1
-    _check_depth(_merge_plan(schedule), B)
-    i, j = np.indices((M, M))
-    k, m = np.arange(1, B)[:, None], np.arange(M)
-    a = np.zeros((B, M, B, M))
-    a[0, i, schedule.delay(t), j] = schedule.coeff(t)
-    a[k, m, k - 1, m] = 1.0
-    return a.reshape(B * M, B * M)
+def _adjoint(schedule: CommSchedule, r: np.ndarray, t: int) -> np.ndarray:
+    """r A(t) for r (..., B1 * M), A(t) the merge at tick t on the augmented
+    state (slot k: the versions at time t - k): the delayed slots shift up
+    one, then each plan term adds r[..., i] * coeff[i, k] at its version's
+    slot (_merge_rows' clamp) in plan order; np.add.at adds in index order."""
+    M, B, plan = schedule.M, schedule.B1, _merge_plan(schedule)
+    rows, coeff = _merge_rows(plan, t, B).ravel(), plan.coeff[t % len(plan.coeff)]
+    out = np.zeros(r.shape)   # C-ordered, so its flat view takes the terms
+    out[..., :-M] = r[..., M:]   # the shift
+    cols = np.arange(0, out.size, B * M)[:, None] + ((t - rows // M) % B * M + rows % M)
+    terms = r.take(np.arange(M).repeat(coeff.shape[1]), axis=-1) * coeff.ravel()
+    np.add.at(out.reshape(-1), cols.ravel(), terms.ravel())
+    return out
 
 
 def _backward(schedule: CommSchedule, r: np.ndarray, t: int) -> np.ndarray:
     """Slot 0 of r A(t - 1) ... A(s) for each s from t down to 0, indexed by s,
-    where A(s) = _step_matrix(schedule, s) and r (..., B1 * M) weights the
-    augmented state at time t: t products in all."""
-    M = schedule.M
-    out = np.empty((t + 1, *r.shape[:-1], M))
-    out[t] = r[..., :M]
+    where r (..., B1 * M) weights the augmented state at time t (_adjoint)."""
+    _check_depth(_merge_plan(schedule), schedule.B1)
+    out = np.empty((t + 1, *r.shape[:-1], schedule.M))
+    out[t] = r[..., :schedule.M]
     for s in range(t - 1, -1, -1):
-        r = r @ _step_matrix(schedule, s)
-        out[s] = r[..., :M]
+        r = _adjoint(schedule, r, s)
+        out[s] = r[..., :schedule.M]
     return out
 
 
@@ -318,13 +318,15 @@ class PhiLimitSeries:
 
 def _base_limits(schedule: CommSchedule, horizon: int) -> tuple[np.ndarray, Optional[float]]:
     """The limit rows of the impulses at ticks -1 .. min(tau0 + P, horizon) - 1,
-    and rho_hat when eigenvalue 1 of the period product is simple and
-    |lambda_2| < 1, up to rounding (None otherwise); see phi_limit_series."""
+    and rho_hat when eigenvalue 1 of the period product (I stepped back one
+    period through _adjoint) is simple and |lambda_2| < 1, up to rounding
+    (None otherwise; |lambda_2| is floored at n eps); see phi_limit_series."""
     n, P = schedule.B1 * schedule.M, schedule.cycle
     tau0 = P * math.ceil(schedule.B1 / P)
+    _check_depth(_merge_plan(schedule), schedule.B1)
     prod = np.eye(n)
-    for s in range(tau0, tau0 + P):
-        prod = _step_matrix(schedule, s) @ prod
+    for s in range(tau0 + P - 1, tau0 - 1, -1):
+        prod = _adjoint(schedule, prod, s)
     # moduli, largest first; the appended 0 gives a 1 x 1 product a lambda_2
     lam = np.sort(np.abs(np.append(np.linalg.eigvals(prod), 0.0)))[::-1]
     # pi (prod - I) = 0 bordered by sum(pi) = 1; least squares takes the
@@ -333,7 +335,7 @@ def _base_limits(schedule: CommSchedule, horizon: int) -> tuple[np.ndarray, Opti
                          rcond=None)[0]
     limits = _backward(schedule, pi, tau0 + P)[:min(tau0 + P, horizon) + 1]
     if abs(lam[0] - 1.0) < 1e-9 and lam[1] < 1.0 - 1e-9:
-        return limits, max(float(lam[1]), float(np.finfo(float).eps)) ** (1.0 / P)
+        return limits, max(float(lam[1]), n * float(np.finfo(float).eps)) ** (1.0 / P)
     return limits, None
 
 
@@ -368,13 +370,12 @@ def phi_limit_series(schedule: CommSchedule, horizon: Optional[int] = None) -> P
     period product is simple and |lambda_2| < 1, and every base-block impulse
     is within 1e-14 of its limit by gap 2 log(1e-14) / log(rho_hat) + B1 + P,
     where any A * rho_hat ** gap with A < 1e14 is below 1e-14; rho_hat is
-    |lambda_2| ** (1 / P), floored at rounding level. A_hat is then the least A
+    |lambda_2| ** (1 / P), |lambda_2| floored at n eps. A_hat is then the least A
     with A * rho_hat ** gap above every residual of those impulses over 1e-14
     (_envelope). Otherwise A_hat = rho_hat = 1, which holds since every weight
     is in [0, 1].
     """
-    T = schedule.horizon if horizon is None else horizon
-    P = schedule.cycle
+    T, P = schedule.horizon if horizon is None else horizon, schedule.cycle
     tau0 = P * math.ceil(schedule.B1 / P)
     limits, rho = _base_limits(schedule, T)
     log_a = None if rho is None else _envelope(schedule, limits, rho)

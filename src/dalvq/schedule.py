@@ -38,9 +38,8 @@ _DELAY_LAWS = ("zero", "fixed", "uniform")
 _ACTIVITIES = ("all-active", "round-robin", "random-subset", "none")
 
 _ROW_SUM_TOL = 1e-12
-# The limits build the (B1 * M)^2 step matrix of the merge on the augmented
-# state (agreement._step_matrix); a B1 or M that puts it over this many bytes
-# is rejected where a schedule is built.
+# The limits' (B1 * M)^2 period product, its eigensolve and least-squares system:
+# a B1 or M that puts one over this many bytes is rejected where a schedule is built.
 _STEP_MATRIX_BYTES = 2**30
 
 
@@ -110,8 +109,8 @@ class CommSchedule:
     Stored delays may exceed t near the start; the accessors clamp them to t so
     a requested version time is never negative. The clamped value is the
     schedule. Past the horizon the accessors repeat the tables (the period, or
-    the whole trace when dense). B1 is bounded by the step matrix of the
-    limits: 8 (B1 M)^2 bytes at most _STEP_MATRIX_BYTES.
+    the whole trace when dense). B1 is bounded by the limits' period product
+    and its solves: 8 (B1 M)^2 bytes at most _STEP_MATRIX_BYTES.
     """
 
     M: int
@@ -218,8 +217,8 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
     window's edge union strongly connected and covers every recurring pair's
     occurrence gaps, and B3 the tightest symmetry slack (1 when the family is
     not symmetric at all, in which case the symmetry check simply fails).
-    An M whose step matrix is too large even at B1 = 1 is rejected before
-    any table is built.
+    An M whose (B1 M)^2 period product is too large even at B1 = 1 is
+    rejected before any table is built.
     """
     if M < 1:
         raise ConfigError("M must be >= 1")

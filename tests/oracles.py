@@ -156,6 +156,20 @@ def dense_merge(schedule, ring: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def step_matrix(schedule, t: int) -> np.ndarray:
+    """The merge at tick t on the augmented state as a dense (B1 M)^2 matrix,
+    the reference for ``agreement._adjoint``: slot k of the state holds the M
+    versions at time t - k; slot 0 takes the merge at the accessors' clamped
+    delays, the others shift back by one."""
+    M, B = schedule.M, schedule.B1
+    i, j = np.indices((M, M))
+    k, m = np.arange(1, B)[:, None], np.arange(M)
+    a = np.zeros((B, M, B, M))
+    a[0, i, schedule.delay(t), j] = schedule.coeff(t)
+    a[k, m, k - 1, m] = 1.0
+    return a.reshape(B * M, B * M)
+
+
 def trace_text(schedule) -> str:
     """`schedule.write_trace`'s file as text, one json.dumps per tick of the
     accessors' values."""

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dalvq.agreement
-from dalvq.agreement import (_WINDOW, _base_limits, _impulse_blocks, _merge_plan, _step_matrix,
+from dalvq.agreement import (_WINDOW, _adjoint, _base_limits, _impulse_blocks, _merge_plan,
                              compute_phi, merged_versions, phi_limit_series)
 from dalvq.diagnostics import consensus_decay
 from dalvq.engine import RunConfig, StepPolicy, run
@@ -17,7 +17,7 @@ from dalvq.measures import DistributionSpec
 from dalvq.schedule import (CommSchedule, ScheduleSpec, generate, read_trace, validate,
                             write_trace)
 from oracles import (agreement_vector, dense_descent, dense_merge, envelope_blocks, envelope_log_a,
-                     phi_family)
+                     phi_family, step_matrix)
 from test_workload_bytes import WORKLOADS
 
 
@@ -281,8 +281,7 @@ class TestDelayPastTheRing:
 
     @pytest.mark.parametrize("call", [lambda s: compute_phi(s, 4),
                                       lambda s: consensus_decay(s, np.eye(2)),
-                                      lambda s: phi_limit_series(s),
-                                      lambda s: _step_matrix(s, 3)])
+                                      lambda s: phi_limit_series(s)])
     def test_consumers_raise(self, call):
         with pytest.raises(ValueError, match="delay 2 is at or past the ring depth 2"):
             call(short_ring_schedule())
@@ -302,18 +301,24 @@ class TestOneMerge:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_step_matrix_equals_merge(self, case):
+        # the dense step matrix of tests/oracles.py is the merge on the ring,
+        # and R @ it the merge plan's adjoint step
         sch = self.CASES[case]()
         M, B = sch.M, sch.B1
         assert int(sch.delay_table.max()) > 0
         rng = np.random.default_rng(2)
-        for t in range(2 * sch.cycle + B):   # past the horizon for the trace
+        # clamped delays below B, past the horizon from 2 * cycle on for the trace
+        for t in [*range(2 * sch.cycle + B), sch.horizon + B, 2 * sch.horizon + 1]:
             ring = rng.random((B, M, 3))
             # slot k of the augmented state holds the versions at time t - k
             aug = ring[(t - np.arange(B)) % B]
-            stepped = (_step_matrix(sch, t) @ aug.reshape(B * M, 3)).reshape(B, M, 3)
+            A = step_matrix(sch, t)
+            stepped = (A @ aug.reshape(B * M, 3)).reshape(B, M, 3)
             np.testing.assert_allclose(stepped[0], merged_versions(sch, ring, t),
                                        rtol=0, atol=1e-15)
             assert np.array_equal(stepped[1:], aug[:-1])
+            R = rng.random((4, B * M))
+            np.testing.assert_allclose(_adjoint(sch, R, t), R @ A, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_accessors_repeat_past_the_horizon(self, case):
@@ -365,9 +370,9 @@ class TestComputePhi:
         # forward run per injection tick
         sch = make()
         calls = []
-        step = dalvq.agreement._step_matrix
-        monkeypatch.setattr(dalvq.agreement, "_step_matrix",
-                            lambda s, u: calls.append(u) or step(s, u))
+        step = dalvq.agreement._adjoint
+        monkeypatch.setattr(dalvq.agreement, "_adjoint",
+                            lambda s, r, u: calls.append(u) or step(s, r, u))
         for t in (0, 1, 7, sch.horizon + 3):
             calls.clear()
             compute_phi(sch, t)
@@ -785,6 +790,28 @@ class TestPhiLimits:
         direct = phi_limit_series(dense)
         np.testing.assert_allclose(tiled.phi_init, direct.phi_init, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tiled.phi, direct.phi, rtol=0, atol=1e-12)
+
+    def test_rho_floor_on_a_rank_one_product(self):
+        # complete, zero delay, all active: every merge tick takes the mean,
+        # so the period product has rank one and its lambda_2 is rounding
+        spec = ScheduleSpec(topology="complete", merge_period=2, delay_law="zero",
+                            activity="all-active")
+        sch = generate(spec, 8, 40, seed=0)
+        series = phi_limit_series(sch)
+        assert series.resolved and (sch.B1, sch.cycle) == (1, 2)
+        assert series.rho_hat == (8 * np.finfo(float).eps) ** (1.0 / 2)
+
+    def test_rho_does_not_follow_the_summation_order(self, monkeypatch):
+        # engine-m8-disk's |lambda_2| is about 9e-16, under the floor: the
+        # period product through the plan's adjoint and the dense oracle
+        # product give one rho_hat
+        cfg = WORKLOADS["engine-m8-disk"].config
+        sch = generate(ScheduleSpec.from_dict(cfg["sched"]), cfg["M"], cfg["horizon"],
+                       cfg["seed"])
+        _, rho = _base_limits(sch, sch.horizon)
+        monkeypatch.setattr(dalvq.agreement, "_adjoint", lambda s, r, t: r @ step_matrix(s, t))
+        assert _base_limits(sch, sch.horizon)[1] == rho
+        assert rho == (sch.B1 * sch.M * np.finfo(float).eps) ** (1.0 / sch.cycle)
 
     def test_limit_weights_are_probabilities(self):
         series = phi_limit_series(ring_schedule(M=4, horizon=80, delay=2))

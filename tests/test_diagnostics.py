@@ -78,7 +78,7 @@ class TestTheta:
 
     @pytest.mark.parametrize("T, rho, expected", [
         (8000, 0.9380173486951544, 0.001895523302464296),      # sweep-ref5k
-        (8000, 0.5818110570714146, 0.00017395995791700934),    # engine-m8-disk
+        (8000, 0.5818110570714146, 0.00017395995791700934),    # engine-m8-disk, old rho_hat
         (2000, 0.9725434130887501, 0.01804534470292662),       # impulse-gossip-m8
     ])
     def test_benchmark_theta_final_pinned(self, T, rho, expected):

@@ -20,17 +20,17 @@ from dalvq import cli
 
 PINNED = {
     "sweep-ref5k": {
-        "metrics.csv": "d02dd6fee7c3c209b0ba7148bad671f4855a7bc39946ff0a374e55490c92976c",
-        "report.json": "0f2aa443e0c4310b9b661f39edca3cde8a91a6cbdfc06d2b40ab97be51957db3",
+        "metrics.csv": "a35dc2b1d9dc87c750647200d52e473ac7498f1719a8d0d28b561925a87f29e9",
+        "report.json": "cc16eefcd49a8c35a257fc4a9e1a17d34bd1fef58eda02ac863762659d9ffca1",
         "final-quantizers.json":
-            "6da1db1ff4574b96927499239b4df9cdcba58eff12eab276895b1c7fbaef8cab",
+            "1a3486e5ec04d4afa0bed0c3b87f92a7733205c278b8dd1e4f6fc70455a24a49",
         "schedule-trace.jsonl":
             "a79e0a95248c2e476bc55f977529bc905b5cd9276f04e29d9825db1c179073f3"},
     "engine-m8-disk": {
-        "metrics.csv": "db6ee5894a40b632440fcc3465321841deddf1354d1762af5ef1ca6a5f98eb4e",
-        "report.json": "81e79758587cf8e22014aaf272d414edcc63705886ce2e4f41fde65eae2c9d8a",
+        "metrics.csv": "31c62591c0f91dbeddcafdf34ae1858a4b8bc7c585cd7428e3c7666312cf11f0",
+        "report.json": "149f7da49c94446bb687a1069a1741f164ad62f52b6d96f04fee5ada398eae9d",
         "final-quantizers.json":
-            "c66441ebf16193e8ad9cb997142e8c0856d8ce8aa7530fd7d5897c2e4d163843",
+            "e42cb38d6f34109095f24e219a9fbb48df453015826153847090185e331aa035",
         "schedule-trace.jsonl":
             "865222b4d8c4f2f0e354dafef6b716719e4094646582202483688e6cfec78f89"},
     "impulse-gossip-m8": {
@@ -100,8 +100,8 @@ BASELINE_PINNED = {
 
 # phi-table at its default t, min(horizon, 64)
 PHI_TABLE_PINNED = {
-    "sweep-ref5k": "d8bab657f56780411ada35ab198a49739e92dbc389f48e8dfb723b76ab746485",
-    "engine-m8-disk": "b376f232e4716253657cab84b82cb3bc0fdff47bce24c592038dae00a8dd53b3",
+    "sweep-ref5k": "2c210b98985d13f9d6309c005d60672a684c0400cf735db7e5ed770cbd390827",
+    "engine-m8-disk": "f799ab15e480e1572536dc34f3cb0b66db387b7f1914a5addbe9e74d67694987",
     "impulse-gossip-m8": "6c6e18c506bcd39678e11bc7089c9655b7bdcad7b1ff98fbcdb82b29f153f830",
 }
 
