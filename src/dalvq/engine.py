@@ -202,8 +202,8 @@ class RunArtifacts:
     samples drawn a table ahead (_planned), and the chunk runs its ticks and
     is handed on, kept nowhere: the events are exposed no other way. Every
     pass gives the same chunks. n_events, the plan's count, is known at once.
-    The first pass to reach the horizon keeps the snapshots, the final
-    versions and K1, K2; reading one of them first runs such a pass. That
+    The first pass to reach the horizon keeps the snapshots (the final
+    versions last) and K1, K2; reading one of them first runs such a pass. That
     cache is no constructor field, so dataclasses.replace starts afresh.
     """
 
@@ -285,11 +285,8 @@ class RunArtifacts:
             e0 += events.n
         snapshots[snap_at[T]] = ring[T % depth]
         if not self._end:
-            final = ring[T % depth].copy()
-            for arr in (snapshots, final):
-                arr.flags.writeable = False
-            self._end.update(snapshots=snapshots, final=final,
-                             K1=K1 if self.n_events else cfg.step.c, K2=K2)
+            snapshots.flags.writeable = False
+            self._end.update(snapshots=snapshots, K1=K1 if self.n_events else cfg.step.c, K2=K2)
 
     n_events = property(lambda self: int(self.schedule.active_count(self.config.horizon).sum()),
                         doc="the number of planned descents")
@@ -306,7 +303,8 @@ class RunArtifacts:
 
     snapshots = property(lambda self: self._ended("snapshots"),
                          doc="(n_snap, M, width) versions at the recorded ticks")
-    final = property(lambda self: self._ended("final"), doc="(M, width) versions at the horizon")
+    final = property(lambda self: self.snapshots[-1],
+                     doc="(M, width) versions at the horizon, the last snapshot")
     K1 = property(lambda self: self._ended("K1"), doc="least step * (t or 1) of a descent")
     K2 = property(lambda self: self._ended("K2"), doc="largest step * (t or 1), at least 1")
 

@@ -38,8 +38,8 @@ _DELAY_LAWS = ("zero", "fixed", "uniform")
 _ACTIVITIES = ("all-active", "round-robin", "random-subset", "none")
 
 _ROW_SUM_TOL = 1e-12
-# The limits' (B1 * M)^2 period product, its eigensolve and least-squares system:
-# a B1 or M that puts one over this many bytes is rejected where a schedule is built.
+# Bytes allowed for the limits' (B1 * M)^2 period product and its solves, and for a
+# generated schedule's P-row tables; a schedule over either is rejected where it is built.
 _STEP_MATRIX_BYTES = 2**30
 
 
@@ -217,8 +217,8 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
     window's edge union strongly connected and covers every recurring pair's
     occurrence gaps, and B3 the tightest symmetry slack (1 when the family is
     not symmetric at all, in which case the symmetry check simply fails).
-    An M whose (B1 M)^2 period product is too large even at B1 = 1 is
-    rejected before any table is built.
+    An M or a period P too large for the (B1 M)^2 period product at B1 = 1
+    or for the P M (16 M + 1) table bytes is rejected before any table is built.
     """
     if M < 1:
         raise ConfigError("M must be >= 1")
@@ -247,6 +247,9 @@ def generate(spec: ScheduleSpec, M: int, horizon: int, seed: int) -> CommSchedul
             or spec.topology == "random-symmetric-gossip":
         periods.append(spec.base_window)
     P = math.lcm(*periods)
+    if (size := P * M * (16 * M + 1)) > _STEP_MATRIX_BYTES:  # coeff, delay, active
+        raise ConfigError(f"merge_period={p} and base_window={spec.base_window} at M={M} need "
+                          f"{P}-row tables of {size} bytes, over {_STEP_MATRIX_BYTES} bytes")
 
     g = StreamHandle(seed, STREAM_SCHEDULE).generator()
     eye = np.eye(M, dtype=bool)
@@ -432,6 +435,20 @@ class ValidationReport:
                 "constants": self.constants}
 
 
+def _first_fault(passed_detail: str, faults: list) -> CheckResult:
+    """A check's result: failed at the first fault, in list order, whose mask
+    holds anywhere, else passed. A fault is (detail, mask, axis names) and
+    optionally (value name, value array); its witness names the mask's first
+    hit in C order by axis, then the value array's entry there."""
+    for detail, mask, axes, *value in faults:
+        if mask.any():
+            at = np.unravel_index(np.argmax(mask), mask.shape)
+            witness = {axis: int(k) for axis, k in zip(axes, at)}
+            witness.update((name, array[at].item()) for name, array in value)
+            return CheckResult(False, detail, witness)
+    return CheckResult(True, passed_detail)
+
+
 def validate(schedule: CommSchedule) -> ValidationReport:
     """Check every structural assumption against the declared constants.
 
@@ -448,49 +465,22 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     checks: dict[str, CheckResult] = {}
 
     # delays: in range, zero on the diagonal and wherever the coefficient is zero
-    ok, detail, witness = True, "delays in [0, B1), diagonal and silent entries zero", None
-    if T > 0:
-        too_big = np.argwhere(delay >= schedule.B1)
-        diag_bad = np.argwhere(delay[:, np.arange(M), np.arange(M)] != 0)
-        silent_bad = np.argwhere((coeff == 0.0) & (delay != 0))
-        if len(too_big):
-            t, i, j = map(int, too_big[0])
-            ok, detail, witness = False, "delay at or above B1", {"t": t, "i": i, "j": j,
-                                                                 "delay": int(delay[t, i, j])}
-        elif len(diag_bad):
-            t, i = map(int, diag_bad[0])
-            ok, detail, witness = False, "nonzero self-delay", {"t": t, "i": i}
-        elif len(silent_bad):
-            t, i, j = map(int, silent_bad[0])
-            ok, detail, witness = False, "delay on a zero coefficient", {"t": t, "i": i, "j": j}
-    checks["delay_bounds"] = CheckResult(ok, detail, witness)
+    d = np.arange(M)
+    checks["delay_bounds"] = _first_fault(
+        "delays in [0, B1), diagonal and silent entries zero",
+        [("delay at or above B1", delay >= schedule.B1, ("t", "i", "j"), ("delay", delay)),
+         ("nonzero self-delay", delay[:, d, d] != 0, ("t", "i")),
+         ("delay on a zero coefficient", (coeff == 0.0) & (delay != 0), ("t", "i", "j"))])
 
     # convex combinations: rows sum to 1, entries either 0 or in [alpha, 1], self weight >= alpha
-    ok, detail, witness = True, "rows are convex combinations with threshold alpha", None
-    if T > 0:
-        sums = np.sum(coeff, axis=2)
-        bad_sum = np.argwhere(np.abs(sums - 1.0) > _ROW_SUM_TOL)
-        pos = coeff > 0.0
-        bad_small = np.argwhere(pos & (coeff < schedule.alpha - 1e-15))
-        bad_big = np.argwhere(coeff > 1.0 + 1e-15)
-        diag = coeff[:, np.arange(M), np.arange(M)]
-        bad_diag = np.argwhere(diag < schedule.alpha - 1e-15)
-        if len(bad_sum):
-            t, i = map(int, bad_sum[0])
-            ok, detail, witness = False, "row does not sum to 1", {"t": t, "i": i,
-                                                                  "sum": float(sums[t, i])}
-        elif len(bad_big):
-            t, i, j = map(int, bad_big[0])
-            ok, detail, witness = False, "coefficient above 1", {"t": t, "i": i, "j": j}
-        elif len(bad_small):
-            t, i, j = map(int, bad_small[0])
-            ok, detail, witness = False, "positive coefficient below alpha", \
-                {"t": t, "i": i, "j": j, "coeff": float(coeff[t, i, j])}
-        elif len(bad_diag):
-            t, i = map(int, bad_diag[0])
-            ok, detail, witness = False, "self weight below alpha", {"t": t, "i": i,
-                                                                    "coeff": float(diag[t, i])}
-    checks["convex_combination"] = CheckResult(ok, detail, witness)
+    sums, own, low = np.sum(coeff, axis=2), coeff[:, d, d], schedule.alpha - 1e-15
+    checks["convex_combination"] = _first_fault(
+        "rows are convex combinations with threshold alpha",
+        [("row does not sum to 1", np.abs(sums - 1.0) > _ROW_SUM_TOL, ("t", "i"), ("sum", sums)),
+         ("coefficient above 1", coeff > 1.0 + 1e-15, ("t", "i", "j")),
+         ("positive coefficient below alpha", (coeff > 0.0) & (coeff < low), ("t", "i", "j"),
+          ("coeff", coeff)),
+         ("self weight below alpha", own < low, ("t", "i"), ("coeff", own))])
 
     edges = _edge_tensor(schedule.coeff_table, T)
     need, gap, tick = _pair_gaps(edges)
@@ -506,17 +496,12 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     checks["connectivity"] = CheckResult(ok, detail, witness)
 
     # bounded communication intervals: recurring pairs occur in every B2-window
-    ok, detail, witness = True, "recurring pairs reappear within every B2-window", None
-    if T > 0 and M > 1:
-        bad = np.argwhere(need > schedule.B2)
-        singles = int(np.sum(np.sum(edges, axis=0) == 1))
-        if len(bad):
-            i, j = map(int, bad[0])
-            ok, detail = False, "recurring pair exceeds the B2 interval"
-            witness = {"sender": j, "receiver": i, "needed_window": int(need[i, j])}
-        elif singles:
-            detail += f"; {singles} pair(s) occur once and are unconstrained"
-    checks["bounded_intervals"] = CheckResult(ok, detail, witness)
+    singles = int(np.sum(np.sum(edges, axis=0) == 1))
+    checks["bounded_intervals"] = _first_fault(
+        "recurring pairs reappear within every B2-window"
+        + (f"; {singles} pair(s) occur once and are unconstrained" if singles else ""),
+        [("recurring pair exceeds the B2 interval", need > schedule.B2, ("receiver", "sender"),
+          ("needed_window", need))])
 
     # symmetry: each edge is mirrored within strict distance B3
     ok, detail, witness = True, "every edge has its reverse within |t - tau| < B3", None
@@ -537,12 +522,8 @@ def validate(schedule: CommSchedule) -> ValidationReport:
     checks["symmetry"] = CheckResult(ok, detail, witness)
 
     # at least one descent step per tick
-    ok, detail, witness = True, "some processor descends at every tick", None
-    if T > 0:
-        idle = np.flatnonzero(~np.any(active, axis=1))
-        if len(idle):
-            ok, detail, witness = False, "tick with no active processor", {"t": int(idle[0])}
-    checks["activity"] = CheckResult(ok, detail, witness)
+    checks["activity"] = _first_fault("some processor descends at every tick", [
+        ("tick with no active processor", ~np.any(active, axis=1), ("t",))])
 
     base = all(checks[k].passed for k in ("delay_bounds", "convex_combination", "connectivity"))
     asy1 = base and checks["bounded_intervals"].passed

@@ -18,7 +18,7 @@ from dalvq.engine import Chunk, EventLog
 from dalvq.errors import ConfigError
 from dalvq.geometry import min_component_separation, nearest_cell
 from dalvq.measures import STREAM_SCHEDULE, StreamHandle, init_quantizer, make_batch
-from dalvq.schedule import CommSchedule, _measure
+from dalvq.schedule import CheckResult, CommSchedule, _edge_tensor, _measure, _pair_gaps
 
 
 def generator_sample(spec, draw: StreamHandle) -> np.ndarray:
@@ -258,6 +258,83 @@ def generate_by_entry(spec, M: int, horizon: int, seed: int):
     alpha, B1, B2, B3 = _measure(coeff, delay, horizon)
     return CommSchedule(M=M, horizon=horizon, alpha=alpha, B1=B1, B2=B2, B3=B3,
                         coeff_table=coeff, delay_table=delay, active_table=active, period=P)
+
+
+def validate_by_check(schedule) -> dict:
+    """`schedule.validate`'s delay_bounds, convex_combination,
+    bounded_intervals and activity checks, each fault found by its own
+    argwhere and its witness written out by hand. The library states each
+    check as a list of faults and reads every witness by one rule
+    (`schedule._first_fault`)."""
+    M, T = schedule.M, schedule.horizon
+    span = min(T, schedule.cycle + int(np.max(schedule.delay_table, initial=0)) + 1)
+    coeff, delay, active = schedule.materialize(span)
+    checks = {}
+
+    ok, detail, witness = True, "delays in [0, B1), diagonal and silent entries zero", None
+    if T > 0:
+        too_big = np.argwhere(delay >= schedule.B1)
+        diag_bad = np.argwhere(delay[:, np.arange(M), np.arange(M)] != 0)
+        silent_bad = np.argwhere((coeff == 0.0) & (delay != 0))
+        if len(too_big):
+            t, i, j = map(int, too_big[0])
+            ok, detail, witness = False, "delay at or above B1", {"t": t, "i": i, "j": j,
+                                                                 "delay": int(delay[t, i, j])}
+        elif len(diag_bad):
+            t, i = map(int, diag_bad[0])
+            ok, detail, witness = False, "nonzero self-delay", {"t": t, "i": i}
+        elif len(silent_bad):
+            t, i, j = map(int, silent_bad[0])
+            ok, detail, witness = False, "delay on a zero coefficient", {"t": t, "i": i, "j": j}
+    checks["delay_bounds"] = CheckResult(ok, detail, witness)
+
+    ok, detail, witness = True, "rows are convex combinations with threshold alpha", None
+    if T > 0:
+        sums = np.sum(coeff, axis=2)
+        bad_sum = np.argwhere(np.abs(sums - 1.0) > 1e-12)
+        pos = coeff > 0.0
+        bad_small = np.argwhere(pos & (coeff < schedule.alpha - 1e-15))
+        bad_big = np.argwhere(coeff > 1.0 + 1e-15)
+        diag = coeff[:, np.arange(M), np.arange(M)]
+        bad_diag = np.argwhere(diag < schedule.alpha - 1e-15)
+        if len(bad_sum):
+            t, i = map(int, bad_sum[0])
+            ok, detail, witness = False, "row does not sum to 1", {"t": t, "i": i,
+                                                                  "sum": float(sums[t, i])}
+        elif len(bad_big):
+            t, i, j = map(int, bad_big[0])
+            ok, detail, witness = False, "coefficient above 1", {"t": t, "i": i, "j": j}
+        elif len(bad_small):
+            t, i, j = map(int, bad_small[0])
+            ok, detail, witness = False, "positive coefficient below alpha", \
+                {"t": t, "i": i, "j": j, "coeff": float(coeff[t, i, j])}
+        elif len(bad_diag):
+            t, i = map(int, bad_diag[0])
+            ok, detail, witness = False, "self weight below alpha", {"t": t, "i": i,
+                                                                    "coeff": float(diag[t, i])}
+    checks["convex_combination"] = CheckResult(ok, detail, witness)
+
+    ok, detail, witness = True, "recurring pairs reappear within every B2-window", None
+    if T > 0 and M > 1:
+        edges = _edge_tensor(schedule.coeff_table, T)
+        need = _pair_gaps(edges)[0]
+        bad = np.argwhere(need > schedule.B2)
+        singles = int(np.sum(np.sum(edges, axis=0) == 1))
+        if len(bad):
+            i, j = map(int, bad[0])
+            ok, detail = False, "recurring pair exceeds the B2 interval"
+            witness = {"sender": j, "receiver": i, "needed_window": int(need[i, j])}
+        elif singles:
+            detail += f"; {singles} pair(s) occur once and are unconstrained"
+    checks["bounded_intervals"] = CheckResult(ok, detail, witness)
+
+    ok, detail, witness = True, "some processor descends at every tick", None
+    if T > 0:
+        idle = np.flatnonzero(~np.any(active, axis=1))
+        if len(idle):
+            ok, detail, witness = False, "tick with no active processor", {"t": int(idle[0])}
+    checks["activity"] = CheckResult(ok, detail, witness)
+    return checks
 
 
 def is_parted(q, delta: float) -> bool:

@@ -44,6 +44,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def checkout_env():
+    """The environment for a child process that imports this checkout's dalvq
+    first, not whatever copy it would find otherwise."""
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(dalvq.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
+
+
 # ---- config parsing ----
 
 
@@ -336,22 +344,46 @@ FAULTS = [
     ("M-zero", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("M",), 0))),
     # the smallest M whose step matrix is too large even at B1 = 1
     ("M-11586", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("M",), 11_586))),
+    # generated tables sized by a period of 3e9 ticks, on a 40-tick horizon
+    ("merge-period-1e9", EXIT_CONFIG, lambda p: run_args(p, write_config(p, config_doc(
+        "validate-only", sched=dataclasses.replace(RING, merge_period=10**9))))),
+    ("base-window-1e9", EXIT_CONFIG, lambda p: run_args(p, write_config(p, config_doc(
+        "validate-only", sched=dataclasses.replace(RING, delay_law="uniform", delay_value=2,
+                                                   base_window=10**9))))),
     ("trace-path-integer", EXIT_CONFIG,
      lambda p: run_args(p, edited_config(p, ("sched", "trace_path"), 5))),
     ("step-c-nan", EXIT_CONFIG, lambda p: run_args(p, edited_config(p, ("step", "c"), math.nan))),
     ("report-missing-run-dir", EXIT_IO, lambda p: ["report", str(p / "none")]),
     ("report-empty-run-dir", EXIT_IO, lambda p: ["report", str(p)]),
 ]
+# Rows whose input, were it accepted, would ask for more memory than a host
+# has: they run in a child whose address space is capped at 2 GB, where a
+# regression fails with MemoryError instead of swamping the host.
+CAPPED = {"merge-period-1e9", "base-window-1e9"}
+
+
+def capped_main(argv):
+    """main(argv) in a child capped at 2 GB of address space: its exit code
+    and stderr lines."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from dalvq.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, env=checkout_env(), timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv, code", [pytest.param(make, code, id=name)
-                                            for name, code, make in FAULTS])
-    def test_fault_matrix(self, tmp_path, capsys, argv, code):
+    @pytest.mark.parametrize("name, code, argv", [pytest.param(*row, id=row[0])
+                                                  for row in FAULTS])
+    def test_fault_matrix(self, tmp_path, capsys, name, code, argv):
         # bad input never gives a traceback: an exit code of 2, 3 or 4 and
         # exactly one stderr line naming the kind of error
-        got = main(argv(tmp_path))
-        err = capsys.readouterr().err.splitlines()
+        if name in CAPPED:
+            got, err = capped_main(argv(tmp_path))
+        else:
+            got, err = main(argv(tmp_path)), capsys.readouterr().err.splitlines()
         assert got == code
         assert len(err) == 1 and err[0].startswith(PREFIX[code]), err
 
@@ -540,9 +572,7 @@ class TestWithoutScipy:
                     "sys.modules['scipy'] = None\n"
                     "from dalvq.cli import main\n"
                     "sys.exit(main(sys.argv[1:]))\n")
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(dalvq.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
+        env = checkout_env()
         cfg = write_config(tmp_path, config_doc())
         for argv in (["run", "--config", cfg, "--out", str(tmp_path / "out")],
                      ["validate-schedule", "--config", cfg]):
@@ -569,14 +599,10 @@ class TestInstalledScript:
                     "from importlib.metadata import EntryPoint\n"
                     "sys.argv[0] = 'dalvq'\n"
                     f"sys.exit(EntryPoint('dalvq', {entry.value!r}, 'console_scripts').load()())\n")
-        # run this checkout, not whatever copy the child would find first
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(dalvq.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src_root, os.environ.get("PYTHONPATH")) if p))
         cfg = write_config(tmp_path, config_doc(mode="validate-only"))
         out = tmp_path / "out"
         proc = subprocess.run([sys.executable, "-c", launcher, "run", "--config", cfg,
-                               "--out", str(out)], capture_output=True, env=env)
+                               "--out", str(out)], capture_output=True, env=checkout_env())
         assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert sorted(os.listdir(out)) == ["effective-config.json", "timing.json",
                                            "validation.json"]

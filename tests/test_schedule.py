@@ -16,7 +16,7 @@ import dalvq
 from dalvq.errors import ConfigError
 from dalvq.schedule import (CommSchedule, ScheduleSpec, _measure, generate, read_trace,
                             validate, write_trace)
-from oracles import communication_graph, generate_by_entry, trace_text
+from oracles import communication_graph, generate_by_entry, trace_text, validate_by_check
 
 
 def ring_spec(**kw):
@@ -166,14 +166,19 @@ class TestGenerate:
             assert got[0] == got[1], (activity, law, p, M, seed)
 
     def test_m_bound_comes_before_any_table(self, monkeypatch):
-        # an M whose step matrix is too large even at B1 = 1 never reaches
-        # the tables' measurement; the largest M allowed does
+        # an M whose step matrix is too large even at B1 = 1 is rejected
+        # first; at the largest M it allows, the 16 * 257 bytes of tables at
+        # P = 1 are over this cap too, and are rejected before they are built;
+        # a cap that holds them lets the tables reach their measurement
         def no_tables(*args):
             raise AssertionError("tables built")
         monkeypatch.setattr("dalvq.schedule._STEP_MATRIX_BYTES", 8 * 16**2)
         monkeypatch.setattr("dalvq.schedule._measure", no_tables)
-        with pytest.raises(ConfigError, match="M=17"):
+        with pytest.raises(ConfigError, match="M=17 needs a 17\\^2 step matrix"):
             generate(ScheduleSpec(topology="complete"), 17, 20, seed=0)
+        with pytest.raises(ConfigError, match="at M=16 need 1-row tables of 4112 bytes"):
+            generate(ScheduleSpec(topology="complete"), 16, 20, seed=0)
+        monkeypatch.setattr("dalvq.schedule._STEP_MATRIX_BYTES", 16 * 257)
         with pytest.raises(AssertionError, match="tables built"):
             generate(ScheduleSpec(topology="complete"), 16, 20, seed=0)
 
@@ -563,6 +568,11 @@ def with_tick_faults(coeff, period, seed):
     delay = np.where((coeff > 0.0) & off, rng.integers(0, 5, size=coeff.shape), 0)
     delay[rng.random(coeff.shape) < 0.01] = 1            # self or silent delays
     coeff = coeff * np.where(rng.random((L, M)) < 0.02, 0.9, 1.0)[:, :, None]
+    coeff[rng.random((L, M)) < 0.02] *= 1.0 + 1e-13      # a lone 1 above 1, row sum in tolerance
+    if M > 1:                                            # a self weight moved to the next sender
+        t, i = np.nonzero(rng.random((L, M)) < 0.01)
+        coeff[t, i, (i + 1) % M] += coeff[t, i, i]
+        coeff[t, i, i] = 0.0
     active = rng.random((L, M)) < 0.9
     active[rng.random(L) < 0.03] = False
     alpha = min(1.0, float(np.min(coeff[coeff > 0.0])) * rng.choice([1.0, 1.0, 1.5]))
@@ -599,6 +609,22 @@ class TestEdgeAnalysis:
                            .to_dict()["checks"] for kw in (faulty, tiled))
         for name in ("delay_bounds", "convex_combination", "activity"):
             assert periodic[name] == dense[name], name
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_witnesses_are_the_per_check_oracle(self, table, seed):
+        # the fault lists read by one witness rule give each check's report,
+        # to the JSON text the artifacts hold (sorted keys) and the type of
+        # every witness value, as the hand-written per-check code does
+        coeff, horizon, period, (B2, B3) = table
+        sch = CommSchedule(M=coeff.shape[1], horizon=horizon, B2=B2, B3=B3,
+                           **with_tick_faults(coeff, period, seed))
+        got = validate(sch).checks
+        for name, want in validate_by_check(sch).items():
+            assert json.dumps(got[name].to_dict(), sort_keys=True) == \
+                json.dumps(want.to_dict(), sort_keys=True), name
+            assert {k: type(v) for k, v in (got[name].witness or {}).items()} == \
+                {k: type(v) for k, v in (want.witness or {}).items()}, name
 
     def test_validate_memory_flat_in_horizon(self):
         # An M = 64 ring of period 64 at the 200k-tick horizon. Materialized
