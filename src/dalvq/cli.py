@@ -7,6 +7,8 @@ config; wall-clock numbers live in timing.json alone so reruns can be diffed.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -309,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    atexit.unregister(gc.freeze)        # once, however often main runs: frozen at
+    atexit.register(gc.freeze)          # exit, objects skip the teardown's collection
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -3,13 +3,14 @@
 Everything here reads run artifacts; the metrics sweep consumes the run's
 chunks of consecutive ticks as the engine produces them. The expensive parts
 (distortion and gradient evaluations against the reference batch) go through
-``geometry.batched_cell_stats`` a few hundred quantizers at a time: a chunk
-of consecutive ticks' w*(t), then the pre-merge versions of that chunk's
-events. Consecutive iterates move by O(1/t), so the kernel's anchor bounds
-leave few reference points to rescan and a quantizer costs about a thirtieth
-of a full scan. The per-tick bookkeeping (the agreement trajectory, the
-perturbation partial sums) is a prefix sum over each chunk's events, in
-event order, and each recorded tick reads its row by one gather.
+``geometry.batched_cell_stats`` in one call a chunk: its ticks' w*(t) and
+its events' pre-merge versions, stacked in tick order, so the middle w*
+anchors them all. Consecutive iterates move by O(1/t) and the versions stay
+near w*, so the kernel's anchor bounds leave few reference points to rescan.
+h at each recorded w* is a row of that call, which the Lipschitz probe
+reads. The per-tick bookkeeping (the agreement trajectory, the perturbation
+partial sums) is a prefix sum over each chunk's events, in event order, and
+each recorded tick reads its row by one gather.
 
 The pass has two halves: the impulse limits and the chunk loop, which read
 only the schedule and the chunk stream, and a tail that reads what the ticks
@@ -44,7 +45,7 @@ import numpy as np
 
 from .agreement import PhiLimitSeries, merged_versions, phi_limit_series
 from .engine import Chunk, RunArtifacts
-from .geometry import batched_cell_stats, min_component_separation
+from .geometry import _min_separation, batched_cell_stats
 from .schedule import CommSchedule
 
 __all__ = [
@@ -125,6 +126,7 @@ class RunMetrics:
     mart_n: int
     limits: PhiLimitSeries            # the impulse limits the series are built on
     h_snap: np.ndarray                # (n_rec, M, width) h at each recorded version
+    h_star: np.ndarray                # (n_rec, width) h at each recorded w*, from the sweep
 
     def to_csv(self, path: str) -> None:
         """Shortest round-trip decimal floats; byte-stable across runs."""
@@ -161,7 +163,8 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     first chunk is read. In each chunk the agreement trajectory w*(t) and
     the perturbation partial sums are prefix sums over the chunk's events,
     in event order, and all distortion or gradient evaluations go through
-    the batched kernel. Reads nothing the ticks leave at the horizon.
+    one kernel call on the chunk's w* rows and its events' versions, stacked
+    in tick order. Reads nothing the ticks leave at the horizon.
     """
     limits = phi_limit_series(art.schedule)
     cfg = art.config
@@ -183,6 +186,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     n_rec = len(times)
     out = {name: np.zeros(n_rec) for name in _STREAM_COLUMNS}
     w_star_rec = np.empty((n_rec, D))
+    h_star = np.empty((n_rec, D))
     dm_rec = np.empty((n_rec, 2, D))      # the dm1 and dm2 partial sums
 
     # Each prefix sum below runs behind a -0.0 row or over -0.0 fill, since
@@ -211,11 +215,15 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
         W = acc[starts[:L]]
         w_star = acc[E]
 
-        dist_b, grad_b, _, _ = batched_cell_stats(W.reshape(L, kappa, dim), batch)
+        # one stack in tick order, w*(t) and then tick t's events' versions
+        at_w, at_ev = starts[:L] + np.arange(L), ev_rows + (ev.t - b0) + 1
+        stack = np.empty((L + E, kappa, dim))
+        stack[at_w], stack[at_ev] = W.reshape(L, kappa, dim), wb
+        dist_s, grad_s, _, _ = batched_cell_stats(stack, batch)
+        dist_b, grad_b, h_evt = dist_s[at_w], grad_s[at_w], grad_s[at_ev]
         gn2_b = np.einsum("ckd,ckd->c", grad_b, grad_b)
         seg = np.cumsum(np.concatenate(([-0.0], eps_star_all[b0:b1] * gn2_b)))
 
-        _, h_evt, _, _ = batched_cell_stats(wb, batch)
         dm = np.full((E + 1, 2, kappa, dim), -0.0)
         dm1, dm2 = dm[1:, 0], dm[1:, 1]
         cview = coef_evt[:, None, None]
@@ -237,6 +245,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
         ks = slice(*np.searchsorted(times, [b0, b1]))
         rec = times[ks] - b0
         w_star_rec[ks] = W[rec]
+        h_star[ks] = grad_b[rec].reshape(-1, D)
         out["distortion_star"][ks] = dist_b[rec]
         out["grad_norm_star"][ks] = np.sqrt(gn2_b[rec])
         out["sum_eps_grad2"][ks] = run_seg + seg[rec]
@@ -250,13 +259,13 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     dist_f, grad_f, _, _ = batched_cell_stats(w_star.reshape(1, kappa, dim), batch)
     out["distortion_star"][-1] = dist_f[0]
     out["grad_norm_star"][-1] = float(np.linalg.norm(grad_f))
+    h_star[-1] = grad_f.reshape(D)
     out["sum_eps_grad2"][-1] = run_seg
     dm_rec[-1] = run_dm
     out["eps_star"][:] = eps_star_all[times]      # no event falls at the horizon
     out["sum_dm1"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 0]]
     out["dm2_partial_norm"][:] = [float(np.linalg.norm(v)) for v in dm_rec[:, 1]]
-    out["min_sep_star"][:] = [min_component_separation(w.reshape(kappa, dim))
-                              if kappa > 1 else math.inf for w in w_star_rec]
+    out["min_sep_star"][:] = _min_separation(w_star_rec.reshape(n_rec, kappa, dim))
     tick_w = np.maximum(np.arange(T + 1), 1).astype(float)
     env_cum = np.cumsum(n_active / tick_w**2)
     env_sum = np.zeros(n_rec)
@@ -281,7 +290,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     else:
         mart_mean_norm = mart_sigma = 0.0
 
-    return dict(out, w_star_rec=w_star_rec, env_sum=env_sum,
+    return dict(out, w_star_rec=w_star_rec, h_star=h_star, env_sum=env_sum,
                 eps_ratio_min=r_min, eps_ratio_min_t=t_min,
                 eps_ratio_max=r_max, eps_ratio_max_t=t_max,
                 eps_star_total=float(np.sum(eps_star_all[:T])),
@@ -409,12 +418,12 @@ def compute_metrics(art: RunArtifacts) -> RunMetrics:
     """The run's impulse limits and one chronological sweep computing every
     diagnostic series.
 
-    Walks the run chunk by chunk (art.chunks, the kernel's anchor chunks of
-    consecutive ticks), so a run whose ticks have not been taken yet takes
-    them here, one chunk of its event log at a time, in this process. The
-    limits and the chunk loop run in a forked child or here (sweep_path);
-    the snapshots' gradients and the tail, which read the versions the
-    ticks leave (snapshots, K2), run here once the last chunk is taken.
+    Walks the run chunk by chunk (art.chunks, chunks of consecutive ticks),
+    so a run whose ticks have not been taken yet takes them here, one chunk
+    of its event log at a time, in this process. The limits and the chunk
+    loop run in a forked child or here (sweep_path); the snapshots'
+    gradients and the tail, which read the versions the ticks leave
+    (snapshots, K2), run here once the last chunk is taken.
     """
     if sweep_path() == "forked":
         swept, h_snap = _forked_loop(art)
@@ -472,14 +481,11 @@ def _log_slope(t: np.ndarray, v: np.ndarray, floor: float) -> Optional[float]:
 
 def estimate_lipschitz(art: RunArtifacts, metrics: RunMetrics) -> float:
     """Largest observed ratio ||h(a) - h(b)|| / ||a - b|| over the run's own
-    recorded quantizers paired with the agreement trajectory; h at the
-    recorded quantizers is the sweep's (metrics.h_snap)."""
-    cfg = art.config
-    n_rec = len(metrics.times)
-    _, hS, _, _ = batched_cell_stats(metrics.w_star_rec.reshape(n_rec, cfg.kappa, cfg.dim),
-                                      art.batch)
+    recorded quantizers paired with the agreement trajectory; h at both is
+    the sweep's (metrics.h_snap and metrics.h_star), so the probe scores
+    nothing."""
     dw = np.linalg.norm(art.snapshots - metrics.w_star_rec[:, None], axis=2)
-    dh = np.linalg.norm(metrics.h_snap - hS.reshape(n_rec, 1, -1), axis=2)
+    dh = np.linalg.norm(metrics.h_snap - metrics.h_star[:, None], axis=2)
     keep = dw > 1e-9 * art.batch.diameter
     return float(np.max(dh[keep] / dw[keep], initial=0.0))
 

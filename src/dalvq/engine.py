@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import geometry, measures
+from . import measures
 from .agreement import _check_depth, _combine, _merge_plan, _merge_rows, _row_delta, merged_versions
 from .errors import ConfigError, require_int, strict_object
 from .geometry import SampleBatch, _sq_dist, nearest_cell
@@ -54,6 +54,8 @@ _STEP_KINDS = ("global-clock", "local-clock")
 # (_certify): a longer window shares its scoring call among more events, a
 # shorter one keeps the drift bound tighter.
 _WINDOW = 64
+# RunArtifacts.chunks hands a run on in chunks of this many ticks
+_CHUNK = 256
 _EPS = np.finfo(float).eps
 _INIT_POLICIES = ("shared", "per-processor")
 
@@ -222,7 +224,7 @@ class RunArtifacts:
         that alone holds more. The first chunk is a table of its own, so a
         consumer running beside the ticks, such as the forked sweep, gets it
         without waiting for a whole table's draws."""
-        cfg, size = self.config, geometry._STACK_CHUNK
+        cfg, size = self.config, _CHUNK
         before = np.zeros(cfg.M, dtype=np.int64)    # each processor's active ticks before b0
         table, n_table = [], 0
         for b0 in range(0, cfg.horizon, size):
@@ -252,7 +254,7 @@ class RunArtifacts:
             z = z[len(plan[2]):]
 
     def chunks(self) -> Iterator[Chunk]:
-        """The run, by the kernel's anchor chunk of consecutive ticks."""
+        """The run, by chunks of _CHUNK consecutive ticks."""
         cfg, schedule = self.config, self.schedule
         T, depth = cfg.horizon, schedule.B1
         ring = np.zeros((depth, cfg.M, cfg.width))

@@ -7,11 +7,12 @@ index, so the cells always partition the data even for degenerate quantizers.
 
 ``batched_cell_stats`` scores whole stacks of quantizers against a sample
 batch. Stacks that drift slowly, like the per-tick iterates of a run, are
-pruned with exact triangle-inequality bounds against one anchor quantizer per
-chunk, so only the points near a moving cell boundary are scored again. The
-anchor, the rescans, a quantizer the bounds do not serve and the one point
-``nearest_cell`` scores are all scored in the direct form |z - w|^2, summed in
-coordinate order, so a point gets the same cell on every path.
+pruned with exact triangle-inequality bounds against an anchor quantizer per
+group within a drift budget, so only the points near a moving cell boundary
+are scored again. The anchor, the rescans, a quantizer the bounds do not
+serve and the one point ``nearest_cell`` scores are all scored in the direct
+form |z - w|^2, summed in coordinate order, so a point gets the same cell on
+every path.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def nearest_cell(z, w) -> int | np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-_STACK_CHUNK = 256
 _PAIR_BLOCK = 4096
 # A quantizer whose bounds leave more than n / _FULL_SHARE points to rescan
-# takes a full scan: a rescanned pair's gathers cost several times a full
-# scan's share of a point. 2, 4 and 8 run within noise on the bench stacks.
+# is not served by its anchor. 2 and 4 save a few percent of the sweep's
+# kernel time but grow the pair lists (+1.4 MB peak RSS on sweep-ref5k).
 _FULL_SHARE = 8
+# A new group smaller than this takes full scans: a pass costs about three scans.
+_REGROUP = 8
 # A pruned distortion whose terms cancel by more than this factor takes a
 # full scan: at 64 the closed form stays within ~1e-13 relative.
 _CANCEL = 64.0
@@ -138,17 +140,19 @@ def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, .
     sums behind it. At a parted quantizer whose cell boundaries carry no
     points the gradient is exact.
 
-    The stack is taken in chunks of _STACK_CHUNK quantizers. In each chunk
-    one anchor quantizer is scanned in full, and every other quantizer is
-    bounded against it by the triangle inequality (Elkan, ICML 2003; Hamerly,
-    SDM 2010): only the points whose bounds cross are scanned again, and the
-    statistics follow from the anchor's plus the points that changed cell
-    (see _cell_moves and _pruned_stats). A lone quantizer, one whose bounds
-    leave too many points to rescan, or one whose closed-form distortion
-    would cancel takes a full scan of its own (_scan_stats). Every scan
-    scores a point in the direct form |z - w|^2 and gives it the nearest
-    component with the smallest index on ties, so the cells are the same
-    whichever path a quantizer takes.
+    The anchor groups follow how far the stack spreads, not its length: the
+    middle quantizer is scanned in full, and every other one is bounded
+    against it by the triangle inequality (Elkan, ICML 2003; Hamerly, SDM
+    2010), so only the points whose bounds cross are scanned again and a
+    tight stack of any size costs one scan (see _cell_moves, _pruned_stats).
+    Those the anchor does not serve (too many points to rescan, or a closed
+    form that would cancel) are grouped anew, each group the ones within the
+    anchor's drift budget of the middle one left (Ding et al., ICML 2015); a
+    group of _REGROUP or more is bounded the same way, and the rest, a lone
+    quantizer among them, take full scans (_scan_stats). Every scan scores a
+    point in the direct form |z - w|^2 and gives it the nearest component
+    with the smallest index on ties, so the cells are the same whichever
+    path a quantizer takes.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 3 or W.shape[2] != batch.dim:
@@ -158,12 +162,18 @@ def batched_cell_stats(W: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, .
     dist = np.empty(C)
     counts = np.zeros((C, kappa), dtype=np.int64)
     sums = np.zeros((C, kappa, dim))
-    for c0 in range(0, C, _STACK_CHUNK):
-        c1 = min(c0 + _STACK_CHUNK, C)
-        full = _pruned_stats(W[c0:c1], batch, dist[c0:c1], counts[c0:c1], sums[c0:c1]) \
-            if c1 - c0 > 1 else [0]
-        for c in full:
-            dist[c0 + c], counts[c0 + c], sums[c0 + c] = _scan_stats(W[c0 + c], batch)
+    groups, lone = ([np.arange(C)], []) if C > 1 else ([], list(range(C)))
+    while groups:
+        group = groups.pop()
+        dist[group], counts[group], sums[group], loose, budget = _pruned_stats(W[group], batch)
+        left = group[loose]
+        while 0 < len(left) < len(group):   # unless even the anchor went unserved
+            near = _thresholds(W[left], W[left[len(left) // 2]]).max(axis=1) <= budget
+            (groups.append if np.count_nonzero(near) >= _REGROUP else lone.extend)(left[near])
+            left = left[~near]
+        lone.extend(left)
+    for c in lone:
+        dist[c], counts[c], sums[c] = _scan_stats(W[c], batch)
     grad = (counts[:, :, None] * W - sums) / batch.n
     return dist, grad, counts, sums
 
@@ -191,7 +201,7 @@ def _scan(w: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     u2 = d2[0].copy()
     closer = np.empty(n, dtype=bool)
     for k in range(1, kappa):
-        np.copyto(assign, k, where=np.less(d2[k], u2, out=closer))
+        np.putmask(assign, np.less(d2[k], u2, out=closer), k)
         np.minimum(u2, d2[k], out=u2)
     return d2, assign, u2
 
@@ -206,8 +216,22 @@ def _scan_stats(w: np.ndarray, batch: SampleBatch) -> tuple[float, np.ndarray, n
     return 0.5 * u2.sum() / batch.n, np.bincount(assign, minlength=kappa), sums
 
 
+def _thresholds(Wc: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """_cell_moves' theta_jk = drift_jk + max_{k' != k} drift_jk'."""
+    C, kappa, _ = Wc.shape
+    step = Wc - A
+    drift = np.sqrt(np.einsum("ckd,ckd->ck", step, step))
+    other = np.zeros((C, kappa))
+    if kappa > 1:                                       # max drift over the other components
+        top = np.argmax(drift, axis=1)
+        two = np.partition(drift, kappa - 2, axis=1)[:, kappa - 2:]
+        other[:] = two[:, 1:]
+        other[np.arange(C), top] = two[:, 0]
+    return drift + other
+
+
 def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
-    """The assignments of a stack chunk, as an anchor's plus the changes.
+    """The assignments of a stack, as an anchor's plus the changes.
 
     The middle quantizer A is the anchor: each point p gets its cell a_p,
     its distance u_p to A's component a_p and l_p to the runner-up, exactly.
@@ -226,10 +250,11 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     16 (dim + 4) eps R added to every threshold covers the errors in the
     slack, the drifts and the rescan's comparison.
 
-    Returns (j0, assign, u2, full, j, p, cell): the anchor's index, its
-    assignment and squared distances u_p^2, the quantizers left to a full
-    scan, and each point p whose cell under quantizer j (not in full)
-    differs from assign[p].
+    Returns (j0, assign, u2, full, j, p, cell, budget): the anchor's index,
+    its assignment and squared distances u_p^2, the quantizers left to a
+    full scan, each point p whose cell under quantizer j (not in full)
+    differs from assign[p], and the drift budget, the (n / _FULL_SHARE)-th
+    smallest slack: thresholds within it leave about that many to rescan.
     """
     C, kappa, dim = Wc.shape
     n, pts = batch.n, batch.points
@@ -239,16 +264,9 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     d2[assign, np.arange(n)] = np.inf
     slack = np.sqrt(d2.min(axis=0)) - np.sqrt(u2)      # inf when kappa == 1
 
-    step = Wc - A
-    drift = np.sqrt(np.einsum("ckd,ckd->ck", step, step))
-    other = np.zeros((C, kappa))
-    if kappa > 1:                                       # max drift over the other components
-        top = np.argmax(drift, axis=1)
-        two = np.partition(drift, kappa - 2, axis=1)[:, kappa - 2:]
-        other[:] = two[:, 1:]
-        other[np.arange(C), top] = two[:, 0]
-    R = batch._radius + np.linalg.norm(np.abs(Wc).max(axis=(0, 1)))
-    theta = drift + other + 16 * (dim + 4) * np.finfo(float).eps * R
+    budget = np.partition(slack, n // _FULL_SHARE)[n // _FULL_SHARE]
+    R = batch._radius + np.linalg.norm(np.abs(Wc).max(axis=0).max(axis=0))
+    theta = _thresholds(Wc, A) + 16 * (dim + 4) * np.finfo(float).eps * R
 
     cand = np.flatnonzero(slack <= theta.max(axis=0)[assign])
     order = cand[np.lexsort((slack[cand], assign[cand]))]
@@ -276,14 +294,13 @@ def _cell_moves(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
                       out[:q1 - q0], tmp[:q1 - q0])
         np.argmin(d2, axis=1, out=new[q0:q1])
     moved = new != old
-    return j0, assign, u2, full, j[moved], p[moved], new[moved]
+    return j0, assign, u2, full, j[moved], p[moved], new[moved], budget
 
 
-def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: np.ndarray,
-                  sums: np.ndarray) -> np.ndarray:
-    """Fill (dist, counts, sums) of a stack chunk from its anchor's cell
-    statistics plus the points that changed cell (_cell_moves); returns the
-    indices left to a full scan, whose rows hold no result.
+def _pruned_stats(Wc: np.ndarray, batch: SampleBatch) -> tuple[np.ndarray, ...]:
+    """(dist, counts, sums) of a stack from its anchor's cell statistics plus
+    the points that changed cell (_cell_moves), the indices the anchor does
+    not serve, whose rows hold no result, and _cell_moves' drift budget.
 
     Cell l of quantizer j holds N points with sum S and sum of squared
     distances D to the anchor's component A_l, so its distortion is
@@ -296,7 +313,7 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
     """
     C, kappa, dim = Wc.shape
     pts = batch.points
-    j0, assign, u2, full, j, p, new = _cell_moves(Wc, batch)
+    j0, assign, u2, full, j, p, new, budget = _cell_moves(Wc, batch)
     A = Wc[j0]
     size = C * kappa
     into, out = j * kappa + new, j * kappa + assign[p]
@@ -306,19 +323,17 @@ def _pruned_stats(Wc: np.ndarray, batch: SampleBatch, dist: np.ndarray, counts: 
         moved = np.bincount(into, into_w, size) - np.bincount(out, out_w, size)
         return np.bincount(assign, anchor_w, kappa) + moved.reshape(C, kappa)
 
-    counts[:] = cells(None, None, None)
-    for k in range(dim):
-        sums[:, :, k] = cells(pts[:, k], pts[p, k], pts[p, k])
+    counts = cells(None, None, None)
+    sums = np.stack([cells(pts[:, k], pts[p, k], pts[p, k]) for k in range(dim)], axis=-1)
     d_into = _sq_dist(pts[p].T, A[new].T, np.empty(len(p)), np.empty(len(p)))
     cell_d = cells(u2, d_into, u2[p])
     e = A - Wc
     cross = 2.0 * np.einsum("ckd,ckd->ck", e, sums - counts[:, :, None] * A)
     quad = counts * np.einsum("ckd,ckd->ck", e, e)
     total = (cell_d + cross + quad).sum(axis=1)
-    dist[:] = 0.5 * total / batch.n
     loose = (cell_d + np.abs(cross) + quad).sum(axis=1) > _CANCEL * total
     loose[full] = True
-    return np.flatnonzero(loose)
+    return 0.5 * total / batch.n, counts, sums, np.flatnonzero(loose), budget
 
 
 def min_component_separation(w) -> float:
@@ -326,10 +341,12 @@ def min_component_separation(w) -> float:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"quantizer must be 2-d (kappa, dim), got shape {w.shape}")
-    kappa = w.shape[0]
-    if kappa == 1:
-        return math.inf
-    diff = w[:, None, :] - w[None, :, :]
-    sq = np.einsum("ijd,ijd->ij", diff, diff)
-    iu = np.triu_indices(kappa, k=1)
-    return float(np.sqrt(np.min(sq[iu])))
+    return float(_min_separation(w[None])[0])
+
+
+def _min_separation(W: np.ndarray) -> np.ndarray:
+    """min_component_separation of each quantizer of a stack (R, kappa, dim)."""
+    diff = W[:, :, None, :] - W[:, None, :, :]
+    iu = np.triu_indices(W.shape[1], k=1)
+    sq = np.einsum("rijd,rijd->rij", diff, diff)[:, iu[0], iu[1]]
+    return np.sqrt(np.min(sq, axis=1, initial=math.inf))

@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from dalvq import geometry
+from dalvq import engine
 from dalvq.agreement import merged_versions
 from dalvq.engine import Chunk, EventLog
 from dalvq.errors import ConfigError
@@ -364,13 +364,13 @@ def collect(art) -> EventLog:
 
 
 def split(log: EventLog, schedule) -> Iterator[Chunk]:
-    """A whole log of the schedule's planned descents, by the kernel's anchor
-    chunk, each chunk's events views of the log's rows: the chunks a pass of
-    the run's ticks gives, from the log instead."""
+    """A whole log of the schedule's planned descents, by the engine's chunk
+    of ticks, each chunk's events views of the log's rows: the chunks a pass
+    of the run's ticks gives, from the log instead."""
     t_plan, proc_plan, _ = schedule.descents()
     if not (np.array_equal(log.t, t_plan) and np.array_equal(log.proc, proc_plan)):
         raise ValueError("metrics need the run's event log of every planned descent")
-    T, size = schedule.horizon, geometry._STACK_CHUNK
+    T, size = schedule.horizon, engine._CHUNK
     starts = np.searchsorted(log.t, np.arange(T + 1))
     for b0 in range(0, T, size):
         b1 = min(b0 + size, T)

@@ -537,6 +537,42 @@ class TestReportCommand:
         assert len(err.splitlines()) == 1 and err.startswith("io error:")
 
 
+class TestExit:
+    """At exit the CLI freezes the collector, so the interpreter's teardown
+    skips collecting every object; a child's output stays whole."""
+
+    def test_report_child_prints_its_whole_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_doc())
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
+        dirs = [out] * 2000
+        capsys.readouterr()
+        assert main(["report", *dirs]) == EXIT_OK
+        table = capsys.readouterr().out
+        assert len(table) > 4 * 65536            # several pipe buffers
+        # an exit handler registered before main runs after the CLI's own
+        probe = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                 "from dalvq.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "report", *dirs],
+                              capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == table + "frozen True\n"
+
+    def test_run_child_writes_the_same_artifacts(self, tmp_path):
+        cfg = write_config(tmp_path, config_doc())
+        here, child = tmp_path / "here", tmp_path / "child"
+        assert main(["run", "--config", cfg, "--out", str(here)]) == EXIT_OK
+        proc = subprocess.run([sys.executable, "-m", "dalvq.cli", "run", "--config", cfg,
+                               "--out", str(child)], capture_output=True, env=checkout_env())
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        names = sorted(os.listdir(here))
+        assert sorted(os.listdir(child)) == names
+        for name in set(names) - {"timing.json"}:
+            assert (here / name).read_bytes() == (child / name).read_bytes(), name
+
+
 class TestValidateScheduleCommand:
     def test_passing(self, tmp_path):
         cfg = write_config(tmp_path, config_doc())

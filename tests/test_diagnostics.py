@@ -114,7 +114,7 @@ def kernel(w, batch):
 
 
 def test_sweep_resolves_the_geometry_kernel():
-    # compute_metrics and estimate_lipschitz look the kernel up on this module
+    # compute_metrics looks the kernel up on this module
     assert diagnostics.batched_cell_stats is geometry.batched_cell_stats
 
 
@@ -280,7 +280,7 @@ class TestComputeMetrics:
 
     def test_chunk_independence(self, small, monkeypatch):
         art, _, met = small
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", 7)
+        monkeypatch.setattr(engine, "_CHUNK", 7)
         alt = compute_metrics(art)
         for name in CSV_COLUMNS[1:]:
             np.testing.assert_allclose(getattr(alt, name), getattr(met, name),
@@ -292,7 +292,7 @@ class TestComputeMetrics:
     def test_streamed_run_is_the_collected_log(self, chunk, monkeypatch):
         # the sweep over a pass of the ticks and over the split of the
         # collected log agree in every bit
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         cfg = make_config(horizon=100, cadence=3)
         streamed = run(cfg)
         a = compute_metrics(streamed)
@@ -339,7 +339,7 @@ class TestAgreementTrajectoryBits:
     def test_small(self, small, chunk, monkeypatch):
         # horizon 60: below one chunk of 256, and not a multiple of 7
         art, _, _ = small
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         self.check(art)
 
     def test_horizon_not_a_chunk_multiple(self):
@@ -356,7 +356,7 @@ class TestAgreementTrajectoryBits:
         limits = phi_limit_series(art.schedule)
         limits = replace(limits, phi_init=limits.phi_init.view(KeepSigns))
         monkeypatch.setattr(diagnostics, "phi_limit_series", lambda schedule: limits)
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         met = self.check(replace(art, x0=x0))
         firsts = np.signbit(met.w_star_rec[:, ::art.config.dim])
         assert firsts[0].all() and firsts[1].any()
@@ -375,7 +375,7 @@ class TestAgreementTrajectoryBits:
         art = run(make_config(horizon=T, cadence=1,
                               sched=ScheduleSpec(topology="custom-trace", trace_path=path)))
         assert not np.isin(edges, collect(art).t).any()
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         self.check(art)
 
 
@@ -436,7 +436,7 @@ class TestForkedSweep:
 
     @pytest.mark.parametrize("chunk", [256, 7])
     def test_forked_and_inline_sweeps_agree(self, chunk, monkeypatch):
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         art = run(make_config(horizon=300, cadence=3))
         two_cpus(monkeypatch)
         with deadline(60):
@@ -633,6 +633,19 @@ class TestEstimateLipschitz:
                 h_i = kernel(wi, batch)[1]
                 best = max(best, float(np.linalg.norm(h_i - h_s)) / dw)
         assert estimate_lipschitz(art, met) == pytest.approx(best, rel=1e-9)
+
+    def test_reads_h_from_the_sweep(self, small, monkeypatch):
+        # h at the recorded w* is the sweep's: its chunks' rows and the
+        # horizon's; the probe and the report make no kernel call
+        art, _, met = small
+        cfg = art.config
+        for k, w in enumerate(met.w_star_rec):
+            h = kernel(w.reshape(cfg.kappa, cfg.dim), art.batch)[1]
+            np.testing.assert_allclose(met.h_star[k], h.ravel(), rtol=0, atol=1e-12)
+        monkeypatch.setattr(diagnostics, "batched_cell_stats",
+                            lambda W, b: pytest.fail("the probe called the kernel"))
+        assert estimate_lipschitz(art, met) > 0.0
+        assert summarize(art, met).p_hat == estimate_lipschitz(art, met)
 
 
 class TestSummarize:

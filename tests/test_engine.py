@@ -618,7 +618,7 @@ class TestChunks:
     @pytest.mark.parametrize("size", [256, 7, 1])
     def test_pass_is_the_collected_log(self, size, monkeypatch):
         # the chunks of a pass hold the log's rows, and the pass ends on its versions
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", size)
+        monkeypatch.setattr(engine, "_CHUNK", size)
         cfg = make_config(horizon=45, cadence=4)
         live = run(cfg)
         chunks = [(b0, b1, e0, starts.copy(), ev) for b0, b1, e0, starts, ev
@@ -641,7 +641,7 @@ class TestChunks:
         sch = _schedules()[k]
         t, _, n = sch.descents()
         monkeypatch.setattr("dalvq.engine.generate", lambda *a: sch)
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", 5)
+        monkeypatch.setattr(engine, "_CHUNK", 5)
         art = run(make_config(M=sch.M, horizon=sch.horizon,
                               step=StepPolicy("local-clock", 0.45)))
         list(art.chunks())
@@ -652,7 +652,7 @@ class TestChunks:
         calls = []
         tick = engine.dalvq_tick
         monkeypatch.setattr(engine, "dalvq_tick", lambda t, *a: calls.append(t) or tick(t, *a))
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", 6)
+        monkeypatch.setattr(engine, "_CHUNK", 6)
         for sch in _schedules():
             calls.clear()
             monkeypatch.setattr("dalvq.engine.generate", lambda *a: sch)
@@ -670,7 +670,7 @@ class TestChunks:
         draw = engine.sample
         monkeypatch.setattr(engine, "sample", lambda spec, at: sizes.append(np.size(at.counter))
                             or draw(spec, at))
-        monkeypatch.setattr(geometry, "_STACK_CHUNK", 6)
+        monkeypatch.setattr(engine, "_CHUNK", 6)
         art = run(make_config(horizon=40))
         list(art.chunks())
         assert sizes == [6, 34]
@@ -781,7 +781,7 @@ class TestPlannedWindows:
     def test_pass_is_the_per_event_rule(self, case):
         art, window, size = case
         with mock.patch.object(engine, "_WINDOW", window), \
-                mock.patch.object(geometry, "_STACK_CHUNK", size):
+                mock.patch.object(engine, "_CHUNK", size):
             got = collect(art)
         snapshots, final = art.snapshots, art.final
         sch, cfg = art.schedule, art.config

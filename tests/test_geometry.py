@@ -1,15 +1,17 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dalvq import diagnostics
+from bench_workloads import WORKLOADS
+from dalvq import cli, diagnostics, geometry
 from dalvq.engine import run
-from dalvq.geometry import (_STACK_CHUNK, SampleBatch, _cell_moves,
-                            batched_cell_stats, min_component_separation, nearest_cell)
+from dalvq.geometry import (SampleBatch, _cell_moves, _min_separation, batched_cell_stats,
+                            min_component_separation, nearest_cell)
 from dalvq.measures import DistributionSpec
 from dalvq.measures import make_batch as draw_batch
 from oracles import cell_stats, gradient_observation, is_parted
@@ -280,8 +282,8 @@ class TestPrunedKernel:
         # every coordinate is a multiple of 2^-13, so all arithmetic is exact:
         # a point placed on a bisector is a true tie, and every path must
         # match the oracle bit for bit. Off the grid, sums and distortions may
-        # differ in the last bits, assignments not at all. C > 256 crosses a
-        # stack chunk; C = 1 and C = 257 leave a lone quantizer.
+        # differ in the last bits, assignments not at all. C = 1 is a lone
+        # quantizer; large steps leave quantizers to new groups and full scans.
         rng = np.random.default_rng(seed)
         unit = 2.0 ** -12
         walk = np.cumsum(rng.integers(-step, step + 1, size=(C, kappa, dim)), axis=0)
@@ -299,7 +301,14 @@ class TestPrunedKernel:
         pts[: n // 3] = mid if grid else mid + np.spacing(mid) * rng.integers(-2, 3, mid.shape)
         batch = SampleBatch(points=pts, bbox_low=pts.min(axis=0), bbox_high=pts.max(axis=0),
                             diameter=1.0 + float(np.ptp(pts, axis=0).max()))
-        dist, grad, counts, sums = batched_cell_stats(W, batch)
+        groups = []
+
+        def recorded(Wc, batch):
+            groups.append((Wc, _cell_moves(Wc, batch)))
+            return groups[-1][1]
+
+        with mock.patch.object(geometry, "_cell_moves", recorded):
+            dist, grad, counts, sums = batched_cell_stats(W, batch)
         oracle = [cell_stats(w, pts) for w in W]
         tol = 1e-12 * (1.0 + offset)
         for c, (o_dist, o_grad, o_counts, o_sums, _) in enumerate(oracle):
@@ -317,45 +326,121 @@ class TestPrunedKernel:
             lone = batched_cell_stats(W[c:c + 1], batch)
             for got, want in zip(lone, oracle[c]):
                 np.testing.assert_array_equal(got[0], want)
-        # assignments: the anchor's plus the listed moves, for every quantizer
-        # not left to a full scan
-        for c0 in range(0, C, _STACK_CHUNK):
-            Wc = W[c0:c0 + _STACK_CHUNK]
-            if len(Wc) < 2:
-                continue
-            _, assign, _, full, j, p, cell = _cell_moves(Wc, batch)
+        # assignments: in each group the kernel formed, the anchor's plus the
+        # listed moves, for every quantizer the group did not leave to a full
+        # scan (a group's rows are rows of W, found by their bytes)
+        at = {w.tobytes(): c for c, w in enumerate(W)}
+        assert (len(groups) > 0) == (C > 1)
+        for Wc, (_, assign, _, full, j, p, cell, _) in groups:
             assert np.all(cell != assign[p])
             for q in sorted(set(range(len(Wc))) - set(full.tolist())):
                 got = assign.copy()
                 got[p[j == q]] = cell[j == q]
-                np.testing.assert_array_equal(got, oracle[c0 + q][4])
+                np.testing.assert_array_equal(got, oracle[at[Wc[q].tobytes()]][4])
 
     def test_metrics_sweep(self, monkeypatch):
         # every kernel call of the criterion-4 sweep, cut to T = 2000: the
         # first ticks drift too far and take full scans, the rest prune
         cfg = replace(big_config(), horizon=2000)
         art = run(cfg)
-        evaluated = []
-
-        def checked(W, batch):
-            out = batched_cell_stats(W, batch)
-            for c, w in enumerate(W):
-                o_dist, o_grad, o_counts, o_sums, _ = cell_stats(w, batch.points)
-                np.testing.assert_array_equal(out[2][c], o_counts)
-                assert out[0][c] == pytest.approx(o_dist, rel=1e-12)
-                np.testing.assert_allclose(out[1][c], o_grad, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(out[3][c], o_sums, rtol=1e-12, atol=0)
-            evaluated.append(len(W))
-            return out
-
-        monkeypatch.setattr(diagnostics, "batched_cell_stats", checked)
-        # one CPU: the chunk loop's kernel calls stay in this process, where
-        # they are counted (a forked loop calls the same kernel)
-        monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
-        diagnostics.compute_metrics(art)
+        evaluated = checked_sweep(art, monkeypatch)
         # w* at each tick, the events' pre-merge versions, w* at the horizon
         # and every processor's recorded version
         assert sum(evaluated) == cfg.horizon + art.n_events + 1 + len(art.snap_times) * cfg.M
+
+    def test_metrics_sweep_joint_stacks(self, monkeypatch):
+        # engine-m8-disk's shape cut to T = 600: eight events a tick, so a
+        # chunk's w* rows and its events' versions make stacks of 2,304
+        # quantizers, each checked against the oracle
+        cfg = replace(cli.parse_config(WORKLOADS["engine-m8-disk"].config, None).run,
+                      horizon=600)
+        art = run(cfg)
+        evaluated = checked_sweep(art, monkeypatch)
+        assert max(evaluated) == 256 * (1 + cfg.M) > 2000
+        assert sum(evaluated) == cfg.horizon + art.n_events + 1 + len(art.snap_times) * cfg.M
+
+    def test_tight_stack_shares_one_scan(self, monkeypatch):
+        # 3,000 quantizers that drift little: one anchor scan serves them all
+        rng = np.random.default_rng(4)
+        batch = box_batch(rng.uniform(-5, 5, (500, 2)))
+        W = rng.uniform(-4, 4, (1, 5, 2)) + np.cumsum(rng.normal(0, 1e-4, (3000, 5, 2)), axis=0)
+        scans = count_scans(monkeypatch)
+        assert_oracle_stats(W, batch)
+        assert scans == {"anchor": 1, "full": 0}
+
+    def test_spread_stack_is_regrouped(self, monkeypatch):
+        # two tight clusters far apart: the middle quantizer anchors the
+        # second, which cannot bound the first; the first is grouped anew
+        # around an anchor of its own, and nothing takes a full scan
+        rng = np.random.default_rng(5)
+        batch = box_batch(rng.uniform(-5, 5, (500, 2)))
+        base = rng.uniform(-4, 4, (1, 5, 2))
+        walk = np.cumsum(rng.normal(0, 1e-4, (600, 5, 2)), axis=0)
+        W = base + walk
+        W[300:] += 0.7
+        scans = count_scans(monkeypatch)
+        assert_oracle_stats(W, batch)
+        assert scans == {"anchor": 2, "full": 0}
+
+    def test_sweep_takes_fewer_full_scans(self, monkeypatch):
+        # sweep-ref5k's sweep, inline: 93 full scans when each chunk made two
+        # kernel calls, each cut into 256-quantizer slices with one anchor each
+        art = run(cli.parse_config(WORKLOADS["sweep-ref5k"].config, None).run)
+        scans = count_scans(monkeypatch)
+        monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
+        diagnostics.compute_metrics(art)
+        assert scans["full"] < 93
+
+
+def checked_sweep(art, monkeypatch):
+    """The sizes of the sweep's kernel calls, run inline, each call checked
+    against the oracle on every quantizer."""
+    evaluated = []
+
+    def checked(W, batch):
+        out = batched_cell_stats(W, batch)
+        for c, w in enumerate(W):
+            o_dist, o_grad, o_counts, o_sums, _ = cell_stats(w, batch.points)
+            np.testing.assert_array_equal(out[2][c], o_counts)
+            assert out[0][c] == pytest.approx(o_dist, rel=1e-12)
+            np.testing.assert_allclose(out[1][c], o_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[3][c], o_sums, rtol=1e-12, atol=0)
+        evaluated.append(len(W))
+        return out
+
+    monkeypatch.setattr(diagnostics, "batched_cell_stats", checked)
+    # one CPU: the chunk loop's kernel calls stay in this process, where
+    # they are counted (a forked loop calls the same kernel)
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0})
+    diagnostics.compute_metrics(art)
+    return evaluated
+
+
+def count_scans(monkeypatch):
+    """Counts, from now on, of the kernel's anchor scans and full scans."""
+    scans = {"anchor": 0, "full": 0}
+    moves, full = geometry._cell_moves, geometry._scan_stats
+
+    def anchored(*args):
+        scans["anchor"] += 1
+        return moves(*args)
+
+    def scanned(*args):
+        scans["full"] += 1
+        return full(*args)
+
+    monkeypatch.setattr(geometry, "_cell_moves", anchored)
+    monkeypatch.setattr(geometry, "_scan_stats", scanned)
+    return scans
+
+
+def assert_oracle_stats(W, batch):
+    dist, grad, counts, sums = batched_cell_stats(W, batch)
+    for c, w in enumerate(W):
+        o_dist, o_grad, o_counts, o_sums, _ = cell_stats(w, batch.points)
+        np.testing.assert_array_equal(counts[c], o_counts)
+        assert dist[c] == pytest.approx(o_dist, rel=1e-12)
+        np.testing.assert_allclose(sums[c], o_sums, rtol=1e-12, atol=1e-12)
 
 
 def box_batch(pts):
@@ -372,7 +457,7 @@ def assert_oracle_cells(W, batch):
     for c, (o_dist, _, o_counts, _, _) in enumerate(oracle):
         np.testing.assert_array_equal(counts[c], o_counts)
         assert dist[c] == pytest.approx(o_dist, rel=1e-12)
-    _, assign, _, full, j, p, cell = _cell_moves(W, batch)
+    _, assign, _, full, j, p, cell, _ = _cell_moves(W, batch)
     assert len(full) == 0
     for q in range(len(W)):
         got = assign.copy()
@@ -429,6 +514,25 @@ class TestMinSeparation:
 
     def test_single_component_is_inf(self):
         assert min_component_separation(np.array([[1.0, 2.0]])) == math.inf
+        assert np.array_equal(_min_separation(np.zeros((3, 1, 2))), np.full(3, math.inf))
+
+    def test_stacked_is_the_per_row_rule(self):
+        # one stacked call gives, bit for bit, what the rule applied to each
+        # quantizer alone gives: differences, the sum over coordinates, the
+        # upper triangle's minimum, its square root
+        def per_row(w):
+            diff = w[:, None, :] - w[None, :, :]
+            sq = np.einsum("ijd,ijd->ij", diff, diff)
+            return float(np.sqrt(np.min(sq[np.triu_indices(len(w), k=1)])))
+
+        rng = np.random.default_rng(6)
+        for _ in range(81):
+            R, kappa, dim = rng.integers(1, 30), rng.integers(2, 12), rng.integers(1, 4)
+            W = rng.uniform(-5, 5, (R, kappa, dim)) * 10.0 ** rng.integers(-8, 8)
+            W[::3, -1] = W[::3, 0]                       # duplicate components
+            got = _min_separation(W)
+            assert got.tobytes() == np.array([per_row(w) for w in W]).tobytes()
+            assert [min_component_separation(w) for w in W] == got.tolist()
 
     def test_parted(self):
         w = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]

@@ -20,22 +20,22 @@ from dalvq import cli
 
 PINNED = {
     "sweep-ref5k": {
-        "metrics.csv": "a35dc2b1d9dc87c750647200d52e473ac7498f1719a8d0d28b561925a87f29e9",
-        "report.json": "cc16eefcd49a8c35a257fc4a9e1a17d34bd1fef58eda02ac863762659d9ffca1",
+        "metrics.csv": "2a4f14a6743e079afda9e674a58c105b4a41a54aa1701842e7a572196764ffd7",
+        "report.json": "4cd2e1f6982f6cc80a61f1ec22db4ccb09b63b7422287f2275a22d47075d4ace",
         "final-quantizers.json":
             "1a3486e5ec04d4afa0bed0c3b87f92a7733205c278b8dd1e4f6fc70455a24a49",
         "schedule-trace.jsonl":
             "a79e0a95248c2e476bc55f977529bc905b5cd9276f04e29d9825db1c179073f3"},
     "engine-m8-disk": {
-        "metrics.csv": "31c62591c0f91dbeddcafdf34ae1858a4b8bc7c585cd7428e3c7666312cf11f0",
-        "report.json": "149f7da49c94446bb687a1069a1741f164ad62f52b6d96f04fee5ada398eae9d",
+        "metrics.csv": "340012d3cabeac3ece916258d52e58f1687dbc4e750a520dfb9be0d69d9d3315",
+        "report.json": "6a76b11d103c5f4023006e4f65281540ca038f93132fbf2e595f5196bffe2532",
         "final-quantizers.json":
             "e42cb38d6f34109095f24e219a9fbb48df453015826153847090185e331aa035",
         "schedule-trace.jsonl":
             "865222b4d8c4f2f0e354dafef6b716719e4094646582202483688e6cfec78f89"},
     "impulse-gossip-m8": {
-        "metrics.csv": "a138fb2dd409a7d5c3ad3cbbf0375b6728cd3ca60cf70882f8ce3a1620e9fe09",
-        "report.json": "c1b6d161fd9e13267cc5c25fc5ee389bd140c45f23589d91b9751b9cd4d6b003",
+        "metrics.csv": "12b8b726c3307d1a3c9f4fd217941913e32f279b38c8b6dd4f81da2aa395f870",
+        "report.json": "d5fe6f053dfc2f7f994602c269ad1330b92f4e2cbec7ea48ad307ea2e0a87002",
         "final-quantizers.json":
             "eb1cad3eb4ce5168503208e544736ae242a6b54044f8f8697cea78956e32921a",
         "schedule-trace.jsonl":
