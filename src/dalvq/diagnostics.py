@@ -5,27 +5,28 @@ chunks of consecutive ticks as the engine produces them. The expensive parts
 (distortion and gradient evaluations against the reference batch) go through
 ``geometry.batched_cell_stats`` in one call a chunk: its ticks' w*(t) and
 its events' pre-merge versions, stacked in tick order, so the middle w*
-anchors them all. Consecutive iterates move by O(1/t) and the versions stay
-near w*, so the kernel's anchor bounds leave few reference points to rescan.
-h at each recorded w* is a row of that call, which the Lipschitz probe
-reads. The per-tick bookkeeping (the agreement trajectory, the perturbation
-partial sums) is a prefix sum over each chunk's events, in event order, and
-each recorded tick reads its row by one gather.
+anchors them all, then the processors' versions at its recorded ticks.
+Consecutive iterates move by O(1/t) and the versions stay near w*, so the
+kernel's anchor bounds leave few reference points to rescan. h at each
+recorded w* and at each recorded version is a row of that call, which the
+Lipschitz probe reads. The per-tick bookkeeping (the agreement trajectory,
+the perturbation partial sums) is a prefix sum over each chunk's events, in
+event order, and each recorded tick reads its row by one gather.
 
 The pass has two halves: the impulse limits and the chunk loop, which read
-only the schedule and the chunk stream, and a tail that reads what the ticks
-leave at the horizon (the snapshots and K2). On a system that can fork, with
-at least two CPUs available to the process (os.sched_getaffinity), the first
-half runs in a forked child: the ticks, draws and merges stay in the caller,
-which starts them at once and pickles each chunk into a pipe widened to hold
-several, so the child computes the limits while the first ticks run and then
-sweeps a chunk while the next one's ticks run. Once the last chunk is sent,
-the caller scores the snapshots for the Lipschitz probe while the child
-finishes. With one CPU the same limits, loop and scoring run in the caller,
-in that order. Both paths give the same bits. An exception in the child is
-raised in the caller as its own type, or as a RuntimeError carrying the
-child's traceback when it does not pickle; a child that dies raises
-ChildProcessError, an OSError. No child outlives compute_metrics.
+only the schedule, the start versions and the chunk stream, and a tail that
+reads what the ticks leave at the horizon (the snapshots and K2) and scores
+nothing. On a system that can fork, with at least two CPUs available to the
+process (os.sched_getaffinity), the first half runs in a forked child: the
+ticks, draws and merges stay in the caller, which starts them at once and
+pickles each chunk into a pipe widened to hold several, so the child
+computes the limits while the first ticks run and then sweeps a chunk while
+the next one's ticks run. The caller makes no kernel call. With one CPU the
+same limits and loop run in the caller. Both paths give the same bits. An
+exception in the child is raised in the caller as its own type, or as a
+RuntimeError carrying the child's traceback when it does not pickle; a child
+that dies raises ChildProcessError, an OSError. No child outlives
+compute_metrics.
 
 Cumulative columns follow one convention: the value reported at tick t sums
 contributions of ticks tau < t, matching the agreement recursion whose value
@@ -125,7 +126,7 @@ class RunMetrics:
     mart_sigma: float
     mart_n: int
     limits: PhiLimitSeries            # the impulse limits the series are built on
-    h_snap: np.ndarray                # (n_rec, M, width) h at each recorded version
+    h_snap: np.ndarray                # (n_rec, M, width) h at each recorded version, from the sweep
     h_star: np.ndarray                # (n_rec, width) h at each recorded w*, from the sweep
 
     def to_csv(self, path: str) -> None:
@@ -164,11 +165,14 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     the perturbation partial sums are prefix sums over the chunk's events,
     in event order, and all distortion or gradient evaluations go through
     one kernel call on the chunk's w* rows and its events' versions, stacked
-    in tick order. Reads nothing the ticks leave at the horizon.
+    in tick order, then the versions at its recorded ticks (Chunk.snaps),
+    whose h fill h_snap. Reads nothing the ticks leave at the horizon: the
+    last chunk brings the horizon's versions, and at horizon 0, with no
+    chunk, they are the start versions.
     """
     limits = phi_limit_series(art.schedule)
     cfg = art.config
-    T, kappa, dim, D = cfg.horizon, cfg.kappa, cfg.dim, cfg.width
+    T, M, kappa, dim, D = cfg.horizon, cfg.M, cfg.kappa, cfg.dim, cfg.width
     batch = art.batch
 
     # per-tick step weights and activity, filled chunk by chunk
@@ -187,6 +191,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     out = {name: np.zeros(n_rec) for name in _STREAM_COLUMNS}
     w_star_rec = np.empty((n_rec, D))
     h_star = np.empty((n_rec, D))
+    h_snap = np.empty((n_rec, M, D))
     dm_rec = np.empty((n_rec, 2, D))      # the dm1 and dm2 partial sums
 
     # Each prefix sum below runs behind a -0.0 row or over -0.0 fill, since
@@ -196,7 +201,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     run_dm = np.zeros((2, D))
     run_seg = 0.0
 
-    for b0, b1, e0, starts, ev in chunks:
+    for b0, b1, e0, starts, ev, snaps in chunks:
         L, E = b1 - b0, ev.n
         ev_rows = np.arange(E)
         wb = ev.w_before.reshape(E, kappa, dim)
@@ -215,10 +220,12 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
         W = acc[starts[:L]]
         w_star = acc[E]
 
-        # one stack in tick order, w*(t) and then tick t's events' versions
+        # one stack in tick order, w*(t) and then tick t's events' versions,
+        # then the recorded versions
         at_w, at_ev = starts[:L] + np.arange(L), ev_rows + (ev.t - b0) + 1
-        stack = np.empty((L + E, kappa, dim))
+        stack = np.empty((L + E + len(snaps) * M, kappa, dim))
         stack[at_w], stack[at_ev] = W.reshape(L, kappa, dim), wb
+        stack[L + E:] = snaps.reshape(-1, kappa, dim)
         dist_s, grad_s, _, _ = batched_cell_stats(stack, batch)
         dist_b, grad_b, h_evt = dist_s[at_w], grad_s[at_w], grad_s[at_ev]
         gn2_b = np.einsum("ckd,ckd->c", grad_b, grad_b)
@@ -246,6 +253,7 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
         rec = times[ks] - b0
         w_star_rec[ks] = W[rec]
         h_star[ks] = grad_b[rec].reshape(-1, D)
+        h_snap[ks.start:ks.start + len(snaps)] = grad_s[L + E:].reshape(-1, M, D)
         out["distortion_star"][ks] = dist_b[rec]
         out["grad_norm_star"][ks] = np.sqrt(gn2_b[rec])
         out["sum_eps_grad2"][ks] = run_seg + seg[rec]
@@ -260,6 +268,8 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     out["distortion_star"][-1] = dist_f[0]
     out["grad_norm_star"][-1] = float(np.linalg.norm(grad_f))
     h_star[-1] = grad_f.reshape(D)
+    if T == 0:      # no chunk: the horizon's versions are the start versions
+        h_snap[-1] = batched_cell_stats(art.x0.reshape(M, kappa, dim), batch)[1].reshape(M, D)
     out["sum_eps_grad2"][-1] = run_seg
     dm_rec[-1] = run_dm
     out["eps_star"][:] = eps_star_all[times]      # no event falls at the horizon
@@ -290,22 +300,12 @@ def _chunk_loop(art: RunArtifacts, chunks: Iterable[Chunk]) -> dict:
     else:
         mart_mean_norm = mart_sigma = 0.0
 
-    return dict(out, w_star_rec=w_star_rec, h_star=h_star, env_sum=env_sum,
+    return dict(out, w_star_rec=w_star_rec, h_star=h_star, h_snap=h_snap, env_sum=env_sum,
                 eps_ratio_min=r_min, eps_ratio_min_t=t_min,
                 eps_ratio_max=r_max, eps_ratio_max_t=t_max,
                 eps_star_total=float(np.sum(eps_star_all[:T])),
                 mart_mean_norm=mart_mean_norm, mart_sigma=mart_sigma, mart_n=len(mart),
                 limits=limits)
-
-
-def _snapshot_grads(art: RunArtifacts) -> np.ndarray:
-    """h at every processor's recorded version, (n_rec, M, width), scored in
-    one kernel call on the stacked snapshots."""
-    cfg = art.config
-    n_rec, M = art.snapshots.shape[:2]
-    _, h, _, _ = batched_cell_stats(art.snapshots.reshape(n_rec * M, cfg.kappa, cfg.dim),
-                                    art.batch)
-    return h.reshape(n_rec, M, cfg.width)
 
 
 def sweep_path() -> str:
@@ -340,13 +340,13 @@ def _sweep_child(art: RunArtifacts, chunk_r: int, result_w: int) -> None:
     _send(result_w, msg)
 
 
-def _forked_loop(art: RunArtifacts) -> tuple[dict, np.ndarray]:
-    """The chunk loop in a forked child, fed through a pipe, and the
-    snapshots' gradients (_snapshot_grads) scored here while it finishes.
+def _forked_loop(art: RunArtifacts) -> dict:
+    """The chunk loop in a forked child, fed through a pipe.
 
     The caller takes the run's ticks (art.chunks) at once and pickles each
-    chunk into the pipe; the child computes the limits meanwhile, then
-    sweeps the chunks as they come. The pipe, widened to the system's
+    chunk, the versions at its recorded ticks included, into the pipe; the
+    child computes the limits meanwhile, then sweeps the chunks as they
+    come, and the caller scores nothing. The pipe, widened to the system's
     largest, holds a few chunks, which bounds how far the ticks run ahead.
     The child never reads the snapshots or the final versions, which would
     take the ticks again in the child. The child's exception is raised here
@@ -384,14 +384,13 @@ def _forked_loop(art: RunArtifacts) -> tuple[dict, np.ndarray]:
             os._exit(code)
     os.close(chunk_r)
     os.close(result_w)
-    status = h_snap = None
+    status = None
     with open(result_r, "rb") as back:
         try:
             try:
                 for chunk in art.chunks():
                     _send(chunk_w, chunk)
                 _send(chunk_w, None)
-                h_snap = _snapshot_grads(art)
             except BrokenPipeError:
                 pass        # the child stopped reading: its message or its status says why
             finally:
@@ -411,7 +410,7 @@ def _forked_loop(art: RunArtifacts) -> tuple[dict, np.ndarray]:
     if not isinstance(msg, dict) or code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise ChildProcessError(f"the metrics sweep child {how} without a result")
-    return msg, h_snap
+    return msg
 
 
 def compute_metrics(art: RunArtifacts) -> RunMetrics:
@@ -421,15 +420,12 @@ def compute_metrics(art: RunArtifacts) -> RunMetrics:
     Walks the run chunk by chunk (art.chunks, chunks of consecutive ticks),
     so a run whose ticks have not been taken yet takes them here, one chunk
     of its event log at a time, in this process. The limits and the chunk
-    loop run in a forked child or here (sweep_path); the snapshots'
-    gradients and the tail, which read the versions the ticks leave
-    (snapshots, K2), run here once the last chunk is taken.
+    loop, every kernel call included, run in a forked child or here
+    (sweep_path); the tail, which reads the versions the ticks leave
+    (snapshots, K2) and scores nothing, runs here once the last chunk is
+    taken.
     """
-    if sweep_path() == "forked":
-        swept, h_snap = _forked_loop(art)
-    else:
-        swept = _chunk_loop(art, art.chunks())
-        h_snap = _snapshot_grads(art)
+    swept = _forked_loop(art) if sweep_path() == "forked" else _chunk_loop(art, art.chunks())
     limits, env_sum = swept["limits"], swept.pop("env_sum")
     cfg = art.config
     T, M, kappa = cfg.horizon, cfg.M, cfg.kappa
@@ -444,7 +440,7 @@ def compute_metrics(art: RunArtifacts) -> RunMetrics:
                       agreement_gap=np.sqrt(np.einsum("kid,kid->ki", dev, dev)).max(axis=1),
                       bound_normmaj=bound_coef * theta_all[times],
                       dm2_envelope=np.sqrt(env_coef * env_sum),
-                      theta_final=float(theta_all[T]), h_snap=h_snap, **swept)
+                      theta_final=float(theta_all[T]), **swept)
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,15 @@ class EventLog:
 
 class Chunk(NamedTuple):
     """Ticks b0 .. b1 - 1 of a run and their descents, the run's events e0
-    onwards: tick t's are events[starts[t - b0]:starts[t - b0 + 1]]."""
+    onwards: tick t's are events[starts[t - b0]:starts[t - b0 + 1]]; and the
+    versions at its recorded ticks, the horizon's too in a run's last chunk."""
 
     b0: int
     b1: int
     e0: int
     starts: np.ndarray       # (b1 - b0 + 1,) offsets into events
     events: EventLog
+    snaps: np.ndarray        # (recorded ticks in b0 .. b1 - 1, or b1 at the horizon, M, width)
 
 
 @dataclass(frozen=True)
@@ -254,13 +256,14 @@ class RunArtifacts:
             z = z[len(plan[2]):]
 
     def chunks(self) -> Iterator[Chunk]:
-        """The run, by chunks of _CHUNK consecutive ticks."""
+        """The run, by chunks of _CHUNK consecutive ticks and their recorded versions."""
         cfg, schedule = self.config, self.schedule
         T, depth = cfg.horizon, schedule.B1
         ring = np.zeros((depth, cfg.M, cfg.width))
         ring[0] = self.x0
         snapshots = np.empty((len(self.snap_times), cfg.M, cfg.width))
         snap_at = {int(u): k for k, u in enumerate(self.snap_times)}
+        snapshots[-1] = self.x0         # the horizon's at horizon 0; a last chunk rewrites it
         delta = _row_delta(schedule)
         _check_depth(_merge_plan(schedule), depth)
         K1, K2, e0 = math.inf, 1.0, 0
@@ -282,10 +285,12 @@ class RunArtifacts:
                         snapshots[k] = ring[t % depth]
                     dalvq_tick(t, ring, schedule, events,
                                range(first[t - b0], first[t - b0 + 1]), plan)
+            if b1 == T:
+                snapshots[-1] = ring[T % depth]
             events.finish()
-            yield Chunk(b0, b1, e0, starts, events)
+            yield Chunk(b0, b1, e0, starts, events,
+                        snapshots[slice(*np.searchsorted(self.snap_times, [b0, b1 + (b1 == T)]))])
             e0 += events.n
-        snapshots[snap_at[T]] = ring[T % depth]
         if not self._end:
             snapshots.flags.writeable = False
             self._end.update(snapshots=snapshots, K1=K1 if self.n_events else cfg.step.c, K2=K2)

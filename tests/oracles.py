@@ -363,10 +363,13 @@ def collect(art) -> EventLog:
     return log
 
 
-def split(log: EventLog, schedule) -> Iterator[Chunk]:
+def split(log: EventLog, schedule, snapshots: np.ndarray,
+          snap_times: np.ndarray) -> Iterator[Chunk]:
     """A whole log of the schedule's planned descents, by the engine's chunk
-    of ticks, each chunk's events views of the log's rows: the chunks a pass
-    of the run's ticks gives, from the log instead."""
+    of ticks, each chunk's events views of the log's rows and its versions
+    those of the snapshots (recorded at snap_times) at its ticks, the
+    horizon's in the last: the chunks a pass of the run's ticks gives, from
+    the log and the snapshots instead."""
     t_plan, proc_plan, _ = schedule.descents()
     if not (np.array_equal(log.t, t_plan) and np.array_equal(log.proc, proc_plan)):
         raise ValueError("metrics need the run's event log of every planned descent")
@@ -379,7 +382,8 @@ def split(log: EventLog, schedule) -> Iterator[Chunk]:
         for name in _LOG_FIELDS:
             setattr(part, name, getattr(log, name)[e0:e1])
         part.n = e1 - e0
-        yield Chunk(b0, b1, e0, starts[b0:b1 + 1] - e0, part)
+        at = (snap_times >= b0) & (snap_times < b1 + (b1 == T))
+        yield Chunk(b0, b1, e0, starts[b0:b1 + 1] - e0, part, snapshots[at])
 
 
 def dense_descent(art, max_entries: int = 2**22) -> np.ndarray:

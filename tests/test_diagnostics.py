@@ -18,8 +18,8 @@ from dalvq.engine import RunConfig, StepPolicy, run
 from dalvq.geometry import batched_cell_stats, min_component_separation
 from dalvq.measures import DistributionSpec, make_batch
 from dalvq.schedule import ScheduleSpec, generate, write_trace
-from oracles import (agreement_trajectory, agreement_vector, collect, dense_descent, split,
-                     theta)
+from oracles import (agreement_trajectory, agreement_vector, cell_stats, collect,
+                     dense_descent, split, theta)
 
 
 BOX = DistributionSpec.uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -299,7 +299,8 @@ class TestComputeMetrics:
         kept = run(cfg)
         log = collect(kept)          # its pass keeps the versions at the horizon
         assert len(log.z) == streamed.n_events
-        object.__setattr__(kept, "chunks", lambda: split(log, kept.schedule))
+        object.__setattr__(kept, "chunks", lambda: split(log, kept.schedule, kept.snapshots,
+                                                         kept.snap_times))
         b = compute_metrics(kept)
         assert field_bytes(a) == field_bytes(b)
 
@@ -448,8 +449,8 @@ class TestForkedSweep:
 
     def test_ticks_stay_in_the_caller(self, monkeypatch):
         # every tick runs here, and none in the child, which never reads the
-        # snapshots; every kernel call of the sweep runs in the child but the
-        # one on the stacked snapshots
+        # snapshots; every kernel call of the sweep runs in the child, the
+        # recorded versions' included, since each chunk carries its own
         art = run(make_config(horizon=600))
         ticks, kernel_calls = [], []
         tick = engine.dalvq_tick
@@ -466,8 +467,40 @@ class TestForkedSweep:
         with deadline(60):
             compute_metrics(art)
         assert ticks == list(range(600))
-        assert kernel_calls == [len(art.snap_times) * art.config.M]
+        assert kernel_calls == []
         assert_no_child_left()
+
+    @pytest.mark.parametrize("horizon", [0, 601])
+    def test_h_at_every_recorded_version(self, horizon, monkeypatch):
+        # each chunk's stack holds the versions at its recorded ticks, the
+        # last chunk's the horizon's too; at horizon 0 there is no chunk and
+        # the start versions are scored alone. 601 ends inside a chunk of 256
+        # and between two recorded ticks of cadence 7. Every h is the
+        # oracle's from exact counts, and forked and inline agree in every bit
+        art = run(make_config(horizon=horizon, cadence=7))
+        cfg = art.config
+        counts = {}
+
+        def recording(W, b):
+            out = batched_cell_stats(W, b)
+            counts.update(zip((w.tobytes() for w in W), out[2]))
+            return out
+
+        monkeypatch.setattr(diagnostics, "batched_cell_stats", recording)
+        one_cpu(monkeypatch)
+        inline = compute_metrics(art)
+        two_cpus(monkeypatch)
+        with deadline(60):
+            forked = compute_metrics(art)
+        assert field_bytes(forked) == field_bytes(inline)
+        assert_no_child_left()
+        assert inline.h_snap.shape == (len(art.snap_times), cfg.M, cfg.width)
+        for k in range(len(art.snap_times)):
+            for i in range(cfg.M):
+                w = art.snapshots[k, i].reshape(cfg.kappa, cfg.dim)
+                _, grad, n_cell, _, _ = cell_stats(w, art.batch.points)
+                np.testing.assert_array_equal(counts[w.tobytes()], n_cell)
+                np.testing.assert_allclose(inline.h_snap[k, i], grad.ravel(), rtol=0, atol=1e-12)
 
     def test_limits_run_in_the_child(self, monkeypatch):
         # forked, the limits run in the child only; inline, here, once

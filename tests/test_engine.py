@@ -617,21 +617,25 @@ class TestPlanWindows:
 class TestChunks:
     @pytest.mark.parametrize("size", [256, 7, 1])
     def test_pass_is_the_collected_log(self, size, monkeypatch):
-        # the chunks of a pass hold the log's rows, and the pass ends on its versions
+        # the chunks of a pass hold the log's rows and the versions at their
+        # recorded ticks, and the pass ends on its versions
         monkeypatch.setattr(engine, "_CHUNK", size)
         cfg = make_config(horizon=45, cadence=4)
         live = run(cfg)
-        chunks = [(b0, b1, e0, starts.copy(), ev) for b0, b1, e0, starts, ev
-                  in live.chunks()]
+        chunks = [(b0, b1, e0, starts.copy(), ev, snaps.copy())
+                  for b0, b1, e0, starts, ev, snaps in live.chunks()]
         art = run(cfg)
         log = collect(art)
         assert [c[:2] for c in chunks] == [(b0, min(b0 + size, 45)) for b0 in range(0, 45, size)]
-        for (b0, b1, e0, starts, ev), again in zip(chunks, split(log, art.schedule)):
+        again = split(log, art.schedule, art.snapshots, art.snap_times)
+        for (b0, b1, e0, starts, ev, snaps), other in zip(chunks, again):
             assert np.array_equal(starts, np.searchsorted(log.t, np.arange(b0, b1 + 1)) - e0)
-            assert ev.n == starts[-1] == again.events.n
+            assert ev.n == starts[-1] == other.events.n
             for name in ("t", "proc", "draw", "eps", "comp", "z", "w_before"):
                 assert getattr(ev, name).tobytes() == getattr(log, name)[e0:e0 + ev.n].tobytes()
+            assert snaps.tobytes() == other.snaps.tobytes()
         assert sum(c[4].n for c in chunks) == log.n == live.n_events
+        assert np.concatenate([c[5] for c in chunks]).tobytes() == art.snapshots.tobytes()
         for name in ("snapshots", "final", "K1", "K2"):
             assert np.array_equal(getattr(live, name), getattr(art, name))
 

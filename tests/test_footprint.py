@@ -84,14 +84,17 @@ def test_one_cpu_run_writes_the_same_bytes(name, tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+@pytest.mark.parametrize("name", ["engine-m8-disk", "sweep-ref5k"])
+def test_peak_memory_does_not_grow_with_the_horizon(name, tmp_path):
     # the run holds one chunk of its event log at a time; what is left grows
     # with the horizon by a few per-tick series only. Keeping the whole log
-    # added about 1.5 MB per 1,000 ticks on this config (21 MB here).
+    # added about 1.5 MB per 1,000 ticks on engine-m8-disk (21 MB here).
+    # Scoring every recorded version in one kernel call, on the stack of the
+    # whole run's snapshots, added about 4.6 MB here on sweep-ref5k.
     peaks = {}
     for horizon in (2000, 16000):
         code, out, peaks[horizon] = _child(
-            ["-m", "dalvq.cli", "run", "--config", _config(tmp_path, "engine-m8-disk", horizon),
+            ["-m", "dalvq.cli", "run", "--config", _config(tmp_path, name, horizon),
              "--out", str(tmp_path / f"out-{horizon}")])
         assert code == 0, out
     assert abs(peaks[16000] - peaks[2000]) < 4.0, peaks

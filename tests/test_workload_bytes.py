@@ -20,22 +20,22 @@ from dalvq import cli
 
 PINNED = {
     "sweep-ref5k": {
-        "metrics.csv": "2a4f14a6743e079afda9e674a58c105b4a41a54aa1701842e7a572196764ffd7",
-        "report.json": "4cd2e1f6982f6cc80a61f1ec22db4ccb09b63b7422287f2275a22d47075d4ace",
+        "metrics.csv": "93d67bbfed045b86922ea09a9ea6d1396c6a46421447c28588c0b24b4ea39ccf",
+        "report.json": "bf88189d88aa8dba0d90f93f52321836db157e9a45b59140ee59218c3a5a0c8b",
         "final-quantizers.json":
             "1a3486e5ec04d4afa0bed0c3b87f92a7733205c278b8dd1e4f6fc70455a24a49",
         "schedule-trace.jsonl":
             "a79e0a95248c2e476bc55f977529bc905b5cd9276f04e29d9825db1c179073f3"},
     "engine-m8-disk": {
-        "metrics.csv": "340012d3cabeac3ece916258d52e58f1687dbc4e750a520dfb9be0d69d9d3315",
-        "report.json": "6a76b11d103c5f4023006e4f65281540ca038f93132fbf2e595f5196bffe2532",
+        "metrics.csv": "75c651f36d1c31365800f2ffc26564f4c7891cffdcde2a6fb126bac869e5f8f7",
+        "report.json": "c2fd5c7a596cf10b9de9bf1c028be7f2313d500aa1740a40ca9d59c5b36076d2",
         "final-quantizers.json":
             "e42cb38d6f34109095f24e219a9fbb48df453015826153847090185e331aa035",
         "schedule-trace.jsonl":
             "865222b4d8c4f2f0e354dafef6b716719e4094646582202483688e6cfec78f89"},
     "impulse-gossip-m8": {
-        "metrics.csv": "12b8b726c3307d1a3c9f4fd217941913e32f279b38c8b6dd4f81da2aa395f870",
-        "report.json": "d5fe6f053dfc2f7f994602c269ad1330b92f4e2cbec7ea48ad307ea2e0a87002",
+        "metrics.csv": "c08c683b3e490146df021340fe47d840e81f81991875dd2f28b7518373968ea4",
+        "report.json": "c3d2cd86cd1dcbbcbd034b83eed1eaccf8732f7965b9743cef167d84149671cb",
         "final-quantizers.json":
             "eb1cad3eb4ce5168503208e544736ae242a6b54044f8f8697cea78956e32921a",
         "schedule-trace.jsonl":
